@@ -66,8 +66,11 @@ out = B.stem_forward(tape, ParamVars(tape, store), "stem", tape.leaf(img), 64, "
 print("input", img.shape, "->", out.data.shape, "\n")
 
 print("=== 5. the probe block gives every branch the whole region map ===")
-probe = B.ProbeConfig(channels=64, in_channels=64, branch_count=3)
-print(f"c=64: region width {probe.rr_width}, concat width {probe.concat_width}, "
-      f"merge weight slices per branch: {probe.branch_slices()}")
+probe = B.DWRConfig(channels=64, in_channels=64, branch_count=3, broadcast=True)
+split = B.DWRConfig(channels=64, in_channels=64, branch_count=3)
+print(f"c=64: region width {probe.rr_width}; branch inputs {probe.group_widths} "
+      f"(split DWR: {split.group_widths})")
+print(f"merge weight slices per branch: {probe.branch_slices()} "
+      f"(split DWR: {split.branch_slices()})")
 print("(the merge weights over those slices are what the receptive-field")
 print(" demand study histograms, see demos/06_probe_weights.py)")

@@ -1,7 +1,9 @@
 """Receptive fields, theoretical and effective.
 
 The theoretical trace composes rf <- rf + (k-1)*d*jump through the whole
-encoder; the effective receptive field (ERF) backpropagates a unit
+encoder, read off a shape-only trace of the network's forward pass (concat
+and add keep the widest input, so a DWR block follows its largest
+dilation); the effective receptive field (ERF) backpropagates a unit
 gradient from one stage-output unit and maps where input pixels actually
 influence it.  The ERF is always contained in (and much smaller than) the
 theoretical window.
@@ -16,7 +18,8 @@ from dwrseg import network as N
 
 print("=== 1. theoretical receptive field through DWRSeg-B ===")
 report = A.network_rf_report(N.preset("B"))
-landmarks = ("stem.fuse", "s2.6.rr.conv", "s3.2.merge", "s4.2.merge")
+landmarks = ("stem.fuse", "s2.6.rr.conv", "s3.2.sr.b1", "s3.2.merge", "s4.2.sr.b0",
+             "s4.2.sr.b2", "s4.2.merge")
 for row in report["trace"]:
     if row["layer"] in landmarks:
         print(f"    {row['layer']:<16s} rf={row['rf']:>5d}  jump={row['jump']}")

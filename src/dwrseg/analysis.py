@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import ProbeConfig
 from .data import write_pgm
 from .engine import ShapeError, Tape, write_nt
-from .network import NetworkConfig, _block_config, forward
+from .network import NetworkConfig, _block_config, forward, trace
 from .params import ParamStore
 
 
@@ -51,17 +50,6 @@ def theoretical_rf(layers) -> RfState:
     return state
 
 
-def _stem_layers(prefix="stem"):
-    # the conv path and the pool path reach the concat with equal RF, so a
-    # single linear sequence represents the stem exactly
-    return [
-        (f"{prefix}.conv1", 3, 2, 1),
-        (f"{prefix}.a1", 1, 1, 1),
-        (f"{prefix}.a2", 3, 2, 1),
-        (f"{prefix}.fuse", 3, 1, 1),
-    ]
-
-
 def rf_window(rf: int, jump: int, unit: int, size: int) -> tuple[int, int]:
     """Inclusive input-pixel range a unit can see along one axis.
 
@@ -77,35 +65,36 @@ def rf_window(rf: int, jump: int, unit: int, size: int) -> tuple[int, int]:
 def network_rf_report(config: NetworkConfig) -> dict:
     """Per-layer RF trace through the encoder plus per-branch RFs per block.
 
-    The running trace follows the largest-dilation branch of every block
-    (the widest path); per-branch values record what each dilation
-    contributes at that depth.
+    Read from a shape-only trace of `forward`: conv and pool nodes apply the
+    composition rule to their input, concat and add take the max over their
+    inputs, and every other op passes its input through.  So the running
+    value follows the widest path, and `branches` holds the RF of each
+    dilation branch (`<block>.sr.b<i>`) at its depth.
     """
-    state = theoretical_rf(_stem_layers())
-    branches: dict[str, dict[str, int]] = {}
-    prev = config.stem_channels
-    for name, stage in zip(config.stage_names, config.stages):
-        for j in range(stage.repeats):
-            cfg = _block_config(stage, j, prev, config.switches)
-            prefix = f"{name}.{j}"
-            state.apply(f"{prefix}.rr.conv", 3, cfg.stride, 1)
-            if stage.kind == "sir":
-                state.apply(f"{prefix}.proj", 1, 1, 1)
-            else:
-                per_branch = {}
-                for i, d in enumerate(cfg.dilations):
-                    per_branch[f"b{i}(d={d})"] = state.rf + 2 * d * state.jump
-                branches[prefix] = per_branch
-                best = max(cfg.dilations)
-                state.apply(f"{prefix}.sr.d{best}", 3, 1, best)
-                state.apply(f"{prefix}.merge", 1, 1, 1)
-        prev = stage.channels
-    return {
-        "trace": [{"layer": n, "rf": rf, "jump": j} for n, rf, j in state.trace],
-        "branches": branches,
-        "final_rf": state.rf,
-        "final_jump": state.jump,
-    }
+    tape, taps = trace(config, 32, 32)
+    end = taps[config.stage_names[-1]].idx
+    rf_at: dict[int, tuple[int, int]] = {}  # var index -> (rf, jump)
+    rows, branches = [], {}
+    for node in tape.nodes:
+        if node.out > end:
+            break
+        inputs = [rf_at.get(p, (1, 1)) for p in node.parents]
+        if node.window is not None:
+            state = RfState(*inputs[0]).apply(node.name, *node.window)
+            rf_at[node.out] = (state.rf, state.jump)
+            if node.name is None:  # a pool: moves rf and jump, adds no row
+                continue
+            rows.append({"layer": node.name, "rf": state.rf, "jump": state.jump})
+            block, _, branch = node.name.rpartition(".sr.")
+            if block:
+                branches.setdefault(block, {})[f"{branch}(d={node.spec.dilation})"] = state.rf
+        elif node.kind in ("concat", "add"):
+            rf_at[node.out] = tuple(map(max, zip(*inputs)))
+        else:
+            rf_at[node.out] = inputs[0]
+    final_rf, final_jump = rf_at[end]
+    return {"trace": rows, "branches": branches, "final_rf": final_rf,
+            "final_jump": final_jump}
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +167,6 @@ def branch_weight_stats(params: ParamStore, config: NetworkConfig,
         if stage.kind != "probe":
             raise ShapeError(f"branch_weight_stats needs probe stages; {name} is {stage.kind!r}")
         cfg0 = _block_config(stage, 0, prev, config.switches)
-        assert isinstance(cfg0, ProbeConfig)
         slices = cfg0.branch_slices()
         pooled: list[list[np.ndarray]] = [[] for _ in slices]
         for j in range(stage.repeats):

@@ -7,19 +7,20 @@ dilation rate per group, then concatenated, normalized, merged back down
 by a pointwise conv and added to the block input.  An SIR (simple inverted
 residual) block keeps only the expand conv + BN + ReLU + pointwise
 projection for the low stage.  The probe block is the receptive-field
-demand variant: every dilation branch consumes the entire region output so
-the pointwise merge weights reveal how much each receptive field is used.
+demand variant of DWR (`DWRConfig.broadcast`): every dilation branch
+consumes the entire region output so the pointwise merge weights reveal
+how much each receptive field is used.
 
-Every block is a stateless function of (params, input); each one is the
-literal composition of engine ops, declared alongside its parameter list
-so construction, counting, and execution all share one definition.
+Every block is a stateless function of (params, input) composed of engine
+ops.  Its forward looks each conv up by layer name in the block's
+declaration list, so construction and execution share one definition, and
+counts are read from a shape-only trace of the same forward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import accumulate
 
 from .engine import ConvSpec, ShapeError, Tape, Var
 from .params import ParamVars
@@ -58,6 +59,7 @@ class DWRConfig:
     rr_expansion: float = 1.5
     stride: int = 1
     switches: NonlinearitySwitches = field(default_factory=NonlinearitySwitches)
+    broadcast: bool = False  # every branch sees the whole region output (the probe block)
 
     def __post_init__(self):
         if self.branch_count not in (2, 3):
@@ -75,7 +77,8 @@ class DWRConfig:
         rw = self.rr_expansion * self.channels
         if abs(rw - round(rw)) > 1e-9:
             raise ShapeError(f"rr_expansion {self.rr_expansion} * {self.channels} is not integral")
-        _split_by_ratio(int(round(rw)), self.branch_ratio)
+        if not self.broadcast:
+            _split_by_ratio(int(round(rw)), self.branch_ratio)
 
     @property
     def rr_width(self) -> int:
@@ -83,7 +86,15 @@ class DWRConfig:
 
     @property
     def group_widths(self) -> tuple[int, ...]:
+        """Input width of each dilation branch."""
+        if self.broadcast:
+            return (self.rr_width,) * self.branch_count
         return _split_by_ratio(self.rr_width, self.branch_ratio)
+
+    def branch_slices(self) -> list[tuple[int, int]]:
+        """Input-axis partition of the merge weight, one slice per branch."""
+        ends = [0, *accumulate(self.group_widths)]
+        return list(zip(ends, ends[1:]))
 
 
 @dataclass(frozen=True)
@@ -106,45 +117,6 @@ class SIRConfig:
         return self.expansion * self.channels
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
-    """DWR variant where every dilation branch sees the full region output."""
-
-    channels: int
-    in_channels: int
-    branch_count: int = 3
-    dilations: tuple[int, ...] = ()
-    rr_expansion: float = 1.5
-    stride: int = 1
-    switches: NonlinearitySwitches = field(default_factory=NonlinearitySwitches)
-
-    def __post_init__(self):
-        if not self.dilations:
-            object.__setattr__(self, "dilations", DEFAULT_DILATIONS.get(self.branch_count, (1, 3, 5)))
-        if len(self.dilations) != self.branch_count:
-            raise ShapeError("dilations length must equal branch_count")
-        if self.stride not in (1, 2):
-            raise ShapeError(f"stride must be 1 or 2, got {self.stride}")
-        if self.stride == 1 and self.in_channels != self.channels:
-            raise ShapeError("in_channels may differ from channels only when stride == 2")
-        rw = self.rr_expansion * self.channels
-        if abs(rw - round(rw)) > 1e-9:
-            raise ShapeError(f"rr_expansion {self.rr_expansion} * {self.channels} is not integral")
-
-    @property
-    def rr_width(self) -> int:
-        return int(round(self.rr_expansion * self.channels))
-
-    @property
-    def concat_width(self) -> int:
-        return self.branch_count * self.rr_width
-
-    def branch_slices(self) -> list[tuple[int, int]]:
-        """Input-axis partition of the merge weight, one slice per branch."""
-        w = self.rr_width
-        return [(i * w, (i + 1) * w) for i in range(self.branch_count)]
-
-
 # ---------------------------------------------------------------------------
 # Parameter declarations (single source for build / count / forward)
 # ---------------------------------------------------------------------------
@@ -163,18 +135,19 @@ class BnDecl:
 
 def dwr_decls(prefix: str, cfg: DWRConfig) -> list:
     sw = cfg.switches
+    widths = cfg.group_widths
     decls: list = [ConvDecl(f"{prefix}.rr.conv",
                             ConvSpec(cfg.in_channels, cfg.rr_width, 3,
                                      stride=cfg.stride, padding=1))]
     if sw.rr_bn:
         decls.append(BnDecl(f"{prefix}.rr.bn", cfg.rr_width))
-    for i, (g, d) in enumerate(zip(cfg.group_widths, cfg.dilations)):
+    for i, (g, d) in enumerate(zip(widths, cfg.dilations)):
         decls.append(ConvDecl(f"{prefix}.sr.b{i}",
                               ConvSpec(g, g, 3, padding=d, dilation=d, groups=g)))
     if sw.sr_bn:
-        decls.append(BnDecl(f"{prefix}.sr.bn", cfg.rr_width))
+        decls.append(BnDecl(f"{prefix}.sr.bn", sum(widths)))
     decls.append(ConvDecl(f"{prefix}.merge",
-                          ConvSpec(cfg.rr_width, cfg.channels, 1, has_bias=True)))
+                          ConvSpec(sum(widths), cfg.channels, 1, has_bias=True)))
     if sw.bn_after_pointwise:
         decls.append(BnDecl(f"{prefix}.merge.bn", cfg.channels))
     return decls
@@ -189,25 +162,6 @@ def sir_decls(prefix: str, cfg: SIRConfig) -> list:
         ConvDecl(f"{prefix}.proj",
                  ConvSpec(cfg.hidden_width, cfg.channels, 1, has_bias=True)),
     ]
-
-
-def probe_decls(prefix: str, cfg: ProbeConfig) -> list:
-    sw = cfg.switches
-    w = cfg.rr_width
-    decls: list = [ConvDecl(f"{prefix}.rr.conv",
-                            ConvSpec(cfg.in_channels, w, 3, stride=cfg.stride, padding=1))]
-    if sw.rr_bn:
-        decls.append(BnDecl(f"{prefix}.rr.bn", w))
-    for i, d in enumerate(cfg.dilations):
-        decls.append(ConvDecl(f"{prefix}.sr.b{i}",
-                              ConvSpec(w, w, 3, padding=d, dilation=d, groups=w)))
-    if sw.sr_bn:
-        decls.append(BnDecl(f"{prefix}.sr.bn", cfg.concat_width))
-    decls.append(ConvDecl(f"{prefix}.merge",
-                          ConvSpec(cfg.concat_width, cfg.channels, 1, has_bias=True)))
-    if sw.bn_after_pointwise:
-        decls.append(BnDecl(f"{prefix}.merge.bn", cfg.channels))
-    return decls
 
 
 def stem_decls(prefix: str, stem_channels: int) -> list:
@@ -238,7 +192,12 @@ def seghead_decls(prefix: str, in_channels: int, head_width: int, num_classes: i
 # Forward passes
 # ---------------------------------------------------------------------------
 
-def _conv(tape: Tape, pv: ParamVars, name: str, x: Var, spec: ConvSpec) -> Var:
+def _specs(decls) -> dict[str, ConvSpec]:
+    return {d.name: d.spec for d in decls if isinstance(d, ConvDecl)}
+
+
+def _conv(tape: Tape, pv: ParamVars, specs: dict, name: str, x: Var) -> Var:
+    spec = specs[name]
     bias = pv(f"{name}.bias") if spec.has_bias else None
     return tape.conv2d(x, pv(f"{name}.weight"), bias, spec)
 
@@ -254,28 +213,24 @@ def dwr_forward(tape: Tape, pv: ParamVars, prefix: str, x: Var, cfg: DWRConfig,
     if x.data.shape[1] != cfg.in_channels:
         raise ShapeError(f"{prefix}: input has {x.data.shape[1]} channels, "
                          f"config wants {cfg.in_channels}")
-    t = _conv(tape, pv, f"{prefix}.rr.conv",
-              x, ConvSpec(cfg.in_channels, cfg.rr_width, 3, stride=cfg.stride, padding=1))
+    specs = _specs(dwr_decls(prefix, cfg))
+    t = _conv(tape, pv, specs, f"{prefix}.rr.conv", x)
     if sw.rr_bn:
         t = _bn(tape, pv, f"{prefix}.rr.bn", t, mode)
     if sw.rr_relu:
         t = tape.relu(t)
     if capture is not None:
         capture[f"{prefix}.rr"] = t.data
-    groups = tape.split(t, list(cfg.group_widths))
-    branches = []
-    for i, (g, gw, d) in enumerate(zip(groups, cfg.group_widths, cfg.dilations)):
-        branches.append(_conv(tape, pv, f"{prefix}.sr.b{i}", g,
-                              ConvSpec(gw, gw, 3, padding=d, dilation=d, groups=gw)))
-    t = tape.concat(branches)
+    groups = [t] * cfg.branch_count if cfg.broadcast else tape.split(t, list(cfg.group_widths))
+    t = tape.concat([_conv(tape, pv, specs, f"{prefix}.sr.b{i}", g)
+                     for i, g in enumerate(groups)])
     if sw.sr_bn:
         t = _bn(tape, pv, f"{prefix}.sr.bn", t, mode)
     if sw.sr_relu_after_bn:
         t = tape.relu(t)
     if capture is not None:
         capture[f"{prefix}.sr"] = t.data
-    t = _conv(tape, pv, f"{prefix}.merge",
-              t, ConvSpec(cfg.rr_width, cfg.channels, 1, has_bias=True))
+    t = _conv(tape, pv, specs, f"{prefix}.merge", t)
     if sw.bn_after_pointwise:
         t = _bn(tape, pv, f"{prefix}.merge.bn", t, mode)
     if cfg.stride == 1 and cfg.in_channels == cfg.channels:
@@ -288,46 +243,13 @@ def sir_forward(tape: Tape, pv: ParamVars, prefix: str, x: Var, cfg: SIRConfig,
     if x.data.shape[1] != cfg.in_channels:
         raise ShapeError(f"{prefix}: input has {x.data.shape[1]} channels, "
                          f"config wants {cfg.in_channels}")
-    t = _conv(tape, pv, f"{prefix}.rr.conv",
-              x, ConvSpec(cfg.in_channels, cfg.hidden_width, 3, stride=cfg.stride, padding=1))
+    specs = _specs(sir_decls(prefix, cfg))
+    t = _conv(tape, pv, specs, f"{prefix}.rr.conv", x)
     t = _bn(tape, pv, f"{prefix}.rr.bn", t, mode)
     t = tape.relu(t)
     if capture is not None:
         capture[f"{prefix}.rr"] = t.data
-    t = _conv(tape, pv, f"{prefix}.proj",
-              t, ConvSpec(cfg.hidden_width, cfg.channels, 1, has_bias=True))
-    if cfg.stride == 1 and cfg.in_channels == cfg.channels:
-        t = tape.add(x, t)
-    return t
-
-
-def probe_forward(tape: Tape, pv: ParamVars, prefix: str, x: Var, cfg: ProbeConfig,
-                  mode: str, capture: dict | None = None) -> Var:
-    sw = cfg.switches
-    w = cfg.rr_width
-    t = _conv(tape, pv, f"{prefix}.rr.conv",
-              x, ConvSpec(cfg.in_channels, w, 3, stride=cfg.stride, padding=1))
-    if sw.rr_bn:
-        t = _bn(tape, pv, f"{prefix}.rr.bn", t, mode)
-    if sw.rr_relu:
-        t = tape.relu(t)
-    if capture is not None:
-        capture[f"{prefix}.rr"] = t.data
-    branches = []
-    for i, d in enumerate(cfg.dilations):
-        branches.append(_conv(tape, pv, f"{prefix}.sr.b{i}", t,
-                              ConvSpec(w, w, 3, padding=d, dilation=d, groups=w)))
-    t = tape.concat(branches)
-    if sw.sr_bn:
-        t = _bn(tape, pv, f"{prefix}.sr.bn", t, mode)
-    if sw.sr_relu_after_bn:
-        t = tape.relu(t)
-    if capture is not None:
-        capture[f"{prefix}.sr"] = t.data
-    t = _conv(tape, pv, f"{prefix}.merge",
-              t, ConvSpec(cfg.concat_width, cfg.channels, 1, has_bias=True))
-    if sw.bn_after_pointwise:
-        t = _bn(tape, pv, f"{prefix}.merge.bn", t, mode)
+    t = _conv(tape, pv, specs, f"{prefix}.proj", t)
     if cfg.stride == 1 and cfg.in_channels == cfg.channels:
         t = tape.add(x, t)
     return t
@@ -336,86 +258,39 @@ def probe_forward(tape: Tape, pv: ParamVars, prefix: str, x: Var, cfg: ProbeConf
 def stem_forward(tape: Tape, pv: ParamVars, prefix: str, x: Var, stem_channels: int,
                  mode: str) -> Var:
     """Initial 4x downsampling: strided conv, then a conv path and a pool path."""
-    s = stem_channels
     n, c, h, w = x.data.shape
     if c != 3:
         raise ShapeError(f"stem expects 3 input channels, got {c}")
     if h % 4 or w % 4:
         raise ShapeError(f"stem input size {h}x{w} must be divisible by 4")
-    t = _conv(tape, pv, f"{prefix}.conv1", x, ConvSpec(3, s // 2, 3, stride=2, padding=1))
+    specs = _specs(stem_decls(prefix, stem_channels))
+    t = _conv(tape, pv, specs, f"{prefix}.conv1", x)
     t = _bn(tape, pv, f"{prefix}.conv1.bn", t, mode)  # deliberately no activation
-    a = _conv(tape, pv, f"{prefix}.a1", t, ConvSpec(s // 2, s // 4, 1))
+    a = _conv(tape, pv, specs, f"{prefix}.a1", t)
     a = tape.relu(_bn(tape, pv, f"{prefix}.a1.bn", a, mode))
-    a = _conv(tape, pv, f"{prefix}.a2", a, ConvSpec(s // 4, s // 2, 3, stride=2, padding=1))
+    a = _conv(tape, pv, specs, f"{prefix}.a2", a)
     a = tape.relu(_bn(tape, pv, f"{prefix}.a2.bn", a, mode))
     b = tape.maxpool(t, 3, 2, 1)
     t = tape.concat([a, b])
-    t = _conv(tape, pv, f"{prefix}.fuse", t, ConvSpec(s, s, 3, padding=1))
+    t = _conv(tape, pv, specs, f"{prefix}.fuse", t)
     return tape.relu(_bn(tape, pv, f"{prefix}.fuse.bn", t, mode))
 
 
 def seghead_forward(tape: Tape, pv: ParamVars, prefix: str, x: Var, in_channels: int,
                     head_width: int, num_classes: int, out_h: int, out_w: int,
                     mode: str) -> Var:
-    t = _conv(tape, pv, f"{prefix}.conv", x, ConvSpec(in_channels, head_width, 3, padding=1))
+    specs = _specs(seghead_decls(prefix, in_channels, head_width, num_classes))
+    t = _conv(tape, pv, specs, f"{prefix}.conv", x)
     t = tape.relu(_bn(tape, pv, f"{prefix}.conv.bn", t, mode))
-    t = _conv(tape, pv, f"{prefix}.pred", t, ConvSpec(head_width, num_classes, 1, has_bias=True))
+    t = _conv(tape, pv, specs, f"{prefix}.pred", t)
     return tape.upsample(t, out_h, out_w)
 
 
 # ---------------------------------------------------------------------------
-# Analytic MAC counts (convolutions only, BN/ReLU/pool/upsample excluded)
+# MAC count of one convolution (network.count_macs sums it over a trace)
 # ---------------------------------------------------------------------------
 
 def conv_macs(spec: ConvSpec, in_h: int, in_w: int) -> int:
     oh, ow = spec.out_hw(in_h, in_w)
     return oh * ow * spec.out_channels * spec.kernel * spec.kernel * \
         (spec.in_channels // spec.groups)
-
-
-def _seq_macs(decls, in_h, in_w):
-    """MACs for blocks where the first conv sets the resolution for the rest."""
-    items = []
-    h, w = in_h, in_w
-    first = True
-    for d in decls:
-        if isinstance(d, ConvDecl):
-            items.append((d.name, conv_macs(d.spec, h, w)))
-            if first:
-                h, w = d.spec.out_hw(h, w)
-                first = False
-    return items, (h, w)
-
-
-def dwr_macs(prefix: str, cfg: DWRConfig, in_h: int, in_w: int):
-    return _seq_macs(dwr_decls(prefix, cfg), in_h, in_w)
-
-
-def sir_macs(prefix: str, cfg: SIRConfig, in_h: int, in_w: int):
-    return _seq_macs(sir_decls(prefix, cfg), in_h, in_w)
-
-
-def probe_macs(prefix: str, cfg: ProbeConfig, in_h: int, in_w: int):
-    return _seq_macs(probe_decls(prefix, cfg), in_h, in_w)
-
-
-def stem_macs(prefix: str, stem_channels: int, in_h: int, in_w: int):
-    s = stem_channels
-    h2, w2 = in_h // 2, in_w // 2
-    h4, w4 = in_h // 4, in_w // 4
-    items = [
-        (f"{prefix}.conv1", conv_macs(ConvSpec(3, s // 2, 3, stride=2, padding=1), in_h, in_w)),
-        (f"{prefix}.a1", conv_macs(ConvSpec(s // 2, s // 4, 1), h2, w2)),
-        (f"{prefix}.a2", conv_macs(ConvSpec(s // 4, s // 2, 3, stride=2, padding=1), h2, w2)),
-        (f"{prefix}.fuse", conv_macs(ConvSpec(s, s, 3, padding=1), h4, w4)),
-    ]
-    return items, (h4, w4)
-
-
-def seghead_macs(prefix: str, in_channels: int, head_width: int, num_classes: int,
-                 in_h: int, in_w: int):
-    items = [
-        (f"{prefix}.conv", conv_macs(ConvSpec(in_channels, head_width, 3, padding=1), in_h, in_w)),
-        (f"{prefix}.pred", conv_macs(ConvSpec(head_width, num_classes, 1), in_h, in_w)),
-    ]
-    return items, (in_h, in_w)

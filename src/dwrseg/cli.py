@@ -10,6 +10,7 @@ Run configs are strict JSON documents (unknown keys are rejected); use
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from dataclasses import dataclass, field
@@ -280,6 +281,7 @@ def cmd_bench(args) -> int:
     stats = network.benchmark_forward(params, cfg, (1, 3, args.height, args.width),
                                       warmup=args.warmup, iters=args.iters)
     stats["variant"] = args.variant
+    stats["blas_threads"] = blas_threads()
     print(json.dumps(stats, indent=2))
     return 0
 
@@ -400,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Config defaults: see `dwrseg preset desk`. Exit codes: "
                "0 ok, 2 config error, 3 numeric failure.")
     p.add_argument("--threads", type=int, default=1,
-                   help="cap BLAS worker threads (default 1 for bitwise reproducibility)")
+                   help="worker threads of numpy's OpenBLAS (default 1; seeded runs "
+                        "repeat bitwise at a fixed count)")
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("train", help="train a model from a run config")
@@ -464,19 +467,54 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _limit_threads(n: int) -> None:
-    try:
-        import threadpoolctl
+_OPENBLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads")
 
-        threadpoolctl.threadpool_limits(limits=max(1, n))
-    except ImportError:
-        pass
+
+def _openblas_fn(verb: str):
+    """`<prefix>_<verb>_num_threads` of the OpenBLAS bundled with numpy, or None."""
+    libdir = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libdir.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in _OPENBLAS_SYMBOLS:
+            fn = getattr(lib, symbol.format(verb), None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def blas_threads() -> int | None:
+    """Worker threads numpy's OpenBLAS uses now; None if it cannot be read."""
+    fn = _openblas_fn("get")
+    if fn is None:
+        return None
+    fn.argtypes = []
+    fn.restype = ctypes.c_int
+    return int(fn())
+
+
+def set_blas_threads(n: int) -> int | None:
+    """Cap numpy's OpenBLAS at max(1, n) workers; return the count read back.
+
+    Without the OpenBLAS thread API the count is left as it is and the
+    effective count is reported on stderr.
+    """
+    fn = _openblas_fn("set")
+    if fn is not None:
+        fn.argtypes = [ctypes.c_int]
+        fn.restype = None
+        fn(max(1, n))
+    threads = blas_threads()
+    if fn is None:
+        print(f"warning: cannot set BLAS threads to {n} (numpy's OpenBLAS not found); "
+              f"threads in use: {threads or 'unknown'}", file=sys.stderr)
+    return threads
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _limit_threads(args.threads)
+    set_blas_threads(args.threads)
     try:
         return args.fn(args)
     except (ConfigError, FormatError, ShapeError, FileNotFoundError, ValueError) as exc:

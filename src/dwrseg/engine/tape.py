@@ -6,10 +6,14 @@ accumulating gradients per node index in a fixed order, so repeated
 backward passes are bitwise identical.
 
 A tape created with record=False computes forward results only: no nodes
-and no saved buffers, which is the eval-mode fast path.
+and no saved buffers, which is the eval-mode fast path.  A ShapeTape
+computes no values at all: it records the op graph with output shapes, so
+counts and receptive fields can be read off one traced forward pass.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,3 +173,88 @@ class Tape:
             name: grads[idx] if grads[idx] is not None else None
             for name, idx in self._leaf_names.items()
         }
+
+
+# ---------------------------------------------------------------------------
+# Shape-only tracing
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Node:
+    """One op recorded by a ShapeTape."""
+
+    kind: str                       # the Tape method: "conv2d", "maxpool", ...
+    name: str | None                # layer name of the weight/gamma leaf, if any
+    parents: tuple[int, ...]        # var indices of the data inputs
+    out: int                        # var index of the output
+    shape: tuple[int, ...]          # output shape
+    spec: ops.ConvSpec | None = None
+    window: tuple[int, int, int] | None = None  # (kernel, stride, dilation)
+
+
+class ShapeTape(Tape):
+    """Tape with the same op surface that computes output shapes only.
+
+    Every Var's data is a zero-stride view of its shape, so block code that
+    reads `x.data.shape` runs unchanged.  `nodes` holds one Node per op in
+    call order and `shapes[i]` the shape of var i.  No `ops` kernel runs and
+    nothing can be backpropagated.
+    """
+
+    def __init__(self):
+        super().__init__(record=False)
+        self.nodes: list[Node] = []
+        self.shapes: list[tuple[int, ...]] = []
+        self._layer: dict[int, str] = {}
+
+    def leaf(self, data: np.ndarray, name: str | None = None) -> Var:
+        v = super().leaf(data, name)
+        self.shapes.append(data.shape)
+        if name is not None:
+            self._layer[v.idx] = name.rsplit(".", 1)[0]
+        return v
+
+    def _node(self, kind: str, inputs, shape, named: Var | None = None, **fields) -> Var:
+        v = Var(np.broadcast_to(np.zeros((), inputs[0].data.dtype), shape), self._num_vars)
+        self._num_vars += 1
+        self.shapes.append(tuple(shape))
+        name = self._layer.get(named.idx) if named is not None else None
+        self.nodes.append(Node(kind, name, tuple(p.idx for p in inputs), v.idx,
+                               tuple(shape), **fields))
+        return v
+
+    def conv2d(self, x, weight, bias, spec):
+        ops._check_conv_operands(x.data, weight.data,
+                                 bias.data if bias is not None else None, spec)
+        n, _, h, w = x.shape
+        return self._node("conv2d", (x,), (n, spec.out_channels, *spec.out_hw(h, w)), weight,
+                          spec=spec, window=(spec.kernel, spec.stride, spec.dilation))
+
+    def batchnorm(self, x, gamma, beta, state, mode):
+        return self._node("batchnorm", (x,), x.shape, gamma)
+
+    def relu(self, x):
+        return self._node("relu", (x,), x.shape)
+
+    def add(self, x, y):
+        if x.shape != y.shape:
+            raise ShapeError(f"add: shapes {x.shape} != {y.shape}")
+        return self._node("add", (x, y), x.shape)
+
+    def concat(self, xs):
+        n, _, h, w = xs[0].shape
+        return self._node("concat", tuple(xs), (n, sum(v.shape[1] for v in xs), h, w))
+
+    def split(self, x, widths):
+        if sum(widths) != x.shape[1]:
+            raise ShapeError(f"split widths {widths} do not sum to {x.shape[1]} channels")
+        n, _, h, w = x.shape
+        return [self._node("split", (x,), (n, c, h, w)) for c in widths]
+
+    def maxpool(self, x, kernel, stride, padding=0):
+        n, c, h, w = x.shape
+        return self._node("maxpool", (x,), (n, c, *ops._pool_out_hw(h, w, kernel, stride, padding)),
+                          window=(kernel, stride, 1))
+
+    def upsample(self, x, out_h, out_w):
+        return self._node("upsample", (x,), (*x.shape[:2], out_h, out_w))

@@ -12,8 +12,8 @@ everything that is built, stored, or trained.
 
 from __future__ import annotations
 
+import math
 import struct
-from typing import BinaryIO
 
 import numpy as np
 
@@ -74,13 +74,17 @@ def nt_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     """Parse one ".nt" record starting at `offset`; return (array, next offset)."""
     if buf[offset:offset + 4] != NT_MAGIC:
         raise FormatError(f"bad .nt magic at offset {offset}")
+    start = offset + 12
+    if start > len(buf):
+        raise FormatError(f".nt header truncated at offset {offset}")
     version, ndim = struct.unpack_from("<II", buf, offset + 4)
     if version != NT_VERSION:
         raise FormatError(f"unsupported .nt version {version}")
+    start += 4 * ndim
+    if start > len(buf):
+        raise FormatError(f".nt header truncated: {ndim} dims at offset {offset}")
     dims = struct.unpack_from(f"<{ndim}I", buf, offset + 12)
-    start = offset + 12 + 4 * ndim
-    count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-    end = start + 4 * count
+    end = start + 4 * math.prod(dims)
     if end > len(buf):
         raise FormatError(".nt payload truncated")
     arr = np.frombuffer(buf[start:end], dtype="<f4").reshape(dims).astype(FLOAT)
@@ -99,7 +103,3 @@ def read_nt(path) -> np.ndarray:
     if end != len(buf):
         raise FormatError(f"{path}: {len(buf) - end} trailing byte(s) after payload")
     return arr
-
-
-def write_nt_stream(f: BinaryIO, x: np.ndarray) -> None:
-    f.write(nt_bytes(x))

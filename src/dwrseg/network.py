@@ -26,15 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blocks
-from .blocks import (
-    BnDecl,
-    ConvDecl,
-    DWRConfig,
-    NonlinearitySwitches,
-    ProbeConfig,
-    SIRConfig,
-)
-from .engine import FLOAT, FormatError, ShapeError, Tape, Var, nt_bytes, nt_from_bytes
+from .blocks import BnDecl, ConvDecl, DWRConfig, NonlinearitySwitches, SIRConfig
+from .engine import FLOAT, FormatError, ShapeError, ShapeTape, Tape, Var, nt_bytes, nt_from_bytes
 from .params import ParamStore, ParamVars
 
 CHECKPOINT_MAGIC = b"DWCK"
@@ -137,20 +130,15 @@ def _block_config(stage: StageSpec, block_idx: int, in_channels: int,
     if stage.kind == "sir":
         return SIRConfig(channels=stage.channels, in_channels=cin,
                          expansion=stage.expansion, stride=stride)
-    if stage.kind == "dwr":
-        return DWRConfig(channels=stage.channels, in_channels=cin,
-                         branch_count=stage.branch_count, dilations=stage.dilations,
-                         branch_ratio=stage.branch_ratio, rr_expansion=stage.rr_expansion,
-                         stride=stride, switches=switches)
-    return ProbeConfig(channels=stage.channels, in_channels=cin,
-                       branch_count=stage.branch_count, dilations=stage.dilations or (1, 3, 5),
-                       rr_expansion=stage.rr_expansion, stride=stride, switches=switches)
+    return DWRConfig(channels=stage.channels, in_channels=cin,
+                     branch_count=stage.branch_count, dilations=stage.dilations,
+                     branch_ratio=stage.branch_ratio, rr_expansion=stage.rr_expansion,
+                     stride=stride, switches=switches, broadcast=stage.kind == "probe")
 
 
-_BLOCK_DECLS = {"sir": blocks.sir_decls, "dwr": blocks.dwr_decls, "probe": blocks.probe_decls}
+_BLOCK_DECLS = {"sir": blocks.sir_decls, "dwr": blocks.dwr_decls, "probe": blocks.dwr_decls}
 _BLOCK_FORWARD = {"sir": blocks.sir_forward, "dwr": blocks.dwr_forward,
-                  "probe": blocks.probe_forward}
-_BLOCK_MACS = {"sir": blocks.sir_macs, "dwr": blocks.dwr_macs, "probe": blocks.probe_macs}
+                  "probe": blocks.dwr_forward}
 
 
 def iter_decls(config: NetworkConfig):
@@ -223,6 +211,18 @@ def forward(params: ParamStore, config: NetworkConfig, x, mode: str = "eval",
     return logits, taps
 
 
+def trace(config: NetworkConfig, input_h: int, input_w: int):
+    """Shape-only run of `forward` on one 3 x input_h x input_w image.
+
+    Returns (tape, taps): `tape.nodes` is the op graph, in call order, that
+    MAC counts and the receptive-field trace are read from.
+    """
+    tape = ShapeTape()
+    x = tape.leaf(np.broadcast_to(np.zeros((), FLOAT), (1, 3, input_h, input_w)))
+    _, taps = forward(build(config), config, x, tape=tape)
+    return tape, taps
+
+
 def infer(params: ParamStore, config: NetworkConfig, x, mode: str = "eval"):
     """Array-level forward: (logits ndarray, {stage: ndarray})."""
     logits, taps = forward(params, config, x, mode=mode)
@@ -267,22 +267,9 @@ def count_macs(config: NetworkConfig, input_h: int, input_w: int):
     Convention: one MAC per multiply in a convolution, i.e. out_elements *
     k^2 * in_channels/groups; BN, ReLU, pooling and upsampling excluded.
     """
-    if input_h % 32 or input_w % 32:
-        raise ShapeError(f"input size {input_h}x{input_w} must be divisible by 32")
-    items, (h, w) = blocks.stem_macs("stem", config.stem_channels, input_h, input_w)
-    prev = config.stem_channels
-    h8w8 = None
-    for name, stage in zip(config.stage_names, config.stages):
-        for j in range(stage.repeats):
-            cfg = _block_config(stage, j, prev, config.switches)
-            block_items, (h, w) = _BLOCK_MACS[stage.kind](f"{name}.{j}", cfg, h, w)
-            items.extend(block_items)
-        prev = stage.channels
-        if name == "s2":
-            h8w8 = (h, w)
-    head_items, _ = blocks.seghead_macs("head", config.decoder_width, config.head_width,
-                                        config.num_classes, *h8w8)
-    items.extend(head_items)
+    tape, _ = trace(config, input_h, input_w)
+    items = [(node.name, blocks.conv_macs(node.spec, *tape.shapes[node.parents[0]][2:]))
+             for node in tape.nodes if node.kind == "conv2d"]
     return sum(n for _, n in items), items
 
 
@@ -367,29 +354,32 @@ def load_checkpoint(path) -> tuple[ParamStore, NetworkConfig]:
         buf = f.read()
     if buf[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint (bad magic)")
+    if len(buf) < 12:
+        raise FormatError(f"{path}: checkpoint header truncated at {len(buf)} bytes")
     version, hlen = struct.unpack_from("<II", buf, 4)
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     try:
         header = json.loads(buf[12:12 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: corrupt header ({exc})") from exc
-    config = config_from_dict(header["config"])
-    store = build(config, rng_seed=0)
-    if [e["name"] for e in header["params"]] != store.names():
+        config = config_from_dict(header["config"])
+        param_entries = [(e["name"], e["shape"]) for e in header["params"]]
+        stat_names = [e["name"] for e in header["stats"]]
+        store = build(config, rng_seed=0)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: corrupt header ({type(exc).__name__}: {exc})") from exc
+    if [name for name, _ in param_entries] != store.names():
         raise FormatError(f"{path}: parameter manifest does not match the config")
     offset = 12 + hlen
-    for entry in header["params"]:
+    for name, shape in param_entries:
         arr, offset = nt_from_bytes(buf, offset)
-        if list(arr.shape) != entry["shape"]:
-            raise FormatError(f"{path}: shape mismatch for {entry['name']}")
-        store.set_(entry["name"], arr)
-    stat_names = [n for n, _ in store.stat_items()]
-    if [e["name"] for e in header["stats"]] != stat_names:
+        if list(arr.shape) != shape:
+            raise FormatError(f"{path}: shape mismatch for {name}")
+        store.set_(name, arr)
+    if stat_names != [n for n, _ in store.stat_items()]:
         raise FormatError(f"{path}: statistics manifest does not match the config")
-    for entry in header["stats"]:
+    for name in stat_names:
         arr, offset = nt_from_bytes(buf, offset)
-        store.set_stat_(entry["name"], arr)
+        store.set_stat_(name, arr)
     if offset != len(buf):
         raise FormatError(f"{path}: {len(buf) - offset} trailing byte(s)")
     return store, config

@@ -85,18 +85,19 @@ class ParamStore:
 
     def astype(self, dtype) -> "ParamStore":
         """Copy of the store with all arrays cast (float64 for gradcheck runs)."""
+        def copy(a):
+            return np.array(a, dtype=dtype, order="C")
+
         out = ParamStore()
         bn_names = {f"{p}.{f}" for p in self._bn for f in ("gamma", "beta")}
         for name, arr in self._params.items():
             if name not in bn_names:
-                out._params[name] = np.ascontiguousarray(arr, dtype=dtype)
+                out._params[name] = copy(arr)
         for prefix, st in self._bn.items():
-            new = BatchNormState(
-                gamma=np.ascontiguousarray(st.gamma, dtype=dtype),
-                beta=np.ascontiguousarray(st.beta, dtype=dtype),
-                running_mean=np.ascontiguousarray(st.running_mean, dtype=dtype),
-                running_var=np.ascontiguousarray(st.running_var, dtype=dtype),
-                eps=st.eps, momentum=st.momentum)
+            new = BatchNormState(gamma=copy(st.gamma), beta=copy(st.beta),
+                                 running_mean=copy(st.running_mean),
+                                 running_var=copy(st.running_var),
+                                 eps=st.eps, momentum=st.momentum)
             out._params[f"{prefix}.gamma"] = new.gamma
             out._params[f"{prefix}.beta"] = new.beta
             out._bn[prefix] = new

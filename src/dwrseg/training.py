@@ -145,16 +145,20 @@ def confusion_matrix(pred: np.ndarray, gt: np.ndarray, num_classes: int,
     return np.bincount(idx, minlength=num_classes ** 2).reshape(num_classes, num_classes)
 
 
-def miou(pred: np.ndarray, gt: np.ndarray, num_classes: int, ignore_label: int = 255):
+def iou_from_confusion(cm: np.ndarray):
     """(per-class IoU with NaN for absent classes, mean over present classes)."""
-    cm = confusion_matrix(pred, gt, num_classes, ignore_label)
     tp = np.diag(cm).astype(np.float64)
     union = cm.sum(axis=0) + cm.sum(axis=1) - tp
-    iou = np.full(num_classes, np.nan)
+    iou = np.full(len(cm), np.nan)
     present = union > 0
     iou[present] = tp[present] / union[present]
     mean = float(np.nanmean(iou)) if present.any() else float("nan")
     return iou, mean
+
+
+def miou(pred: np.ndarray, gt: np.ndarray, num_classes: int, ignore_label: int = 255):
+    """(per-class IoU with NaN for absent classes, mean over present classes)."""
+    return iou_from_confusion(confusion_matrix(pred, gt, num_classes, ignore_label))
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +303,12 @@ def evaluate(params: ParamStore, net_cfg: NetworkConfig, dataset,
         logits, _ = infer(params, net_cfg, s.image, mode="eval")
         pred = logits.argmax(axis=1)[0]
         cm += confusion_matrix(pred, s.mask, n_classes, ignore_label)
-    tp = np.diag(cm).astype(np.float64)
-    union = cm.sum(axis=0) + cm.sum(axis=1) - tp
-    iou = np.full(n_classes, np.nan)
-    present = union > 0
-    iou[present] = tp[present] / union[present]
+    iou, mean = iou_from_confusion(cm)
     total = cm.sum()
     return {
-        "miou": float(np.nanmean(iou)) if present.any() else float("nan"),
+        "miou": mean,
         "per_class_iou": [None if np.isnan(v) else float(v) for v in iou],
-        "pixel_accuracy": float(tp.sum() / total) if total else float("nan"),
+        "pixel_accuracy": float(np.trace(cm) / total) if total else float("nan"),
         "confusion_matrix": cm.tolist(),
         "num_samples": len(dataset),
     }

@@ -49,7 +49,7 @@ class TestTheoreticalRf:
         trace = {row["layer"]: row["rf"] for row in report["trace"]}
         assert trace["stem.fuse"] == 15
         assert trace["s2.0.rr.conv"] == 23
-        assert trace["s3.0.sr.d3"] == 231
+        assert trace["s3.0.sr.b1"] == 231
 
     def test_branch_reporting_present_for_all_dwr_blocks(self):
         report = A.network_rf_report(N.preset("B"))

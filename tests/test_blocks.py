@@ -62,11 +62,11 @@ class TestChannelAccounting:
         assert cfg.hidden_width == 192
 
     def test_probe_concat_width(self):
-        cfg = B.ProbeConfig(channels=64, in_channels=64, branch_count=3)
+        cfg = B.DWRConfig(channels=64, in_channels=64, branch_count=3, broadcast=True)
         assert cfg.rr_width == 96
-        assert cfg.concat_width == 288
+        assert sum(cfg.group_widths) == 288
         assert cfg.branch_slices() == [(0, 96), (96, 192), (192, 288)]
-        merge = [d for d in B.probe_decls("p", cfg) if isinstance(d, B.ConvDecl)][-1]
+        merge = [d for d in B.dwr_decls("p", cfg) if isinstance(d, B.ConvDecl)][-1]
         assert merge.spec.in_channels == 288
 
     def test_indivisible_ratio_rejected(self):
@@ -97,9 +97,9 @@ class TestResidualIdentity:
         np.testing.assert_array_equal(out, x)
 
     def test_probe_zero_weights_is_identity(self):
-        cfg = B.ProbeConfig(channels=16, in_channels=16, branch_count=3)
+        cfg = B.DWRConfig(channels=16, in_channels=16, branch_count=3, broadcast=True)
         x = rnd((1, 16, 8, 8), seed=3)
-        out, _ = run_block(B.probe_forward, B.probe_decls("blk", cfg), cfg, x, zero=True)
+        out, _ = run_block(B.dwr_forward, B.dwr_decls("blk", cfg), cfg, x, zero=True)
         np.testing.assert_array_equal(out, x)
 
     def test_identity_robust_to_gamma(self):
@@ -157,9 +157,9 @@ class TestOpCompositionOracle:
         np.testing.assert_array_equal(out, E.add(x, t))
 
     def test_probe_matches_engine_composition(self):
-        cfg = B.ProbeConfig(channels=8, in_channels=8, branch_count=3)
+        cfg = B.DWRConfig(channels=8, in_channels=8, branch_count=3, broadcast=True)
         x = rnd((1, 8, 8, 8), seed=10)
-        out, store = run_block(B.probe_forward, B.probe_decls("blk", cfg), cfg, x, seed=11)
+        out, store = run_block(B.dwr_forward, B.dwr_decls("blk", cfg), cfg, x, seed=11)
         w = cfg.rr_width
         t = E.conv2d_forward(x, store["blk.rr.conv.weight"], None,
                              E.ConvSpec(8, w, 3, padding=1))
@@ -171,7 +171,7 @@ class TestOpCompositionOracle:
         t = E.concat_channels(outs)
         t = E.batchnorm_forward(t, store.bn("blk.sr.bn"), "eval")
         t = E.conv2d_forward(t, store["blk.merge.weight"], store["blk.merge.bias"],
-                             E.ConvSpec(cfg.concat_width, 8, 1, has_bias=True))
+                             E.ConvSpec(3 * w, 8, 1, has_bias=True))
         np.testing.assert_array_equal(out, E.add(x, t))
 
     def test_stem_matches_engine_composition(self):

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from dwrseg import data as D
-from dwrseg.cli import DESK_PRESET, ConfigError, main, parse_run_config
+from dwrseg.cli import (
+    DESK_PRESET,
+    ConfigError,
+    blas_threads,
+    main,
+    parse_run_config,
+    set_blas_threads,
+)
 
 
 def write_config(tmp_path, **overrides):
@@ -149,6 +156,22 @@ class TestBenchAnalyze:
         assert len(doc["samples_s"]) == 3 and doc["fps"] > 0
         assert doc["recorded_nodes"] == 0
 
+    def test_threads_option_sets_blas_workers(self, capsys):
+        try:
+            assert main(["--threads", "2", "bench", "tiny", "64", "64", "--classes", "4",
+                         "--warmup", "0", "--iters", "1"]) == 0
+            captured = capsys.readouterr()
+            doc = json.loads(captured.out)
+            if blas_threads() is None:  # no OpenBLAS thread API: said so, not skipped
+                assert "warning: cannot set BLAS threads to 2" in captured.err
+            else:
+                assert doc["blas_threads"] == 2
+        finally:
+            set_blas_threads(1)
+        assert main(["bench", "tiny", "64", "64", "--classes", "4",
+                     "--warmup", "0", "--iters", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["blas_threads"] in (1, None)
+
     def test_analyze_rf(self, capsys):
         assert main(["analyze", "rf", "--variant", "B", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -219,6 +242,15 @@ class TestExitCodes:
         bad = tmp_path / "bad.dwck"
         bad.write_bytes(b"garbage")
         assert main(["eval", "--checkpoint", str(bad), "--data", str(tmp_path)]) == 2
+
+    def test_short_checkpoint_predict_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "short.dwck"
+        bad.write_bytes(b"DWCK\x01\x00")
+        image = tmp_path / "in.ppm"
+        D.write_ppm(image, np.zeros((1, 3, 32, 32), np.float32))
+        assert main(["predict", "--checkpoint", str(bad), "--image", str(image),
+                     "--out", str(tmp_path / "out.pgm")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_preset_round_trips(self, capsys):
         assert main(["preset", "desk"]) == 0

@@ -1,5 +1,10 @@
 """Forward-op contracts: worked examples, algebraic identities, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,17 +123,32 @@ class TestConvForward:
         np.testing.assert_array_equal(a, b)
 
     def test_determinism_across_worker_counts(self):
-        # parallel runs partition by output element only: bitwise equal
-        threadpoolctl = pytest.importorskip("threadpoolctl")
-        x = rnd((4, 64, 32, 32), seed=13)
-        w = rnd((128, 64, 3, 3), seed=14)
-        spec = E.ConvSpec(64, 128, 3, padding=1)
-        results = []
+        # this conv is bitwise equal at every OpenBLAS worker count.  Each
+        # count needs a fresh process: OpenBLAS reads OPENBLAS_NUM_THREADS
+        # when it loads, and caps it at the cores it sees.
+        script = (
+            "import hashlib, numpy as np\n"
+            "from dwrseg import engine as E\n"
+            "from dwrseg.cli import blas_threads\n"
+            "def rnd(shape, seed):\n"
+            "    return np.random.default_rng(seed).standard_normal(shape).astype(np.float32)\n"
+            "out = E.conv2d_forward(rnd((4, 64, 32, 32), 13), rnd((128, 64, 3, 3), 14), None,\n"
+            "                       E.ConvSpec(64, 128, 3, padding=1))\n"
+            "print(hashlib.sha256(out.tobytes()).hexdigest(), blas_threads())\n"
+        )
+        path = [str(Path(E.__file__).resolve().parents[2]), os.environ.get("PYTHONPATH")]
+        runs = {}
         for n in (1, 2, 4):
-            with threadpoolctl.threadpool_limits(limits=n):
-                results.append(E.conv2d_forward(x, w, None, spec))
-        np.testing.assert_array_equal(results[0], results[1])
-        np.testing.assert_array_equal(results[0], results[2])
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(n),
+                       PYTHONPATH=os.pathsep.join(filter(None, path)))
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=300, check=True)
+            runs[n] = tuple(done.stdout.split())
+        assert len({digest for digest, _ in runs.values()}) == 1, runs
+        if runs[1][1] != "None":  # the count could be read back
+            assert runs[1][1] == "1", runs
+            if (os.cpu_count() or 1) >= 2:
+                assert runs[2][1] == "2", runs
 
 
 class TestConvBackward:
@@ -424,3 +444,9 @@ class TestNtFormat:
         p.write_bytes(b"XXXX" + b"\x00" * 20)
         with pytest.raises(E.FormatError):
             E.read_nt(p)
+
+    @pytest.mark.parametrize("keep", [6, 12, 16])
+    def test_truncated_header_rejected(self, keep):
+        raw = E.nt_bytes(rnd((2, 2)))  # 12-byte fixed header, then two u32 dims
+        with pytest.raises(E.FormatError):
+            E.nt_from_bytes(raw[:keep])

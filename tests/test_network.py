@@ -1,5 +1,7 @@
 """Network-level contracts: build, shapes, counting, checkpoints, benchmark."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,18 @@ class TestBuild:
         assert a.names() == b.names()
         for name, arr in a.items():
             np.testing.assert_array_equal(arr, b[name])
+
+    def test_astype_same_dtype_copies(self):
+        store = N.build(N.preset("tiny", num_classes=4), rng_seed=0)
+        before = store["stem.conv1.weight"].copy()
+        copy = store.astype(np.float32)
+        copy["stem.conv1.weight"][...] = 123.0
+        copy.bn("stem.conv1.bn").gamma[...] = 123.0
+        copy.bn("stem.conv1.bn").running_var[...] = 123.0
+        np.testing.assert_array_equal(store["stem.conv1.weight"], before)
+        assert not (store.bn("stem.conv1.bn").gamma == 123.0).any()
+        assert not (store.bn("stem.conv1.bn").running_var == 123.0).any()
+        assert copy.bn("stem.conv1.bn").gamma is copy["stem.conv1.bn.gamma"]
 
     def test_different_seeds_differ(self):
         cfg = N.preset("tiny", num_classes=4)
@@ -133,6 +147,32 @@ class TestCounts:
             target = N.MAC_TARGETS[variant]
             assert abs(total - target) / target <= 0.10
 
+    def test_traced_mac_counts_pinned(self):
+        # the figures of the hand-written per-block counts the trace replaced
+        total, items = N.count_macs(N.preset("B"), 512, 1024)
+        assert total == 13_299_777_536
+        assert N.count_macs(N.preset("L"), 512, 1024)[0] == 16_840_687_616
+        names = [name for name, _ in items]
+        assert names[:4] == ["stem.conv1", "stem.a1", "stem.a2", "stem.fuse"]
+        assert names[-2:] == ["head.conv", "head.pred"]
+        assert len(names) == len(set(names))
+
+    def test_trace_runs_no_op_kernels(self, monkeypatch):
+        from dwrseg.engine import ops
+
+        def refuse(*args):
+            raise AssertionError("a shape-only trace called an op kernel")
+
+        for name in ("conv2d_forward", "batchnorm_forward", "relu_forward", "add",
+                     "concat_channels", "split_channels", "maxpool_forward",
+                     "upsample_bilinear"):
+            monkeypatch.setattr(ops, name, refuse)
+        tape, taps = N.trace(N.preset("tiny", num_classes=4, probe=True), 64, 64)
+        assert {node.kind for node in tape.nodes} == {
+            "conv2d", "batchnorm", "relu", "concat", "maxpool", "upsample", "add"}
+        assert taps["s4"].data.shape == (1, 32, 2, 2) and taps["s4"].data.strides == (0,) * 4
+        assert tape.nodes[-1].shape == (1, 4, 64, 64)
+
     def test_l_strictly_larger_and_ratio(self):
         pb, _ = N.count_params(N.preset("B"))
         pl, _ = N.count_params(N.preset("L"))
@@ -178,6 +218,19 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "x.dwck"
         p.write_bytes(b"NOPE" + b"\x00" * 64)
+        with pytest.raises(FormatError):
+            N.load_checkpoint(p)
+
+    def test_short_header_rejected(self, tmp_path):
+        p = tmp_path / "short.dwck"
+        p.write_bytes(b"DWCK\x01\x00")
+        with pytest.raises(FormatError):
+            N.load_checkpoint(p)
+
+    @pytest.mark.parametrize("header", [b"{}", b"[]"])
+    def test_header_without_config_rejected(self, tmp_path, header):
+        p = tmp_path / "h.dwck"
+        p.write_bytes(b"DWCK" + struct.pack("<II", 1, len(header)) + header)
         with pytest.raises(FormatError):
             N.load_checkpoint(p)
 
