@@ -7,23 +7,14 @@ import numpy as np
 
 from dwrseg import blocks as B
 from dwrseg import engine as E
-from dwrseg.params import ParamStore, ParamVars
+from dwrseg.params import ParamStore, ParamVars, he_normal, zero_init
 
 
-def build(decls, seed=0, zero=False):
-    rng = np.random.default_rng(seed)
-    store = ParamStore()
-    for d in decls:
-        if isinstance(d, B.ConvDecl):
-            shape = d.spec.weight_shape
-            store.add(f"{d.name}.weight",
-                      np.zeros(shape, np.float32) if zero
-                      else rng.normal(0, 0.1, shape).astype(np.float32))
-            if d.spec.has_bias:
-                store.add(f"{d.name}.bias", np.zeros(d.spec.out_channels, np.float32))
-        else:
-            store.add_bn(d.name, d.channels)
-    return store
+def run(forward, x, *args, seed=0, zero=False, **kw):
+    """Run a block forward on a store that creates each parameter as it is asked for."""
+    store = ParamStore(zero_init if zero else he_normal(np.random.default_rng(seed)))
+    tape = E.Tape(record=False)
+    return forward(tape, ParamVars(tape, store), "blk", tape.leaf(x), *args, "eval", **kw)
 
 
 print("=== 1. DWR channel accounting ===")
@@ -36,33 +27,24 @@ print(f"c=128, 2 branches: region width {cfg2.rr_width} "
 
 print("=== 2. zero weights -> the block is exactly the identity ===")
 small = B.DWRConfig(channels=16, in_channels=16, branch_count=3)
-store = build(B.dwr_decls("blk", small), zero=True)
 x = np.random.default_rng(3).standard_normal((1, 16, 8, 8)).astype(np.float32)
-tape = E.Tape(record=False)
-out = B.dwr_forward(tape, ParamVars(tape, store), "blk", tape.leaf(x), small, "eval")
+out = run(B.dwr_forward, x, small, zero=True)
 print("dwr(x) == x bitwise:", np.array_equal(out.data, x))
 
 sir = B.SIRConfig(channels=16, in_channels=16)
-store = build(B.sir_decls("blk", sir), zero=True)
-tape = E.Tape(record=False)
-out = B.sir_forward(tape, ParamVars(tape, store), "blk", tape.leaf(x), sir, "eval")
+out = run(B.sir_forward, x, sir, zero=True)
 print("sir(x) == x bitwise:", np.array_equal(out.data, x), "\n")
 
 print("=== 3. one dilation rate per group of region features ===")
-store = build(B.dwr_decls("blk", small), seed=5)
-tape = E.Tape(record=False)
 cap = {}
-B.dwr_forward(tape, ParamVars(tape, store), "blk", tape.leaf(x), small, "eval",
-              capture=cap)
+run(B.dwr_forward, x, small, seed=5, capture=cap)
 print("region map (post-ReLU) shape:", cap["blk.rr"].shape,
       "min:", float(cap["blk.rr"].min()))
 print("filtered map (post-BN) shape:", cap["blk.sr"].shape, "\n")
 
 print("=== 4. the stem downsamples 4x through conv and pool paths ===")
-store = build(B.stem_decls("stem", 64), seed=6)
-tape = E.Tape(record=False)
 img = np.random.default_rng(7).random((1, 3, 64, 64), dtype=np.float32)
-out = B.stem_forward(tape, ParamVars(tape, store), "stem", tape.leaf(img), 64, "eval")
+out = run(B.stem_forward, img, 64, seed=6)
 print("input", img.shape, "->", out.data.shape, "\n")
 
 print("=== 5. the probe block gives every branch the whole region map ===")

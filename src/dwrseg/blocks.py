@@ -12,9 +12,10 @@ consumes the entire region output so the pointwise merge weights reveal
 how much each receptive field is used.
 
 Every block is a stateless function of (params, input) composed of engine
-ops.  Its forward looks each conv up by layer name in the block's
-declaration list, so construction and execution share one definition, and
-counts are read from a shape-only trace of the same forward.
+ops, and its forward is the block's only declaration: each conv call names
+its ConvSpec and each BN takes its width from its input.  Running the
+forward on a declaring ParamStore builds the parameters; parameter and
+MAC counts and the receptive-field trace are read off a shape-only run.
 """
 
 from __future__ import annotations
@@ -118,92 +119,16 @@ class SIRConfig:
 
 
 # ---------------------------------------------------------------------------
-# Parameter declarations (single source for build / count / forward)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConvDecl:
-    name: str
-    spec: ConvSpec
-
-
-@dataclass(frozen=True)
-class BnDecl:
-    name: str
-    channels: int
-
-
-def dwr_decls(prefix: str, cfg: DWRConfig) -> list:
-    sw = cfg.switches
-    widths = cfg.group_widths
-    decls: list = [ConvDecl(f"{prefix}.rr.conv",
-                            ConvSpec(cfg.in_channels, cfg.rr_width, 3,
-                                     stride=cfg.stride, padding=1))]
-    if sw.rr_bn:
-        decls.append(BnDecl(f"{prefix}.rr.bn", cfg.rr_width))
-    for i, (g, d) in enumerate(zip(widths, cfg.dilations)):
-        decls.append(ConvDecl(f"{prefix}.sr.b{i}",
-                              ConvSpec(g, g, 3, padding=d, dilation=d, groups=g)))
-    if sw.sr_bn:
-        decls.append(BnDecl(f"{prefix}.sr.bn", sum(widths)))
-    decls.append(ConvDecl(f"{prefix}.merge",
-                          ConvSpec(sum(widths), cfg.channels, 1, has_bias=True)))
-    if sw.bn_after_pointwise:
-        decls.append(BnDecl(f"{prefix}.merge.bn", cfg.channels))
-    return decls
-
-
-def sir_decls(prefix: str, cfg: SIRConfig) -> list:
-    return [
-        ConvDecl(f"{prefix}.rr.conv",
-                 ConvSpec(cfg.in_channels, cfg.hidden_width, 3,
-                          stride=cfg.stride, padding=1)),
-        BnDecl(f"{prefix}.rr.bn", cfg.hidden_width),
-        ConvDecl(f"{prefix}.proj",
-                 ConvSpec(cfg.hidden_width, cfg.channels, 1, has_bias=True)),
-    ]
-
-
-def stem_decls(prefix: str, stem_channels: int) -> list:
-    s = stem_channels
-    if s % 4:
-        raise ShapeError(f"stem channels must be divisible by 4, got {s}")
-    return [
-        ConvDecl(f"{prefix}.conv1", ConvSpec(3, s // 2, 3, stride=2, padding=1)),
-        BnDecl(f"{prefix}.conv1.bn", s // 2),
-        ConvDecl(f"{prefix}.a1", ConvSpec(s // 2, s // 4, 1)),
-        BnDecl(f"{prefix}.a1.bn", s // 4),
-        ConvDecl(f"{prefix}.a2", ConvSpec(s // 4, s // 2, 3, stride=2, padding=1)),
-        BnDecl(f"{prefix}.a2.bn", s // 2),
-        ConvDecl(f"{prefix}.fuse", ConvSpec(s, s, 3, padding=1)),
-        BnDecl(f"{prefix}.fuse.bn", s),
-    ]
-
-
-def seghead_decls(prefix: str, in_channels: int, head_width: int, num_classes: int) -> list:
-    return [
-        ConvDecl(f"{prefix}.conv", ConvSpec(in_channels, head_width, 3, padding=1)),
-        BnDecl(f"{prefix}.conv.bn", head_width),
-        ConvDecl(f"{prefix}.pred", ConvSpec(head_width, num_classes, 1, has_bias=True)),
-    ]
-
-
-# ---------------------------------------------------------------------------
 # Forward passes
 # ---------------------------------------------------------------------------
 
-def _specs(decls) -> dict[str, ConvSpec]:
-    return {d.name: d.spec for d in decls if isinstance(d, ConvDecl)}
-
-
-def _conv(tape: Tape, pv: ParamVars, specs: dict, name: str, x: Var) -> Var:
-    spec = specs[name]
-    bias = pv(f"{name}.bias") if spec.has_bias else None
-    return tape.conv2d(x, pv(f"{name}.weight"), bias, spec)
+def _conv(tape: Tape, pv: ParamVars, name: str, x: Var, spec: ConvSpec) -> Var:
+    weight, bias = pv.conv(name, spec)
+    return tape.conv2d(x, weight, bias, spec)
 
 
 def _bn(tape: Tape, pv: ParamVars, name: str, x: Var, mode: str) -> Var:
-    gamma, beta, state = pv.bn(name)
+    gamma, beta, state = pv.bn(name, x.shape[1])
     return tape.batchnorm(x, gamma, beta, state, mode)
 
 
@@ -213,24 +138,27 @@ def dwr_forward(tape: Tape, pv: ParamVars, prefix: str, x: Var, cfg: DWRConfig,
     if x.data.shape[1] != cfg.in_channels:
         raise ShapeError(f"{prefix}: input has {x.data.shape[1]} channels, "
                          f"config wants {cfg.in_channels}")
-    specs = _specs(dwr_decls(prefix, cfg))
-    t = _conv(tape, pv, specs, f"{prefix}.rr.conv", x)
+    t = _conv(tape, pv, f"{prefix}.rr.conv", x,
+              ConvSpec(cfg.in_channels, cfg.rr_width, 3, stride=cfg.stride, padding=1))
     if sw.rr_bn:
         t = _bn(tape, pv, f"{prefix}.rr.bn", t, mode)
     if sw.rr_relu:
         t = tape.relu(t)
     if capture is not None:
         capture[f"{prefix}.rr"] = t.data
-    groups = [t] * cfg.branch_count if cfg.broadcast else tape.split(t, list(cfg.group_widths))
-    t = tape.concat([_conv(tape, pv, specs, f"{prefix}.sr.b{i}", g)
-                     for i, g in enumerate(groups)])
+    widths = cfg.group_widths
+    groups = [t] * cfg.branch_count if cfg.broadcast else tape.split(t, list(widths))
+    t = tape.concat([_conv(tape, pv, f"{prefix}.sr.b{i}", g,
+                           ConvSpec(c, c, 3, padding=d, dilation=d, groups=c))
+                     for i, (g, c, d) in enumerate(zip(groups, widths, cfg.dilations))])
     if sw.sr_bn:
         t = _bn(tape, pv, f"{prefix}.sr.bn", t, mode)
     if sw.sr_relu_after_bn:
         t = tape.relu(t)
     if capture is not None:
         capture[f"{prefix}.sr"] = t.data
-    t = _conv(tape, pv, specs, f"{prefix}.merge", t)
+    t = _conv(tape, pv, f"{prefix}.merge", t,
+              ConvSpec(sum(widths), cfg.channels, 1, has_bias=True))
     if sw.bn_after_pointwise:
         t = _bn(tape, pv, f"{prefix}.merge.bn", t, mode)
     if cfg.stride == 1 and cfg.in_channels == cfg.channels:
@@ -243,13 +171,14 @@ def sir_forward(tape: Tape, pv: ParamVars, prefix: str, x: Var, cfg: SIRConfig,
     if x.data.shape[1] != cfg.in_channels:
         raise ShapeError(f"{prefix}: input has {x.data.shape[1]} channels, "
                          f"config wants {cfg.in_channels}")
-    specs = _specs(sir_decls(prefix, cfg))
-    t = _conv(tape, pv, specs, f"{prefix}.rr.conv", x)
+    t = _conv(tape, pv, f"{prefix}.rr.conv", x,
+              ConvSpec(cfg.in_channels, cfg.hidden_width, 3, stride=cfg.stride, padding=1))
     t = _bn(tape, pv, f"{prefix}.rr.bn", t, mode)
     t = tape.relu(t)
     if capture is not None:
         capture[f"{prefix}.rr"] = t.data
-    t = _conv(tape, pv, specs, f"{prefix}.proj", t)
+    t = _conv(tape, pv, f"{prefix}.proj", t,
+              ConvSpec(cfg.hidden_width, cfg.channels, 1, has_bias=True))
     if cfg.stride == 1 and cfg.in_channels == cfg.channels:
         t = tape.add(x, t)
     return t
@@ -263,26 +192,27 @@ def stem_forward(tape: Tape, pv: ParamVars, prefix: str, x: Var, stem_channels: 
         raise ShapeError(f"stem expects 3 input channels, got {c}")
     if h % 4 or w % 4:
         raise ShapeError(f"stem input size {h}x{w} must be divisible by 4")
-    specs = _specs(stem_decls(prefix, stem_channels))
-    t = _conv(tape, pv, specs, f"{prefix}.conv1", x)
+    s = stem_channels
+    if s % 4:
+        raise ShapeError(f"stem channels must be divisible by 4, got {s}")
+    t = _conv(tape, pv, f"{prefix}.conv1", x, ConvSpec(3, s // 2, 3, stride=2, padding=1))
     t = _bn(tape, pv, f"{prefix}.conv1.bn", t, mode)  # deliberately no activation
-    a = _conv(tape, pv, specs, f"{prefix}.a1", t)
+    a = _conv(tape, pv, f"{prefix}.a1", t, ConvSpec(s // 2, s // 4, 1))
     a = tape.relu(_bn(tape, pv, f"{prefix}.a1.bn", a, mode))
-    a = _conv(tape, pv, specs, f"{prefix}.a2", a)
+    a = _conv(tape, pv, f"{prefix}.a2", a, ConvSpec(s // 4, s // 2, 3, stride=2, padding=1))
     a = tape.relu(_bn(tape, pv, f"{prefix}.a2.bn", a, mode))
     b = tape.maxpool(t, 3, 2, 1)
     t = tape.concat([a, b])
-    t = _conv(tape, pv, specs, f"{prefix}.fuse", t)
+    t = _conv(tape, pv, f"{prefix}.fuse", t, ConvSpec(s, s, 3, padding=1))
     return tape.relu(_bn(tape, pv, f"{prefix}.fuse.bn", t, mode))
 
 
 def seghead_forward(tape: Tape, pv: ParamVars, prefix: str, x: Var, in_channels: int,
                     head_width: int, num_classes: int, out_h: int, out_w: int,
                     mode: str) -> Var:
-    specs = _specs(seghead_decls(prefix, in_channels, head_width, num_classes))
-    t = _conv(tape, pv, specs, f"{prefix}.conv", x)
+    t = _conv(tape, pv, f"{prefix}.conv", x, ConvSpec(in_channels, head_width, 3, padding=1))
     t = tape.relu(_bn(tape, pv, f"{prefix}.conv.bn", t, mode))
-    t = _conv(tape, pv, specs, f"{prefix}.pred", t)
+    t = _conv(tape, pv, f"{prefix}.pred", t, ConvSpec(head_width, num_classes, 1, has_bias=True))
     return tape.upsample(t, out_h, out_w)
 
 

@@ -187,12 +187,13 @@ def cmd_train(args) -> int:
     metrics_path = out_dir / "metrics.jsonl"
     ckpt_path = out_dir / "checkpoint.dwck"
     if cfg.train.iters > 0:
-        training.train_loop(params, net_cfg, train_set, cfg.train,
-                            val_dataset=val_set, log_path=metrics_path)
+        log = training.train_loop(params, net_cfg, train_set, cfg.train,
+                                  val_dataset=val_set, log_path=metrics_path)
+        report = log[-1]["eval"]
     else:
         metrics_path.write_text("", encoding="utf-8")
+        report = training.evaluate(params, net_cfg, val_set, cfg.train.ohem.ignore_label)
     network.save_checkpoint(params, net_cfg, ckpt_path)
-    report = training.evaluate(params, net_cfg, val_set, cfg.train.ohem.ignore_label)
     (out_dir / "eval.json").write_text(json.dumps(report, indent=2), encoding="utf-8")
     print(json.dumps({"checkpoint": str(ckpt_path), "metrics": str(metrics_path),
                       "eval": str(out_dir / "eval.json"), "miou": report["miou"]}))

@@ -4,8 +4,8 @@ All operators are pure functions of their operands (batch norm in train
 mode additionally updates its own running statistics).  Reductions use a
 fixed operand order -- im2col rows are laid out channel-major, then kernel
 row, then kernel column -- and every output element is produced by exactly
-one reduction, so repeated runs are bitwise identical regardless of how
-the underlying BLAS partitions the output.
+one reduction, so repeated runs are bitwise identical at a fixed BLAS
+thread count (a dense conv's matmul may round differently at another).
 
 Convolution padding is zero padding; pooling padding behaves as -inf.
 Bilinear upsampling uses half-pixel source coordinates clamped to the
@@ -383,6 +383,22 @@ def _bilinear_axis(n_in: int, n_out: int):
     return lo, hi, frac
 
 
+def resize_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Interpolate a 4-d array to out_h x out_w, up or down (no checks).
+
+    The result keeps the memory order numpy gives a non-contiguous input,
+    so reductions over it sum in the same order as over the input.
+    """
+    h, w = x.shape[2:]
+    y0, y1, fy = _bilinear_axis(h, out_h)
+    x0, x1, fx = _bilinear_axis(w, out_w)
+    fy = fy.astype(x.dtype).reshape(1, 1, out_h, 1)
+    fx = fx.astype(x.dtype).reshape(1, 1, 1, out_w)
+    top = x[:, :, y0][:, :, :, x0] * (1 - fx) + x[:, :, y0][:, :, :, x1] * fx
+    bot = x[:, :, y1][:, :, :, x0] * (1 - fx) + x[:, :, y1][:, :, :, x1] * fx
+    return top * (1 - fy) + bot * fy
+
+
 def upsample_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     check_4d("upsample input", x)
     n, c, h, w = x.shape
@@ -392,13 +408,7 @@ def upsample_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
         raise ShapeError(f"upsample target {out_h}x{out_w} smaller than input {h}x{w}")
     if (out_h, out_w) == (h, w):
         return x.copy()
-    y0, y1, fy = _bilinear_axis(h, out_h)
-    x0, x1, fx = _bilinear_axis(w, out_w)
-    fy = fy.astype(x.dtype).reshape(1, 1, out_h, 1)
-    fx = fx.astype(x.dtype).reshape(1, 1, 1, out_w)
-    top = x[:, :, y0][:, :, :, x0] * (1 - fx) + x[:, :, y0][:, :, :, x1] * fx
-    bot = x[:, :, y1][:, :, :, x0] * (1 - fx) + x[:, :, y1][:, :, :, x1] * fx
-    return np.ascontiguousarray(top * (1 - fy) + bot * fy)
+    return np.ascontiguousarray(resize_bilinear(x, out_h, out_w))
 
 
 def upsample_bilinear_backward(x_shape, out_h: int, out_w: int,

@@ -168,11 +168,8 @@ class Tape:
         return grads
 
     def grads_by_name(self, grads: list) -> dict[str, np.ndarray]:
-        """Project a backward() result onto the named leaves (missing -> zeros)."""
-        return {
-            name: grads[idx] if grads[idx] is not None else None
-            for name, idx in self._leaf_names.items()
-        }
+        """Project a backward() result onto the named leaves (None where unreached)."""
+        return {name: grads[idx] for name, idx in self._leaf_names.items()}
 
 
 # ---------------------------------------------------------------------------

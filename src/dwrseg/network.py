@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blocks
-from .blocks import BnDecl, ConvDecl, DWRConfig, NonlinearitySwitches, SIRConfig
+from .blocks import DWRConfig, NonlinearitySwitches, SIRConfig
 from .engine import FLOAT, FormatError, ShapeError, ShapeTape, Tape, Var, nt_bytes, nt_from_bytes
-from .params import ParamStore, ParamVars
+from .params import ParamStore, ParamVars, he_normal, zero_init
 
 CHECKPOINT_MAGIC = b"DWCK"
 CHECKPOINT_VERSION = 1
@@ -136,41 +136,28 @@ def _block_config(stage: StageSpec, block_idx: int, in_channels: int,
                      stride=stride, switches=switches, broadcast=stage.kind == "probe")
 
 
-_BLOCK_DECLS = {"sir": blocks.sir_decls, "dwr": blocks.dwr_decls, "probe": blocks.dwr_decls}
 _BLOCK_FORWARD = {"sir": blocks.sir_forward, "dwr": blocks.dwr_forward,
                   "probe": blocks.dwr_forward}
 
 
-def iter_decls(config: NetworkConfig):
-    """All parameter declarations in construction order."""
-    yield from blocks.stem_decls("stem", config.stem_channels)
-    prev = config.stem_channels
-    for name, stage in zip(config.stage_names, config.stages):
-        for j in range(stage.repeats):
-            cfg = _block_config(stage, j, prev, config.switches)
-            yield from _BLOCK_DECLS[stage.kind](f"{name}.{j}", cfg)
-        prev = stage.channels
-    yield BnDecl("decoder.bn", config.decoder_width)
-    yield from blocks.seghead_decls("head", config.decoder_width, config.head_width,
-                                    config.num_classes)
+def _declare(config: NetworkConfig, init, input_h: int = 32, input_w: int = 32):
+    """One shape-only run of `forward` on a store declaring with `init`.
+
+    Every parameter is created the first time the forward asks for it, so
+    the store holds them in call order.  Returns (store, tape, taps); the
+    store is no longer declaring.
+    """
+    store = ParamStore(init)
+    tape = ShapeTape()
+    x = tape.leaf(np.broadcast_to(np.zeros((), FLOAT), (1, 3, input_h, input_w)))
+    _, taps = forward(store, config, x, tape=tape)
+    store.init = None
+    return store, tape, taps
 
 
 def build(config: NetworkConfig, rng_seed: int = 0) -> ParamStore:
     """Initialize all parameters (normal conv init with std sqrt(2/fan_in))."""
-    rng = np.random.default_rng(rng_seed)
-    store = ParamStore()
-    for decl in iter_decls(config):
-        if isinstance(decl, ConvDecl):
-            spec = decl.spec
-            fan_in = (spec.in_channels // spec.groups) * spec.kernel * spec.kernel
-            std = np.sqrt(2.0 / fan_in)
-            w = rng.normal(0.0, std, size=spec.weight_shape).astype(FLOAT)
-            store.add(f"{decl.name}.weight", w)
-            if spec.has_bias:
-                store.add(f"{decl.name}.bias", np.zeros(spec.out_channels, dtype=FLOAT))
-        else:
-            store.add_bn(decl.name, decl.channels)
-    return store
+    return _declare(config, he_normal(np.random.default_rng(rng_seed)))[0]
 
 
 def forward(params: ParamStore, config: NetworkConfig, x, mode: str = "eval",
@@ -204,7 +191,7 @@ def forward(params: ParamStore, config: NetworkConfig, x, mode: str = "eval",
     up3 = tape.upsample(taps["s3"], h8, w8)
     up4 = tape.upsample(taps["s4"], h8, w8)
     cat = tape.concat([taps["s2"], up3, up4])
-    gamma, beta, state = pv.bn("decoder.bn")
+    gamma, beta, state = pv.bn("decoder.bn", cat.shape[1])
     cat = tape.batchnorm(cat, gamma, beta, state, mode)
     logits = blocks.seghead_forward(tape, pv, "head", cat, config.decoder_width,
                                     config.head_width, config.num_classes, h, w, mode)
@@ -217,9 +204,7 @@ def trace(config: NetworkConfig, input_h: int, input_w: int):
     Returns (tape, taps): `tape.nodes` is the op graph, in call order, that
     MAC counts and the receptive-field trace are read from.
     """
-    tape = ShapeTape()
-    x = tape.leaf(np.broadcast_to(np.zeros((), FLOAT), (1, 3, input_h, input_w)))
-    _, taps = forward(build(config), config, x, tape=tape)
+    _, tape, taps = _declare(config, zero_init, input_h, input_w)
     return tape, taps
 
 
@@ -245,20 +230,18 @@ def grads_from_backward(tape: Tape, params: ParamStore, root: Var,
 # Counting
 # ---------------------------------------------------------------------------
 
-def conv_param_count(spec) -> int:
-    n = spec.out_channels * (spec.in_channels // spec.groups) * spec.kernel * spec.kernel
-    return n + (spec.out_channels if spec.has_bias else 0)
-
-
 def count_params(config: NetworkConfig):
-    """(total, [(name, count)]); BN counts gamma+beta, running stats excluded."""
-    items = []
-    for decl in iter_decls(config):
-        if isinstance(decl, ConvDecl):
-            items.append((decl.name, conv_param_count(decl.spec)))
-        else:
-            items.append((decl.name, 2 * decl.channels))
-    return sum(n for _, n in items), items
+    """(total, [(layer, count)]) over the parameters one trace declares.
+
+    Layers are parameter names without their last field, in call order; BN
+    counts gamma+beta, running stats excluded.
+    """
+    store, _, _ = _declare(config, zero_init)
+    counts: dict[str, int] = {}
+    for name, arr in store.items():
+        layer = name.rsplit(".", 1)[0]
+        counts[layer] = counts.get(layer, 0) + arr.size
+    return sum(counts.values()), list(counts.items())
 
 
 def count_macs(config: NetworkConfig, input_h: int, input_w: int):
@@ -364,7 +347,7 @@ def load_checkpoint(path) -> tuple[ParamStore, NetworkConfig]:
         config = config_from_dict(header["config"])
         param_entries = [(e["name"], e["shape"]) for e in header["params"]]
         stat_names = [e["name"] for e in header["stats"]]
-        store = build(config, rng_seed=0)
+        store = _declare(config, zero_init)[0]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: corrupt header ({type(exc).__name__}: {exc})") from exc
     if [name for name, _ in param_entries] != store.names():
@@ -397,11 +380,9 @@ def benchmark_forward(params: ParamStore, config: NetworkConfig, input_shape,
     for _ in range(warmup):
         forward(params, config, x, mode="eval")
     samples = []
-    tape = Tape(record=False)
     for _ in range(iters):
-        tape = Tape(record=False)
         t0 = time.perf_counter()
-        forward(params, config, x, mode="eval", tape=tape)
+        forward(params, config, x, mode="eval")
         samples.append(time.perf_counter() - t0)
     ordered = sorted(samples)
     p95 = ordered[min(len(ordered) - 1, int(np.ceil(0.95 * len(ordered))) - 1)]
@@ -415,5 +396,4 @@ def benchmark_forward(params: ParamStore, config: NetworkConfig, input_shape,
         "median_s": statistics.median(samples),
         "p95_s": p95,
         "fps": (1.0 / mean) if mean > 0 else float("inf"),
-        "recorded_nodes": tape.num_nodes,
     }

@@ -3,6 +3,10 @@
 Names follow "<stage>.<block_idx>.<layer>" (e.g. "s3.0.rr.conv.weight");
 iteration order is construction order and is what checkpoints, SGD updates
 and gradient stores key off, so it must stay deterministic.
+
+A store made with an `init` rule is declaring: a forward that asks for a
+conv or BN layer the store lacks creates it there and then, so running a
+forward once builds every parameter it reads, in call order.
 """
 
 from __future__ import annotations
@@ -12,12 +16,31 @@ import numpy as np
 from .engine import FLOAT, BatchNormState, ShapeError, Tape, Var
 
 
-class ParamStore:
-    """Ordered map of learnable arrays plus the BN states that alias them."""
+def he_normal(rng: np.random.Generator):
+    """Conv-weight init rule: normal with std sqrt(2/fan_in), drawn from `rng`."""
+    def init(spec) -> np.ndarray:
+        fan_in = (spec.in_channels // spec.groups) * spec.kernel * spec.kernel
+        return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=spec.weight_shape).astype(FLOAT)
+    return init
 
-    def __init__(self):
+
+def zero_init(spec) -> np.ndarray:
+    """Conv-weight init rule: all zeros (shape-only traces, checkpoint loading)."""
+    return np.zeros(spec.weight_shape, FLOAT)
+
+
+class ParamStore:
+    """Ordered map of learnable arrays plus the BN states that alias them.
+
+    With `init` set the store declares itself: a conv layer the forward
+    asks for gets `init(spec)` as weight, then a zero bias; a BN layer gets
+    `add_bn`.  With `init` None every requested parameter must exist.
+    """
+
+    def __init__(self, init=None):
         self._params: dict[str, np.ndarray] = {}
         self._bn: dict[str, BatchNormState] = {}
+        self.init = init
 
     # -- registration -------------------------------------------------------
 
@@ -121,7 +144,20 @@ class ParamVars:
             self._cache[name] = v
         return v
 
-    def bn(self, prefix: str):
+    def conv(self, name: str, spec):
+        """(weight var, bias var or None) of conv layer `name`."""
+        store = self.store
+        if store.init is not None and f"{name}.weight" not in store:
+            store.add(f"{name}.weight", store.init(spec))
+            if spec.has_bias:
+                store.add(f"{name}.bias", np.zeros(spec.out_channels, FLOAT))
+        weight = self(f"{name}.weight")
+        return weight, self(f"{name}.bias") if spec.has_bias else None
+
+    def bn(self, prefix: str, channels: int):
         """(gamma var, beta var, state) for tape.batchnorm."""
-        state = self.store.bn(prefix)
+        store = self.store
+        if store.init is not None and f"{prefix}.gamma" not in store:
+            store.add_bn(prefix, channels)
+        state = store.bn(prefix)
         return self(f"{prefix}.gamma"), self(f"{prefix}.beta"), state

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Sample
-from .engine import NumericError, ShapeError, Tape
+from .engine import NumericError, ShapeError, Tape, ops
 from .network import NetworkConfig, forward, grads_from_backward, infer
 from .params import ParamStore
 
@@ -182,20 +182,9 @@ class AugmentConfig:
 
 def resize_image_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Half-pixel bilinear resize for (1,3,h,w) images (up or down)."""
-    _, _, h, w = img.shape
-    if (out_h, out_w) == (h, w):
+    if img.shape[2:] == (out_h, out_w):
         return img
-    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0, h - 1)
-    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0, w - 1)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0).astype(img.dtype).reshape(1, 1, -1, 1)
-    fx = (xs - x0).astype(img.dtype).reshape(1, 1, 1, -1)
-    top = img[:, :, y0][:, :, :, x0] * (1 - fx) + img[:, :, y0][:, :, :, x1] * fx
-    bot = img[:, :, y1][:, :, :, x0] * (1 - fx) + img[:, :, y1][:, :, :, x1] * fx
-    return top * (1 - fy) + bot * fy
+    return ops.resize_bilinear(img, out_h, out_w)
 
 
 def resize_mask_nearest(mask: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -317,7 +306,11 @@ def evaluate(params: ParamStore, net_cfg: NetworkConfig, dataset,
 def train_loop(params: ParamStore, net_cfg: NetworkConfig, dataset,
                cfg: TrainConfig, val_dataset=None, log_path=None,
                callbacks=()) -> list[dict]:
-    """Deterministic SGD training; returns the metric log (one dict per record)."""
+    """Deterministic SGD training; returns the metric log (one dict per record).
+
+    With `val_dataset` the last record holds the final validation mIoU, and
+    the whole `evaluate` report under "eval", which `log_path` leaves out.
+    """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     opt = OptimizerState(lr_base=cfg.lr_base, momentum=cfg.momentum,
@@ -357,10 +350,11 @@ def train_loop(params: ParamStore, net_cfg: NetworkConfig, dataset,
     if val_dataset is not None:
         final = evaluate(params, net_cfg, val_dataset, cfg.ohem.ignore_label)
         record({"iter": cfg.iters, "lr": poly_lr(cfg.iters, opt), "loss": None,
-                "miou": final["miou"]})
+                "miou": final["miou"], "eval": final})
 
     if log_path is not None:
         with open(log_path, "w", encoding="utf-8") as f:
             for entry in log:
-                f.write(json.dumps(entry, separators=(",", ":")) + "\n")
+                scalars = {k: v for k, v in entry.items() if k != "eval"}
+                f.write(json.dumps(scalars, separators=(",", ":")) + "\n")
     return log

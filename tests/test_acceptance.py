@@ -19,7 +19,7 @@ from dwrseg import network as N
 from dwrseg import training as T
 from dwrseg.cli import DESK_PRESET, parse_run_config
 from dwrseg.engine.gradcheck import finite_diff_check
-from dwrseg.params import ParamStore, ParamVars
+from dwrseg.params import ParamStore, ParamVars, zero_init
 
 SEED = 20240917
 
@@ -201,20 +201,11 @@ def test_criterion_3_gradient_suite(capsys):
 def test_criterion_4_residual_identity(capsys):
     results = []
     x = rnd((2, 16, 10, 10), 20).astype(np.float32)
-    for kind, cfg, decls, fwd in (
-        ("DWR", B.DWRConfig(channels=16, in_channels=16, branch_count=3),
-         B.dwr_decls, B.dwr_forward),
-        ("SIR", B.SIRConfig(channels=16, in_channels=16),
-         B.sir_decls, B.sir_forward),
+    for kind, cfg, fwd in (
+        ("DWR", B.DWRConfig(channels=16, in_channels=16, branch_count=3), B.dwr_forward),
+        ("SIR", B.SIRConfig(channels=16, in_channels=16), B.sir_forward),
     ):
-        store = ParamStore()
-        for d in decls("blk", cfg):
-            if isinstance(d, B.ConvDecl):
-                store.add(f"{d.name}.weight", np.zeros(d.spec.weight_shape, np.float32))
-                if d.spec.has_bias:
-                    store.add(f"{d.name}.bias", np.zeros(d.spec.out_channels, np.float32))
-            else:
-                store.add_bn(d.name, d.channels)
+        store = ParamStore(zero_init)  # the first forward declares zero conv weights
         tape = E.Tape(record=False)
         out = fwd(tape, ParamVars(tape, store), "blk", tape.leaf(x), cfg, "train")
         results.append((kind, np.array_equal(out.data, x)))

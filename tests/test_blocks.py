@@ -5,31 +5,25 @@ import pytest
 
 from dwrseg import blocks as B
 from dwrseg import engine as E
-from dwrseg.params import ParamStore, ParamVars
+from dwrseg.params import ParamStore, ParamVars, he_normal, zero_init
 
 
 def rnd(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape).astype(np.float32) * 0.1
 
 
-def build_store(decls, seed=0, zero=False):
-    rng = np.random.default_rng(seed)
-    store = ParamStore()
-    for d in decls:
-        if isinstance(d, B.ConvDecl):
-            shape = d.spec.weight_shape
-            w = np.zeros(shape, np.float32) if zero else \
-                rng.normal(0, 0.1, shape).astype(np.float32)
-            store.add(f"{d.name}.weight", w)
-            if d.spec.has_bias:
-                store.add(f"{d.name}.bias", np.zeros(d.spec.out_channels, np.float32))
-        else:
-            store.add_bn(d.name, d.channels)
+def declare(forward_fn, x_shape, *args, seed=0, zero=False, prefix="blk"):
+    """Store built by one shape-only run of a block forward on a declaring store."""
+    store = ParamStore(zero_init if zero else he_normal(np.random.default_rng(seed)))
+    tape = E.ShapeTape()
+    x = tape.leaf(np.broadcast_to(np.zeros((), np.float32), x_shape))
+    forward_fn(tape, ParamVars(tape, store), prefix, x, *args, "eval")
+    store.init = None
     return store
 
 
-def run_block(forward_fn, decls, cfg, x, mode="eval", seed=0, zero=False, prefix="blk"):
-    store = build_store(decls, seed=seed, zero=zero)
+def run_block(forward_fn, cfg, x, mode="eval", seed=0, zero=False, prefix="blk"):
+    store = declare(forward_fn, x.shape, cfg, seed=seed, zero=zero, prefix=prefix)
     tape = E.Tape(record=False)
     pv = ParamVars(tape, store)
     out = forward_fn(tape, pv, prefix, tape.leaf(x), cfg, mode)
@@ -49,13 +43,13 @@ class TestChannelAccounting:
         assert cfg.group_widths == (128, 64)
         assert cfg.dilations == (1, 3)
 
-    def test_sr_conv_decls_match_widths(self):
+    def test_sr_conv_weights_match_widths(self):
         cfg = B.DWRConfig(channels=128, in_channels=128, branch_count=3)
-        decls = {d.name: d for d in B.dwr_decls("s4.0", cfg) if isinstance(d, B.ConvDecl)}
-        assert decls["s4.0.sr.b0"].spec.weight_shape == (96, 1, 3, 3)
-        assert decls["s4.0.sr.b1"].spec.weight_shape == (48, 1, 3, 3)
-        assert decls["s4.0.sr.b2"].spec.weight_shape == (48, 1, 3, 3)
-        assert decls["s4.0.merge"].spec.in_channels == 192
+        store = declare(B.dwr_forward, (1, 128, 8, 8), cfg, prefix="s4.0")
+        assert store["s4.0.sr.b0.weight"].shape == (96, 1, 3, 3)
+        assert store["s4.0.sr.b1.weight"].shape == (48, 1, 3, 3)
+        assert store["s4.0.sr.b2.weight"].shape == (48, 1, 3, 3)
+        assert store["s4.0.merge.weight"].shape[1] == 192
 
     def test_sir_hidden_width(self):
         cfg = B.SIRConfig(channels=64, in_channels=64, expansion=3)
@@ -66,8 +60,8 @@ class TestChannelAccounting:
         assert cfg.rr_width == 96
         assert sum(cfg.group_widths) == 288
         assert cfg.branch_slices() == [(0, 96), (96, 192), (192, 288)]
-        merge = [d for d in B.dwr_decls("p", cfg) if isinstance(d, B.ConvDecl)][-1]
-        assert merge.spec.in_channels == 288
+        store = declare(B.dwr_forward, (1, 64, 8, 8), cfg, prefix="p")
+        assert store["p.merge.weight"].shape[1] == 288
 
     def test_indivisible_ratio_rejected(self):
         with pytest.raises(E.ShapeError):
@@ -84,28 +78,26 @@ class TestResidualIdentity:
     def test_dwr_zero_weights_is_identity(self, mode):
         cfg = B.DWRConfig(channels=16, in_channels=16, branch_count=3)
         x = rnd((2, 16, 8, 8), seed=1)
-        out, store = run_block(B.dwr_forward, B.dwr_decls("blk", cfg), cfg, x,
-                               mode=mode, zero=True)
+        out, store = run_block(B.dwr_forward, cfg, x, mode=mode, zero=True)
         np.testing.assert_array_equal(out, x)
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_sir_zero_weights_is_identity(self, mode):
         cfg = B.SIRConfig(channels=16, in_channels=16, expansion=3)
         x = rnd((2, 16, 8, 8), seed=2)
-        out, _ = run_block(B.sir_forward, B.sir_decls("blk", cfg), cfg, x,
-                           mode=mode, zero=True)
+        out, _ = run_block(B.sir_forward, cfg, x, mode=mode, zero=True)
         np.testing.assert_array_equal(out, x)
 
     def test_probe_zero_weights_is_identity(self):
         cfg = B.DWRConfig(channels=16, in_channels=16, branch_count=3, broadcast=True)
         x = rnd((1, 16, 8, 8), seed=3)
-        out, _ = run_block(B.dwr_forward, B.dwr_decls("blk", cfg), cfg, x, zero=True)
+        out, _ = run_block(B.dwr_forward, cfg, x, zero=True)
         np.testing.assert_array_equal(out, x)
 
     def test_identity_robust_to_gamma(self):
         # BN gamma scales a zero residual; identity must be unaffected
         cfg = B.DWRConfig(channels=8, in_channels=8, branch_count=2)
-        store = build_store(B.dwr_decls("blk", cfg), zero=True)
+        store = declare(B.dwr_forward, (1, 8, 6, 6), cfg, zero=True)
         store.bn("blk.rr.bn").gamma[:] = 1.7
         store.bn("blk.sr.bn").gamma[:] = 0.3
         x = rnd((1, 8, 6, 6), seed=4)
@@ -116,7 +108,7 @@ class TestResidualIdentity:
     def test_stride_two_has_no_shortcut(self):
         cfg = B.DWRConfig(channels=16, in_channels=8, branch_count=2, stride=2)
         x = rnd((1, 8, 8, 8), seed=5)
-        out, _ = run_block(B.dwr_forward, B.dwr_decls("blk", cfg), cfg, x, zero=True)
+        out, _ = run_block(B.dwr_forward, cfg, x, zero=True)
         assert out.shape == (1, 16, 4, 4)
         assert not out.any()  # zero residual, no identity path
 
@@ -125,7 +117,7 @@ class TestOpCompositionOracle:
     def test_dwr_matches_engine_composition(self):
         cfg = B.DWRConfig(channels=16, in_channels=16, branch_count=3)
         x = rnd((2, 16, 8, 8), seed=6)
-        out, store = run_block(B.dwr_forward, B.dwr_decls("blk", cfg), cfg, x, seed=7)
+        out, store = run_block(B.dwr_forward, cfg, x, seed=7)
 
         t = E.conv2d_forward(x, store["blk.rr.conv.weight"], None,
                              E.ConvSpec(16, cfg.rr_width, 3, padding=1))
@@ -147,7 +139,7 @@ class TestOpCompositionOracle:
     def test_sir_matches_engine_composition(self):
         cfg = B.SIRConfig(channels=10, in_channels=10, expansion=3)
         x = rnd((1, 10, 6, 6), seed=8)
-        out, store = run_block(B.sir_forward, B.sir_decls("blk", cfg), cfg, x, seed=9)
+        out, store = run_block(B.sir_forward, cfg, x, seed=9)
         t = E.conv2d_forward(x, store["blk.rr.conv.weight"], None,
                              E.ConvSpec(10, 30, 3, padding=1))
         t = E.batchnorm_forward(t, store.bn("blk.rr.bn"), "eval")
@@ -159,7 +151,7 @@ class TestOpCompositionOracle:
     def test_probe_matches_engine_composition(self):
         cfg = B.DWRConfig(channels=8, in_channels=8, branch_count=3, broadcast=True)
         x = rnd((1, 8, 8, 8), seed=10)
-        out, store = run_block(B.dwr_forward, B.dwr_decls("blk", cfg), cfg, x, seed=11)
+        out, store = run_block(B.dwr_forward, cfg, x, seed=11)
         w = cfg.rr_width
         t = E.conv2d_forward(x, store["blk.rr.conv.weight"], None,
                              E.ConvSpec(8, w, 3, padding=1))
@@ -177,7 +169,7 @@ class TestOpCompositionOracle:
     def test_stem_matches_engine_composition(self):
         s = 16
         x = rnd((1, 3, 32, 32), seed=12)
-        store = build_store(B.stem_decls("stem", s), seed=13)
+        store = declare(B.stem_forward, x.shape, s, seed=13, prefix="stem")
         tape = E.Tape(record=False)
         out = B.stem_forward(tape, ParamVars(tape, store), "stem", tape.leaf(x), s, "eval")
 
@@ -219,28 +211,28 @@ class TestStemAndHead:
     def test_stem_output_shape(self):
         for s, hw in ((16, 32), (64, 64)):
             x = rnd((1, 3, hw, hw), seed=14)
-            store = build_store(B.stem_decls("stem", s), seed=15)
+            store = declare(B.stem_forward, x.shape, s, seed=15, prefix="stem")
             tape = E.Tape(record=False)
             out = B.stem_forward(tape, ParamVars(tape, store), "stem", tape.leaf(x), s, "eval")
             assert out.data.shape == (1, s, hw // 4, hw // 4)
 
     def test_stem_zero_input_finite(self):
-        store = build_store(B.stem_decls("stem", 16), seed=16)
+        store = declare(B.stem_forward, (1, 3, 32, 32), 16, seed=16, prefix="stem")
         tape = E.Tape(record=False)
         x = np.zeros((1, 3, 32, 32), np.float32)
         out = B.stem_forward(tape, ParamVars(tape, store), "stem", tape.leaf(x), 16, "eval")
         assert np.isfinite(out.data).all()
 
     def test_stem_rejects_indivisible_input(self):
-        store = build_store(B.stem_decls("stem", 16))
+        store = declare(B.stem_forward, (1, 3, 32, 32), 16, prefix="stem")
         tape = E.Tape(record=False)
         x = rnd((1, 3, 30, 32))
         with pytest.raises(E.ShapeError):
             B.stem_forward(tape, ParamVars(tape, store), "stem", tape.leaf(x), 16, "eval")
 
     def test_seghead_shape(self):
-        decls = B.seghead_decls("head", 320, 128, 19)
-        store = build_store(decls, seed=17)
+        store = declare(B.seghead_forward, (1, 320, 16, 16), 320, 128, 19, 128, 128,
+                        seed=17, prefix="head")
         tape = E.Tape(record=False)
         x = rnd((1, 320, 16, 16), seed=18)
         out = B.seghead_forward(tape, ParamVars(tape, store), "head", tape.leaf(x),
@@ -248,8 +240,8 @@ class TestStemAndHead:
         assert out.data.shape == (1, 19, 128, 128)
 
     def test_seghead_zero_weights_logits_equal_bias(self):
-        decls = B.seghead_decls("head", 32, 16, 5)
-        store = build_store(decls, zero=True)
+        store = declare(B.seghead_forward, (1, 32, 8, 8), 32, 16, 5, 32, 32, zero=True,
+                        prefix="head")
         bias = np.arange(5, dtype=np.float32)
         store.set_("head.pred.bias", bias)
         tape = E.Tape(record=False)
@@ -266,15 +258,15 @@ class TestShapePreservation:
     def test_stride_one_blocks_preserve_shape(self, shape):
         x = rnd(shape, seed=20)
         dwr = B.DWRConfig(channels=16, in_channels=16, branch_count=2)
-        out, _ = run_block(B.dwr_forward, B.dwr_decls("blk", dwr), dwr, x, seed=21)
+        out, _ = run_block(B.dwr_forward, dwr, x, seed=21)
         assert out.shape == shape
         sir = B.SIRConfig(channels=16, in_channels=16)
-        out, _ = run_block(B.sir_forward, B.sir_decls("blk", sir), sir, x, seed=22)
+        out, _ = run_block(B.sir_forward, sir, x, seed=22)
         assert out.shape == shape
 
     def test_capture_exposes_rr_and_sr(self):
         cfg = B.DWRConfig(channels=8, in_channels=8, branch_count=2)
-        store = build_store(B.dwr_decls("blk", cfg), seed=23)
+        store = declare(B.dwr_forward, (1, 8, 8, 8), cfg, seed=23)
         tape = E.Tape(record=False)
         cap = {}
         x = rnd((1, 8, 8, 8), seed=24)

