@@ -56,19 +56,39 @@ class RunConfig:
     augment: AugmentConfig | None = None
 
 
-def _take(d: dict, allowed: dict, where: str) -> dict:
+# the Python types a JSON value may have, and their JSON name, by the type of its default
+_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+               str: (str, "a string"), list: (list, "an array"), dict: (dict, "an object")}
+
+
+def _is_json(value, kind: type) -> bool:
+    return isinstance(value, _JSON_TYPES[kind][0]) and not isinstance(value, bool)
+
+
+def _take(d, allowed: dict, where: str) -> dict:
+    """The defaults in allowed, overridden by the JSON object d.
+
+    Each given value must have its default's JSON type (a float default
+    also takes an integer); a None default leaves the check to the caller.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, got {d!r}")
     unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    for key, value in d.items():
+        kind = type(allowed[key])
+        if allowed[key] is not None and not _is_json(value, kind):
+            raise ConfigError(f"{where}.{key} must be {_JSON_TYPES[kind][1]}, got {value!r}")
     out = dict(allowed)
     out.update(d)
     return out
 
 
-def _pair(v, where):
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise ConfigError(f"{where} must be a 2-element list, got {v!r}")
-    return tuple(v)
+def _pair(v, kind: type, where):
+    if not isinstance(v, list) or len(v) != 2 or not all(_is_json(e, kind) for e in v):
+        raise ConfigError(f"{where} must be an array of two {kind.__name__}s, got {v!r}")
+    return tuple(map(kind, v))
 
 
 def parse_run_config(doc: dict) -> RunConfig:
@@ -84,15 +104,18 @@ def parse_run_config(doc: dict) -> RunConfig:
                             "val_count": 64}, "config.data")
     if d["kind"] not in ("shapes", "manifest"):
         raise ConfigError("config.data.kind must be 'shapes' or 'manifest'")
+    if d["dir"] is not None and not isinstance(d["dir"], str):
+        raise ConfigError(f"config.data.dir must be a string, got {d['dir']!r}")
     if d["kind"] == "manifest" and not d["dir"]:
         raise ConfigError("config.data.dir is required for manifest datasets")
     data_sec = DataSection(kind=d["kind"], dir=d["dir"],
-                           canvas=_pair(d["canvas"], "config.data.canvas"),
-                           shapes_per_image=_pair(d["shapes_per_image"],
+                           canvas=_pair(d["canvas"], int, "config.data.canvas"),
+                           shapes_per_image=_pair(d["shapes_per_image"], int,
                                                   "config.data.shapes_per_image"),
-                           size_range=_pair(d["size_range"], "config.data.size_range"),
-                           noise=float(d["noise"]), seed=int(d["seed"]),
-                           train_count=int(d["train_count"]), val_count=int(d["val_count"]))
+                           size_range=_pair(d["size_range"], int,
+                                            "config.data.size_range"),
+                           noise=float(d["noise"]), seed=d["seed"],
+                           train_count=d["train_count"], val_count=d["val_count"])
 
     t = _take(top["train"], {"iters": 2000, "batch": 4, "lr": 0.02, "momentum": 0.9,
                              "weight_decay": 0.0005, "poly_power": 0.9,
@@ -102,7 +125,7 @@ def parse_run_config(doc: dict) -> RunConfig:
     try:
         ohem = OhemConfig(prob_threshold=float(o["prob_threshold"]),
                           min_kept_fraction=float(o["min_kept_fraction"]),
-                          ignore_label=int(o["ignore_label"]))
+                          ignore_label=o["ignore_label"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -113,9 +136,9 @@ def parse_run_config(doc: dict) -> RunConfig:
                                    "brightness": 0.0, "contrast": 0.0,
                                    "saturation": 0.0}, "config.augment")
         try:
-            aug = AugmentConfig(scale_range=tuple(map(float, _pair(a["scale_range"],
-                                                                   "scale_range"))),
-                                crop=tuple(map(int, _pair(a["crop"], "crop"))),
+            aug = AugmentConfig(scale_range=_pair(a["scale_range"], float,
+                                                  "config.augment.scale_range"),
+                                crop=_pair(a["crop"], int, "config.augment.crop"),
                                 hflip_prob=float(a["hflip_prob"]),
                                 brightness=float(a["brightness"]),
                                 contrast=float(a["contrast"]),
@@ -124,25 +147,23 @@ def parse_run_config(doc: dict) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    train_cfg = TrainConfig(iters=int(t["iters"]), batch_size=int(t["batch"]),
-                            seed=int(top["seed"]), lr_base=float(t["lr"]),
+    train_cfg = TrainConfig(iters=t["iters"], batch_size=t["batch"],
+                            seed=top["seed"], lr_base=float(t["lr"]),
                             momentum=float(t["momentum"]),
                             weight_decay=float(t["weight_decay"]),
                             poly_power=float(t["poly_power"]), ohem=ohem,
-                            augment=aug, log_every=int(t["log_every"]),
-                            eval_every=int(t["eval_every"]))
-    return RunConfig(variant=top["variant"], num_classes=int(top["num_classes"]),
-                     seed=int(top["seed"]), out_dir=str(top["out_dir"]),
+                            augment=aug, log_every=t["log_every"],
+                            eval_every=t["eval_every"])
+    return RunConfig(variant=top["variant"], num_classes=top["num_classes"],
+                     seed=top["seed"], out_dir=top["out_dir"],
                      data=data_sec, train=train_cfg, augment=aug)
 
 
 def load_run_config(path) -> RunConfig:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
     return parse_run_config(doc)
 
 
@@ -196,7 +217,8 @@ def cmd_train(args) -> int:
     network.save_checkpoint(params, net_cfg, ckpt_path)
     (out_dir / "eval.json").write_text(json.dumps(report, indent=2), encoding="utf-8")
     print(json.dumps({"checkpoint": str(ckpt_path), "metrics": str(metrics_path),
-                      "eval": str(out_dir / "eval.json"), "miou": report["miou"]}))
+                      "eval": str(out_dir / "eval.json"), "miou": report["miou"],
+                      "blas_threads": blas_threads()}))
     return 0
 
 

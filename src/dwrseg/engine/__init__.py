@@ -30,7 +30,6 @@ from .tensor import (
     read_nt,
     tensor,
     write_nt,
-    zeros,
 )
 
 __all__ = [
@@ -41,5 +40,5 @@ __all__ = [
     "finite_diff_check", "maxpool_backward", "maxpool_forward",
     "nt_bytes", "nt_from_bytes", "read_nt", "relu_backward", "relu_forward",
     "split_channels", "tensor", "upsample_bilinear",
-    "upsample_bilinear_backward", "write_nt", "zeros",
+    "upsample_bilinear_backward", "write_nt",
 ]

@@ -1,11 +1,18 @@
 """Forward and backward implementations of every primitive operator.
 
 All operators are pure functions of their operands (batch norm in train
-mode additionally updates its own running statistics).  Reductions use a
-fixed operand order -- im2col rows are laid out channel-major, then kernel
-row, then kernel column -- and every output element is produced by exactly
-one reduction, so repeated runs are bitwise identical at a fixed BLAS
-thread count (a dense conv's matmul may round differently at another).
+mode additionally updates its own running statistics).
+
+Every convolution -- dense, depthwise or grouped -- is one grouped
+matmul over im2col columns: with the input's patches laid out as
+cols (n, groups, cg*k*k, oh*ow), rows ordered channel-major, then kernel
+row, then kernel column, the forward is out[:, g] = W[g] @ cols[:, g].  A
+dense conv has one group, a depthwise conv one channel per group.  The
+backward is the same product transposed: W[g]^T @ grad_out[:, g] scattered
+back onto the input, and grad_out[n, g] @ cols[n, g]^T per image, summed
+over images, for the weights.  Every output element is produced by exactly
+one reduction in a fixed order, so repeated runs are bitwise identical at
+a fixed BLAS thread count (a matmul may round differently at another).
 
 Convolution padding is zero padding; pooling padding behaves as -inf.
 Bilinear upsampling uses half-pixel source coordinates clamped to the
@@ -94,35 +101,16 @@ def _check_conv_operands(x, weight, bias, spec: ConvSpec):
 
 
 def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias, spec: ConvSpec) -> np.ndarray:
-    """Direct convolution; exact dot product per output element."""
+    """out[:, g] = W[g] @ cols[:, g], one batched matmul for every conv."""
     _check_conv_operands(x, weight, bias, spec)
     check_finite("conv input", x)
     n, _, h, w = x.shape
     oh, ow = spec.out_hw(h, w)
-    xp = _pad_zeros(x, spec.padding)
-    k = spec.kernel
-
-    if spec.is_depthwise:
-        pat = _patches(xp, k, spec.stride, spec.dilation, oh, ow)
-        out = np.einsum("ncijhw,cij->nchw", pat, weight[:, 0], optimize=True)
-    elif spec.groups == 1:
-        pat = _patches(xp, k, spec.stride, spec.dilation, oh, ow)
-        # (n, c*k*k, oh*ow): reduction axis ordered channel, kernel row, kernel col
-        cols = pat.reshape(n, x.shape[1] * k * k, oh * ow)
-        wmat = weight.reshape(spec.out_channels, -1)
-        out = np.matmul(wmat, cols).reshape(n, spec.out_channels, oh, ow)
-    else:
-        cg = spec.in_channels // spec.groups
-        og = spec.out_channels // spec.groups
-        out = np.empty((n, spec.out_channels, oh, ow), dtype=np.result_type(x, weight))
-        for g in range(spec.groups):
-            pat = _patches(np.ascontiguousarray(xp[:, g * cg:(g + 1) * cg]),
-                           k, spec.stride, spec.dilation, oh, ow)
-            cols = pat.reshape(n, cg * k * k, oh * ow)
-            wmat = weight[g * og:(g + 1) * og].reshape(og, -1)
-            out[:, g * og:(g + 1) * og] = np.matmul(wmat, cols).reshape(n, og, oh, ow)
-
-    out = np.ascontiguousarray(out)
+    # (n, groups, cg*k*k, oh*ow): reduction axis ordered channel, kernel row, kernel col
+    cols = _patches(_pad_zeros(x, spec.padding), spec.kernel, spec.stride, spec.dilation,
+                    oh, ow).reshape(n, spec.groups, -1, oh * ow)
+    wmat = weight.reshape(spec.groups, spec.out_channels // spec.groups, -1)
+    out = np.matmul(wmat, cols).reshape(n, spec.out_channels, oh, ow)
     if bias is not None:
         out += np.asarray(bias).reshape(1, -1, 1, 1)
     return check_finite("conv output", out)
@@ -130,7 +118,13 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias, spec: ConvSpec) -> n
 
 def conv2d_backward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec,
                     grad_out: np.ndarray):
-    """Exact gradients of conv2d_forward; returns (grad_x, grad_w, grad_b)."""
+    """Exact gradients of conv2d_forward; returns (grad_x, grad_w, grad_b).
+
+    The forward transposed, per group: grad_cols = W[g]^T @ grad_out[:, g] is
+    scattered back onto the input (col2im), and grad_w[g] =
+    sum_n grad_out[n, g] @ cols[n, g]^T, one matmul per image summed over
+    images; grad_b likewise sums each image's pixels, then the images.
+    """
     _check_conv_operands(x, weight, None, spec)
     n, _, h, w = x.shape
     oh, ow = spec.out_hw(h, w)
@@ -140,50 +134,22 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec,
 
     xp = _pad_zeros(x, spec.padding)
     k, s, d, p = spec.kernel, spec.stride, spec.dilation, spec.padding
-    grad_b = grad_out.sum(axis=(0, 2, 3)) if spec.has_bias else None
-    gx_pad = np.zeros(xp.shape, dtype=np.result_type(grad_out, weight))
+    cols = _patches(xp, k, s, d, oh, ow).reshape(n, spec.groups, -1, oh * ow)
+    wmat = weight.reshape(spec.groups, spec.out_channels // spec.groups, -1)
+    go = grad_out.reshape(n, spec.groups, -1, oh * ow)
 
-    if spec.is_depthwise:
-        pat = _patches(xp, k, s, d, oh, ow)
-        grad_w = np.einsum("nchw,ncijhw->cij", grad_out, pat,
-                           optimize=True).reshape(weight.shape)
-        for i in range(k):
-            for j in range(k):
-                gx_pad[:, :, i * d:i * d + s * oh:s, j * d:j * d + s * ow:s] += \
-                    grad_out * weight[:, 0, i, j].reshape(1, -1, 1, 1)
-    elif spec.groups == 1:
-        c = spec.in_channels
-        pat = _patches(xp, k, s, d, oh, ow)
-        cols = pat.reshape(n, c * k * k, oh * ow)
-        go = grad_out.reshape(n, spec.out_channels, oh * ow)
-        grad_w = np.matmul(go, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
-        wmat = weight.reshape(spec.out_channels, -1)
-        grad_cols = np.matmul(wmat.T, go).reshape(n, c, k, k, oh, ow)
-        for i in range(k):
-            for j in range(k):
-                gx_pad[:, :, i * d:i * d + s * oh:s, j * d:j * d + s * ow:s] += \
-                    grad_cols[:, :, i, j]
-    else:
-        cg = spec.in_channels // spec.groups
-        og = spec.out_channels // spec.groups
-        grad_w = np.zeros(weight.shape, dtype=np.result_type(grad_out, x))
-        for g in range(spec.groups):
-            xg = np.ascontiguousarray(xp[:, g * cg:(g + 1) * cg])
-            pat = _patches(xg, k, s, d, oh, ow)
-            cols = pat.reshape(n, cg * k * k, oh * ow)
-            go = grad_out[:, g * og:(g + 1) * og].reshape(n, og, oh * ow)
-            grad_w[g * og:(g + 1) * og] = np.matmul(
-                go, cols.transpose(0, 2, 1)).sum(axis=0).reshape(og, cg, k, k)
-            wmat = weight[g * og:(g + 1) * og].reshape(og, -1)
-            grad_cols = np.matmul(wmat.T, go).reshape(n, cg, k, k, oh, ow)
-            for i in range(k):
-                for j in range(k):
-                    gx_pad[:, g * cg:(g + 1) * cg,
-                           i * d:i * d + s * oh:s, j * d:j * d + s * ow:s] += \
-                        grad_cols[:, :, i, j]
+    # pixels, then images: sum(axis=(0, 2, 3)) fuses both for a single channel,
+    # which would round a one-channel group differently from a dense conv
+    grad_b = grad_out.sum(axis=(2, 3)).sum(axis=0) if spec.has_bias else None
+    grad_w = np.matmul(go, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(weight.shape)
+    grad_cols = np.matmul(wmat.transpose(0, 2, 1), go).reshape(n, x.shape[1], k, k, oh, ow)
+    gx_pad = np.zeros(xp.shape, dtype=grad_cols.dtype)
+    for i in range(k):
+        for j in range(k):
+            gx_pad[:, :, i * d:i * d + s * oh:s, j * d:j * d + s * ow:s] += grad_cols[:, :, i, j]
 
     grad_x = gx_pad[:, :, p:p + h, p:p + w] if p else gx_pad
-    return np.ascontiguousarray(grad_x), np.ascontiguousarray(grad_w), grad_b
+    return np.ascontiguousarray(grad_x), grad_w, grad_b
 
 
 # ---------------------------------------------------------------------------

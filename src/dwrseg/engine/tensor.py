@@ -40,10 +40,6 @@ def tensor(data, dtype=FLOAT) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(data, dtype=dtype))
 
 
-def zeros(shape, dtype=FLOAT) -> np.ndarray:
-    return np.zeros(shape, dtype=dtype)
-
-
 def check_4d(name: str, x: np.ndarray) -> None:
     if x.ndim != 4:
         raise ShapeError(f"{name}: expected a (n, c, h, w) tensor, got shape {x.shape}")

@@ -348,7 +348,7 @@ def load_checkpoint(path) -> tuple[ParamStore, NetworkConfig]:
         param_entries = [(e["name"], e["shape"]) for e in header["params"]]
         stat_names = [e["name"] for e in header["stats"]]
         store = _declare(config, zero_init)[0]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: corrupt header ({type(exc).__name__}: {exc})") from exc
     if [name for name, _ in param_entries] != store.names():
         raise FormatError(f"{path}: parameter manifest does not match the config")

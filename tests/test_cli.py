@@ -58,6 +58,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_run_config({"ohem": {"prob_threshold": 1.5}})
 
+    @pytest.mark.parametrize("doc", [
+        [], {"data": 5}, {"augment": 1}, {"train": {"iters": [1]}},
+        {"train": {"iters": True}}, {"train": {"lr": "0.05"}},
+        {"data": {"canvas": [64, "64"]}}, {"data": {"kind": "manifest", "dir": 5}},
+        {"augment": {"scale_range": [0.5, None]}}])
+    def test_wrong_json_type_rejected(self, doc):
+        with pytest.raises(ConfigError):
+            parse_run_config(doc)
+
 
 class TestCount:
     def test_count_b_json(self, capsys):
@@ -84,6 +93,7 @@ class TestTrainEvalPredict:
         assert (run / "eval.json").exists()
         lines = (run / "metrics.jsonl").read_text().splitlines()
         assert all("iter" in json.loads(ln) for ln in lines)
+        assert json.loads(capsys.readouterr().out)["blas_threads"] == blas_threads()
 
     def test_iters_zero_writes_untrained_checkpoint(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)
@@ -253,6 +263,12 @@ class TestExitCodes:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"variant": "tiny", "surprise": True}))
         assert main(["train", "--config", str(path)]) == 2
+
+    def test_deeply_nested_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_bad_checkpoint_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.dwck"

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -55,23 +56,37 @@ class TestConvForward:
         out = E.conv2d_forward(x, w, None, E.ConvSpec(c, c, 1))
         np.testing.assert_array_equal(out, x)
 
+    @staticmethod
+    def assert_matches_per_group_convs(spec, n, h, w):
+        """Forward and backward equal one dense conv per group, bitwise."""
+        x = rnd((n, spec.in_channels, h, w), seed=1)
+        wt = rnd(spec.weight_shape, seed=2)
+        b = rnd((spec.out_channels,), seed=3)
+        out = E.conv2d_forward(x, wt, b, spec)
+        go = rnd(out.shape, seed=4)
+        gx, gw, gb = E.conv2d_backward(x, wt, spec, go)
+        cg, og = spec.in_channels // spec.groups, spec.out_channels // spec.groups
+        dense = replace(spec, in_channels=cg, out_channels=og, groups=1)
+        for g in range(spec.groups):
+            ci, co = slice(g * cg, (g + 1) * cg), slice(g * og, (g + 1) * og)
+            ref = E.conv2d_forward(x[:, ci], wt[co], b[co], dense)
+            np.testing.assert_array_equal(out[:, co], ref)
+            rx, rw, rb = E.conv2d_backward(x[:, ci], wt[co], dense, go[:, co])
+            np.testing.assert_array_equal(gx[:, ci], rx)
+            np.testing.assert_array_equal(gw[co], rw)
+            np.testing.assert_array_equal(gb[co], rb)
+
     def test_depthwise_equals_per_channel_convs(self):
-        x = rnd((1, 4, 6, 6), seed=1)
-        w = rnd((4, 1, 3, 3), seed=2)
-        dw = E.conv2d_forward(x, w, None, E.ConvSpec(4, 4, 3, padding=1, groups=4))
-        for c in range(4):
-            single = E.conv2d_forward(
-                x[:, c:c + 1], w[c:c + 1], None, E.ConvSpec(1, 1, 3, padding=1))
-            np.testing.assert_array_equal(dw[:, c:c + 1], single)
+        # batch > 1: grad_w sums one matmul per image, as a dense conv does
+        self.assert_matches_per_group_convs(
+            E.ConvSpec(24, 24, 3, padding=1, groups=24, has_bias=True), n=4, h=4, w=4)
+        self.assert_matches_per_group_convs(
+            E.ConvSpec(8, 8, 3, stride=2, padding=3, dilation=3, groups=8, has_bias=True),
+            n=3, h=9, w=7)
 
     def test_grouped_matches_blockwise_dense(self):
-        x = rnd((2, 6, 5, 5), seed=4)
-        w = rnd((4, 3, 3, 3), seed=5)
-        out = E.conv2d_forward(x, w, None, E.ConvSpec(6, 4, 3, padding=1, groups=2))
-        for g in range(2):
-            ref = E.conv2d_forward(x[:, 3 * g:3 * g + 3], w[2 * g:2 * g + 2], None,
-                                   E.ConvSpec(3, 2, 3, padding=1))
-            np.testing.assert_array_equal(out[:, 2 * g:2 * g + 2], ref)
+        self.assert_matches_per_group_convs(
+            E.ConvSpec(6, 4, 3, padding=1, groups=2, has_bias=True), n=4, h=5, w=5)
 
     def test_bias_and_stride_shapes(self):
         x = rnd((2, 3, 9, 11), seed=6)

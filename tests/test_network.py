@@ -230,7 +230,8 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             N.load_checkpoint(p)
 
-    @pytest.mark.parametrize("header", [b"{}", b"[]"])
+    @pytest.mark.parametrize("header", [b"{}", b"[]",
+                                        pytest.param(b"[" * 200_000, id="nested")])
     def test_header_without_config_rejected(self, tmp_path, header):
         p = tmp_path / "h.dwck"
         p.write_bytes(b"DWCK" + struct.pack("<II", 1, len(header)) + header)
