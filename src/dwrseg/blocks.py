@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
+from math import prod
 
 from .engine import ConvSpec, ShapeError, Tape, Var
 from .params import ParamVars
@@ -220,7 +221,6 @@ def seghead_forward(tape: Tape, pv: ParamVars, prefix: str, x: Var, in_channels:
 # MAC count of one convolution (network.count_macs sums it over a trace)
 # ---------------------------------------------------------------------------
 
-def conv_macs(spec: ConvSpec, in_h: int, in_w: int) -> int:
-    oh, ow = spec.out_hw(in_h, in_w)
-    return oh * ow * spec.out_channels * spec.kernel * spec.kernel * \
-        (spec.in_channels // spec.groups)
+def conv_macs(spec: ConvSpec, out_shape: tuple[int, ...]) -> int:
+    """Multiplies of one conv producing `out_shape` (the whole batch)."""
+    return prod(out_shape) * spec.kernel * spec.kernel * (spec.in_channels // spec.groups)

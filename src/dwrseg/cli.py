@@ -13,7 +13,7 @@ import argparse
 import ctypes
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -122,20 +122,16 @@ def parse_run_config(doc: dict) -> RunConfig:
                              "log_every": 50, "eval_every": 0}, "config.train")
     o = _take(top["ohem"], {"prob_threshold": 0.7, "min_kept_fraction": 1 / 16,
                             "ignore_label": IGNORE_LABEL}, "config.ohem")
-    try:
+    try:  # each dataclass checks its own ranges
         ohem = OhemConfig(prob_threshold=float(o["prob_threshold"]),
                           min_kept_fraction=float(o["min_kept_fraction"]),
                           ignore_label=o["ignore_label"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    aug = None
-    if top["augment"] is not None:
-        a = _take(top["augment"], {"scale_range": [1.0, 1.0],
-                                   "crop": list(data_sec.canvas), "hflip_prob": 0.5,
-                                   "brightness": 0.0, "contrast": 0.0,
-                                   "saturation": 0.0}, "config.augment")
-        try:
+        aug = None
+        if top["augment"] is not None:
+            a = _take(top["augment"], {"scale_range": [1.0, 1.0],
+                                       "crop": list(data_sec.canvas), "hflip_prob": 0.5,
+                                       "brightness": 0.0, "contrast": 0.0,
+                                       "saturation": 0.0}, "config.augment")
             aug = AugmentConfig(scale_range=_pair(a["scale_range"], float,
                                                   "config.augment.scale_range"),
                                 crop=_pair(a["crop"], int, "config.augment.crop"),
@@ -144,16 +140,15 @@ def parse_run_config(doc: dict) -> RunConfig:
                                 contrast=float(a["contrast"]),
                                 saturation=float(a["saturation"]),
                                 ignore_label=ohem.ignore_label)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    train_cfg = TrainConfig(iters=t["iters"], batch_size=t["batch"],
-                            seed=top["seed"], lr_base=float(t["lr"]),
-                            momentum=float(t["momentum"]),
-                            weight_decay=float(t["weight_decay"]),
-                            poly_power=float(t["poly_power"]), ohem=ohem,
-                            augment=aug, log_every=t["log_every"],
-                            eval_every=t["eval_every"])
+        train_cfg = TrainConfig(iters=t["iters"], batch_size=t["batch"],
+                                seed=top["seed"], lr_base=float(t["lr"]),
+                                momentum=float(t["momentum"]),
+                                weight_decay=float(t["weight_decay"]),
+                                poly_power=float(t["poly_power"]), ohem=ohem,
+                                augment=aug, log_every=t["log_every"],
+                                eval_every=t["eval_every"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return RunConfig(variant=top["variant"], num_classes=top["num_classes"],
                      seed=top["seed"], out_dir=top["out_dir"],
                      data=data_sec, train=train_cfg, augment=aug)
@@ -197,7 +192,7 @@ def cmd_train(args) -> int:
         cfg.seed = args.seed
         cfg.train.seed = args.seed
     if args.iters is not None:
-        cfg.train.iters = args.iters
+        cfg.train = replace(cfg.train, iters=args.iters)
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -251,7 +251,7 @@ def count_macs(config: NetworkConfig, input_h: int, input_w: int):
     k^2 * in_channels/groups; BN, ReLU, pooling and upsampling excluded.
     """
     tape, _ = trace(config, input_h, input_w)
-    items = [(node.name, blocks.conv_macs(node.spec, *tape.shapes[node.parents[0]][2:]))
+    items = [(node.name, blocks.conv_macs(node.spec, node.shape))
              for node in tape.nodes if node.kind == "conv2d"]
     return sum(n for _, n in items), items
 

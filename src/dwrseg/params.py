@@ -76,9 +76,6 @@ class ParamStore:
     def bn(self, prefix: str) -> BatchNormState:
         return self._bn[prefix]
 
-    def bn_prefixes(self) -> list[str]:
-        return list(self._bn)
-
     def num_params(self) -> int:
         return sum(int(v.size) for v in self._params.values())
 

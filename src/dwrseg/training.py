@@ -268,6 +268,11 @@ class TrainConfig:
     log_every: int = 50
     eval_every: int = 0  # 0 = only at the end
 
+    def __post_init__(self):
+        for name, low in (("iters", 0), ("batch_size", 1), ("log_every", 0), ("eval_every", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+
 
 def _assemble_batch(dataset, indices, aug_cfg, seed, iteration):
     imgs, masks = [], []

@@ -270,6 +270,20 @@ class TestExitCodes:
         assert main(["train", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("train, field", [
+        ({"iters": 4, "batch": 0}, "batch_size"), ({"iters": 4, "log_every": -1}, "log_every"),
+        ({"iters": -1}, "iters"), ({"iters": 4, "eval_every": -2}, "eval_every")])
+    def test_out_of_range_train_config_exit_2(self, tmp_path, capsys, train, field):
+        cfg_path, _ = write_config(tmp_path, train=train)
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} must be >= ")
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_iters_override_exit_2(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg_path), "--iters", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: iters must be >= 0")
+
     def test_bad_checkpoint_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.dwck"
         bad.write_bytes(b"garbage")

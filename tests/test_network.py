@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dwrseg import network as N
-from dwrseg.engine import ConvSpec, FormatError, ShapeError, Tape
+from dwrseg.engine import ConvSpec, FormatError, NumericError, ShapeError, ShapeTape, Tape
 from dwrseg.network import NetworkConfig, StageSpec
 from dwrseg.params import ParamStore, ParamVars, zero_init
 
@@ -142,7 +142,7 @@ class TestCounts:
 
     def test_mac_closed_form(self):
         from dwrseg.blocks import conv_macs
-        assert conv_macs(ConvSpec(192, 128, 1), 8, 8) == 1_572_864
+        assert conv_macs(ConvSpec(192, 128, 1), (1, 128, 8, 8)) == 1_572_864
 
     def test_mac_targets_b_l(self):
         for variant in ("B", "L"):
@@ -175,6 +175,31 @@ class TestCounts:
             "conv2d", "batchnorm", "relu", "concat", "maxpool", "upsample", "add"}
         assert taps["s4"].data.shape == (1, 32, 2, 2) and taps["s4"].data.strides == (0,) * 4
         assert tape.nodes[-1].shape == (1, 4, 64, 64)
+
+    @pytest.mark.parametrize("probe", [False, True])
+    def test_recording_tape_matches_trace(self, probe):
+        cfg = N.preset("tiny", num_classes=4, probe=probe)
+        store = N.build(cfg, rng_seed=0)
+        tape = Tape()
+        x = np.random.default_rng(1).random((2, 3, 64, 64), dtype=np.float32)
+        N.forward(store, cfg, x, mode="train", tape=tape)
+        traced, _ = N.trace(cfg, 64, 64)
+
+        def graph(t):
+            return [(n.kind, n.name, n.shape[1:], n.spec, n.window, len(n.parents))
+                    for n in t.nodes]
+
+        assert graph(tape) == graph(traced)
+        assert all(n.backward is not None for n in tape.nodes)
+        assert all(n.backward is None for n in traced.nodes)
+
+    def test_shape_tape_has_no_backward(self):
+        tape = ShapeTape()
+        x = tape.leaf(np.broadcast_to(np.zeros((), np.float32), (1, 2, 4, 4)))
+        y = tape.relu(x)
+        assert tape.num_nodes == 1 and tape.nodes[0].backward is None
+        with pytest.raises(RuntimeError):
+            tape.backward(y, np.ones(y.shape, np.float32))
 
     def test_l_strictly_larger_and_ratio(self):
         pb, _ = N.count_params(N.preset("B"))
@@ -261,6 +286,16 @@ class TestGradFlow:
         assert set(grads) == set(store.names())
         nonzero = sum(1 for g in grads.values() if np.abs(g).sum() > 0)
         assert nonzero > 0.9 * len(grads)
+
+
+class TestNumericErrors:
+    def test_nan_weight_names_its_layer(self, tiny):
+        cfg, store = tiny
+        poisoned = store.astype(np.float32)
+        poisoned["s3.0.merge.weight"][0, 0, 0, 0] = np.nan
+        x = np.random.default_rng(4).random((1, 3, 64, 64), dtype=np.float32)
+        with pytest.raises(NumericError, match=r"^s3\.0\.merge: conv output: \d+ non-finite"):
+            N.forward(poisoned, cfg, x)
 
 
 class TestBenchmark:

@@ -297,6 +297,12 @@ class TestTrainLoop:
         T.train_loop(params, net_cfg, ds, cfg)
         assert any(not np.array_equal(a, before[n]) for n, a in params.items())
 
+    @pytest.mark.parametrize("field, value", [("iters", -1), ("batch_size", 0),
+                                              ("log_every", -1), ("eval_every", -1)])
+    def test_out_of_range_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+            T.TrainConfig(**{field: value})
+
     def test_empty_dataset_rejected(self):
         _, net_cfg, params = self.make_setup()
         with pytest.raises(ValueError):
