@@ -72,10 +72,39 @@ class ConvSpec:
         return oh, ow
 
 
-def _pad_zeros(x: np.ndarray, p: int) -> np.ndarray:
+def _pad(x: np.ndarray, p: int, fill: float = 0.0) -> np.ndarray:
+    """x with p rows and columns of `fill` on each spatial side.
+
+    The same array as np.pad gives, written directly: np.pad's generic
+    bookkeeping costs several times the copy on the small tensors of a
+    training step.
+    """
     if p == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    n, c, h, w = x.shape
+    out = np.empty((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    out[:, :, p:p + h, p:p + w] = x
+    out[:, :, :p] = fill
+    out[:, :, p + h:] = fill
+    out[:, :, p:p + h, :p] = fill
+    out[:, :, p:p + h, p + w:] = fill
+    return out
+
+
+def _scatter_add(target: np.ndarray, index, values: np.ndarray) -> None:
+    """np.add.at(target, index, values) through flat indices.
+
+    Every element receives its values in the same order as with the
+    multi-dimensional index, so the sums are bitwise the same; numpy's
+    fast path for one 1-d integer index makes it several times quicker.
+    """
+    if not target.flags.c_contiguous:
+        raise ValueError("scatter target must be C-contiguous")
+    flat = 0
+    for idx, size in zip(index, target.shape):
+        flat = flat * size + idx  # row-major offset, broadcast over the index arrays
+    np.add.at(target.reshape(-1), flat.reshape(-1),
+              np.broadcast_to(values, flat.shape).reshape(-1))
 
 
 def _patches(x: np.ndarray, k: int, stride: int, dilation: int,
@@ -107,7 +136,7 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias, spec: ConvSpec) -> n
     n, _, h, w = x.shape
     oh, ow = spec.out_hw(h, w)
     # (n, groups, cg*k*k, oh*ow): reduction axis ordered channel, kernel row, kernel col
-    cols = _patches(_pad_zeros(x, spec.padding), spec.kernel, spec.stride, spec.dilation,
+    cols = _patches(_pad(x, spec.padding), spec.kernel, spec.stride, spec.dilation,
                     oh, ow).reshape(n, spec.groups, -1, oh * ow)
     wmat = weight.reshape(spec.groups, spec.out_channels // spec.groups, -1)
     out = np.matmul(wmat, cols).reshape(n, spec.out_channels, oh, ow)
@@ -132,7 +161,7 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec,
         raise ShapeError(
             f"grad_out shape {grad_out.shape} != ({n}, {spec.out_channels}, {oh}, {ow})")
 
-    xp = _pad_zeros(x, spec.padding)
+    xp = _pad(x, spec.padding)
     k, s, d, p = spec.kernel, spec.stride, spec.dilation, spec.padding
     cols = _patches(xp, k, s, d, oh, ow).reshape(n, spec.groups, -1, oh * ow)
     wmat = weight.reshape(spec.groups, spec.out_channels // spec.groups, -1)
@@ -295,20 +324,13 @@ def _pool_out_hw(h, w, kernel, stride, padding):
     return oh, ow
 
 
-def _pool_pad(x, padding):
-    if padding == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                  constant_values=-np.inf)
-
-
 def maxpool_forward(x: np.ndarray, kernel: int, stride: int, padding: int = 0) -> np.ndarray:
     check_4d("maxpool input", x)
     if padding >= kernel:
         raise ShapeError(f"maxpool padding {padding} must be < kernel {kernel}")
     n, c, h, w = x.shape
     oh, ow = _pool_out_hw(h, w, kernel, stride, padding)
-    xp = _pool_pad(x, padding)
+    xp = _pad(x, padding, -np.inf)
     pat = _patches(xp, kernel, stride, 1, oh, ow)  # (n, c, k, k, oh, ow)
     return np.ascontiguousarray(pat.max(axis=(2, 3)))
 
@@ -319,7 +341,7 @@ def maxpool_backward(x: np.ndarray, kernel: int, stride: int, padding: int,
     oh, ow = _pool_out_hw(h, w, kernel, stride, padding)
     if grad_out.shape != (n, c, oh, ow):
         raise ShapeError(f"maxpool grad shape {grad_out.shape} != ({n},{c},{oh},{ow})")
-    xp = _pool_pad(x, padding)
+    xp = _pad(x, padding, -np.inf)
     pat = _patches(xp, kernel, stride, 1, oh, ow)
     flat = pat.transpose(0, 1, 4, 5, 2, 3).reshape(n, c, oh, ow, kernel * kernel)
     am = flat.argmax(axis=-1)  # first max, row-major within the window
@@ -329,7 +351,7 @@ def maxpool_backward(x: np.ndarray, kernel: int, stride: int, padding: int,
     gx = np.zeros(xp.shape, dtype=grad_out.dtype)
     bb = np.arange(n).reshape(n, 1, 1, 1)
     cc = np.arange(c).reshape(1, c, 1, 1)
-    np.add.at(gx, (bb, cc, hh, ww), grad_out)
+    _scatter_add(gx, (bb, cc, hh, ww), grad_out)
     if padding:
         gx = gx[:, :, padding:padding + h, padding:padding + w]
     return np.ascontiguousarray(gx)
@@ -392,8 +414,9 @@ def upsample_bilinear_backward(x_shape, out_h: int, out_w: int,
     gx = np.zeros(x_shape, dtype=grad_out.dtype)
     wy = ((1 - fy).reshape(out_h, 1), fy.reshape(out_h, 1))
     wx = ((1 - fx).reshape(1, out_w), fx.reshape(1, out_w))
+    bb = np.arange(n).reshape(n, 1, 1, 1)
+    cc = np.arange(c).reshape(1, c, 1, 1)
     for yi, wyi in zip((y0, y1), wy):
         for xi, wxi in zip((x0, x1), wx):
-            np.add.at(gx, (slice(None), slice(None), yi[:, None], xi[None, :]),
-                      grad_out * (wyi * wxi))
+            _scatter_add(gx, (bb, cc, yi[:, None], xi[None, :]), grad_out * (wyi * wxi))
     return gx

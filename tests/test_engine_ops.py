@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwrseg import engine as E
+from dwrseg.engine import ops
 
 
 def rnd(shape, seed=0, dtype=np.float32):
@@ -424,6 +425,37 @@ class TestUpsample:
             E.upsample_bilinear(x, 0, 4)
         with pytest.raises(E.ShapeError):
             E.upsample_bilinear(x, 2, 4)  # shrink not allowed
+
+
+# ---------------------------------------------------------------------------
+# padding and scatter helpers: bitwise the numpy calls they replace
+# ---------------------------------------------------------------------------
+
+class TestPadAndScatter:
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    @pytest.mark.parametrize("fill", [0.0, -np.inf])
+    def test_pad_equals_np_pad(self, p, fill):
+        for dtype in (np.float32, np.float64):
+            x = rnd((2, 3, 3, 4), seed=p, dtype=dtype)[:, :, ::-1]  # non-contiguous too
+            ref = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=fill)
+            out = ops._pad(x, p, fill)
+            assert out.dtype == ref.dtype and out.flags.c_contiguous
+            np.testing.assert_array_equal(out, ref)
+
+    def test_scatter_add_sums_in_add_at_order(self):
+        # many values per target, magnitudes far apart: any other order rounds differently
+        rng = np.random.default_rng(16)
+        vals = (rng.standard_normal((2, 3, 40, 40)) * 10.0 ** rng.integers(-6, 6, (2, 3, 40, 40))
+                ).astype(np.float32)
+        index = (np.arange(2).reshape(2, 1, 1, 1), np.arange(3).reshape(1, 3, 1, 1),
+                 rng.integers(0, 4, (40, 1)), rng.integers(0, 5, (1, 40)))
+        ref = np.zeros((2, 3, 4, 5), np.float32)
+        np.add.at(ref, index, vals)
+        out = np.zeros_like(ref)
+        ops._scatter_add(out, index, vals)
+        np.testing.assert_array_equal(out, ref)
+        with pytest.raises(ValueError):
+            ops._scatter_add(out[:, :, ::2], index, vals)
 
 
 # ---------------------------------------------------------------------------
