@@ -42,14 +42,6 @@ class RfState:
         return self
 
 
-def theoretical_rf(layers) -> RfState:
-    """Compose (name, kernel, stride, dilation) layer descriptors in order."""
-    state = RfState()
-    for name, kernel, stride, dilation in layers:
-        state.apply(name, kernel, stride, dilation)
-    return state
-
-
 def rf_window(rf: int, jump: int, unit: int, size: int) -> tuple[int, int]:
     """Inclusive input-pixel range a unit can see along one axis.
 

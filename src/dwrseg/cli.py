@@ -3,8 +3,9 @@
 Subcommands: train, eval, predict, count, bench, analyze, preset.
 Exit codes: 0 success, 2 configuration/usage error, 3 numeric failure.
 
-Run configs are strict JSON documents (unknown keys are rejected); use
-`dwrseg preset desk` to emit a fully populated starting point.
+Run configs are strict JSON documents whose sections' keys, types and
+defaults are the fields of their dataclasses (unknown keys are rejected);
+use `dwrseg preset desk` to emit a fully populated starting point.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ import argparse
 import ctypes
 import json
 import sys
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, data, network, training
-from .data import IGNORE_LABEL, ShapesSpec
+from .data import ShapesSpec
 from .engine import FormatError, NumericError, ShapeError
 from .training import AugmentConfig, OhemConfig, TrainConfig
 
@@ -44,114 +46,109 @@ class DataSection:
     train_count: int = 256
     val_count: int = 64
 
+    def __post_init__(self):
+        if self.kind not in ("shapes", "manifest"):
+            raise ValueError("config.data.kind must be 'shapes' or 'manifest'")
+        if self.kind == "manifest" and not self.dir:
+            raise ValueError("config.data.dir is required for manifest datasets")
+        if min(self.canvas) < 1:
+            raise ValueError(f"canvas must be two sizes >= 1, got {self.canvas}")
+        for name in ("train_count", "val_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
+    def spec(self, num_classes: int) -> ShapesSpec:
+        """The synthetic-shapes generator this section describes."""
+        return ShapesSpec(canvas=self.canvas, num_classes=num_classes,
+                          shapes_per_image=self.shapes_per_image,
+                          size_range=self.size_range, noise=self.noise, seed=self.seed)
+
 
 @dataclass
 class RunConfig:
     variant: str = "tiny"
     num_classes: int = 4
-    seed: int = 0
     out_dir: str = "runs/out"
     data: DataSection = field(default_factory=DataSection)
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(iters=2000, batch_size=4))
-    augment: AugmentConfig | None = None
+    train: TrainConfig = field(default_factory=TrainConfig)
+
+    def __post_init__(self):
+        if self.variant not in network.VARIANTS:
+            raise ValueError(f"variant must be one of {sorted(network.VARIANTS)}")
+        self.data.spec(self.num_classes)  # its range checks, before anything runs
 
 
-# the Python types a JSON value may have, and their JSON name, by the type of its default
-_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
-               str: (str, "a string"), list: (list, "an array"), dict: (dict, "an object")}
+# JSON keys that differ from the field they set
+_ALIASES = {"batch_size": "batch", "lr_base": "lr"}
+# the JSON name and the Python types a value of each annotated scalar type may have
+_SCALARS = {int: ("an integer", int), float: ("a number", (int, float)),
+            str: ("a string", str)}
 
 
-def _is_json(value, kind: type) -> bool:
-    return isinstance(value, _JSON_TYPES[kind][0]) and not isinstance(value, bool)
+def _is(value, kind: type) -> bool:
+    return isinstance(value, _SCALARS[kind][1]) and not isinstance(value, bool)
 
 
-def _take(d, allowed: dict, where: str) -> dict:
-    """The defaults in allowed, overridden by the JSON object d.
+def _value(hint, value, where: str):
+    """The JSON value as its field's annotated type.
 
-    Each given value must have its default's JSON type (a float default
-    also takes an integer); a None default leaves the check to the caller.
+    The types are int, float (which also takes an integer), str, str | None,
+    and pairs of either number type, given as a two-element array.
     """
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be an object, got {d!r}")
-    unknown = set(d) - set(allowed)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        kind = args[0]
+        if not (isinstance(value, list) and len(value) == 2
+                and all(_is(v, kind) for v in value)):
+            raise ConfigError(f"{where} must be an array of two {kind.__name__}s, got {value!r}")
+        return tuple(map(kind, value))
+    if value is None and type(None) in args:
+        return None
+    kind = args[0] if args else hint
+    if not _is(value, kind):
+        raise ConfigError(f"{where} must be {_SCALARS[kind][0]}, got {value!r}")
+    return kind(value)
+
+
+def _section(cls, doc, where: str, **given):
+    """A `cls` built from the JSON object doc, whose keys are cls's fields.
+
+    Fields in given are set by the parser and are not keys; a missing key
+    takes its field's default, and cls's own ValueError becomes a ConfigError.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object, got {doc!r}")
+    hints = typing.get_type_hints(cls)
+    names = {_ALIASES.get(f.name, f.name): f.name for f in fields(cls) if f.name not in given}
+    unknown = set(doc) - set(names)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
-    for key, value in d.items():
-        kind = type(allowed[key])
-        if allowed[key] is not None and not _is_json(value, kind):
-            raise ConfigError(f"{where}.{key} must be {_JSON_TYPES[kind][1]}, got {value!r}")
-    out = dict(allowed)
-    out.update(d)
-    return out
-
-
-def _pair(v, kind: type, where):
-    if not isinstance(v, list) or len(v) != 2 or not all(_is_json(e, kind) for e in v):
-        raise ConfigError(f"{where} must be an array of two {kind.__name__}s, got {v!r}")
-    return tuple(map(kind, v))
+    values = {names[k]: _value(hints[names[k]], v, f"{where}.{k}") for k, v in doc.items()}
+    try:
+        return cls(**values, **given)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_run_config(doc: dict) -> RunConfig:
-    top = _take(doc, {"variant": "tiny", "num_classes": 4, "seed": 0,
-                      "out_dir": "runs/out", "data": {}, "train": {}, "ohem": {},
-                      "augment": None}, "config")
-    if top["variant"] not in network.VARIANTS:
-        raise ConfigError(f"variant must be one of {sorted(network.VARIANTS)}")
+    """The RunConfig of a JSON document.
 
-    d = _take(top["data"], {"kind": "shapes", "dir": None, "canvas": [64, 64],
-                            "shapes_per_image": [1, 3], "size_range": [12, 28],
-                            "noise": 0.04, "seed": 7, "train_count": 256,
-                            "val_count": 64}, "config.data")
-    if d["kind"] not in ("shapes", "manifest"):
-        raise ConfigError("config.data.kind must be 'shapes' or 'manifest'")
-    if d["dir"] is not None and not isinstance(d["dir"], str):
-        raise ConfigError(f"config.data.dir must be a string, got {d['dir']!r}")
-    if d["kind"] == "manifest" and not d["dir"]:
-        raise ConfigError("config.data.dir is required for manifest datasets")
-    data_sec = DataSection(kind=d["kind"], dir=d["dir"],
-                           canvas=_pair(d["canvas"], int, "config.data.canvas"),
-                           shapes_per_image=_pair(d["shapes_per_image"], int,
-                                                  "config.data.shapes_per_image"),
-                           size_range=_pair(d["size_range"], int,
-                                            "config.data.size_range"),
-                           noise=float(d["noise"]), seed=d["seed"],
-                           train_count=d["train_count"], val_count=d["val_count"])
-
-    t = _take(top["train"], {"iters": 2000, "batch": 4, "lr": 0.02, "momentum": 0.9,
-                             "weight_decay": 0.0005, "poly_power": 0.9,
-                             "log_every": 50, "eval_every": 0}, "config.train")
-    o = _take(top["ohem"], {"prob_threshold": 0.7, "min_kept_fraction": 1 / 16,
-                            "ignore_label": IGNORE_LABEL}, "config.ohem")
-    try:  # each dataclass checks its own ranges
-        ohem = OhemConfig(prob_threshold=float(o["prob_threshold"]),
-                          min_kept_fraction=float(o["min_kept_fraction"]),
-                          ignore_label=o["ignore_label"])
-        aug = None
-        if top["augment"] is not None:
-            a = _take(top["augment"], {"scale_range": [1.0, 1.0],
-                                       "crop": list(data_sec.canvas), "hflip_prob": 0.5,
-                                       "brightness": 0.0, "contrast": 0.0,
-                                       "saturation": 0.0}, "config.augment")
-            aug = AugmentConfig(scale_range=_pair(a["scale_range"], float,
-                                                  "config.augment.scale_range"),
-                                crop=_pair(a["crop"], int, "config.augment.crop"),
-                                hflip_prob=float(a["hflip_prob"]),
-                                brightness=float(a["brightness"]),
-                                contrast=float(a["contrast"]),
-                                saturation=float(a["saturation"]),
-                                ignore_label=ohem.ignore_label)
-        train_cfg = TrainConfig(iters=t["iters"], batch_size=t["batch"],
-                                seed=top["seed"], lr_base=float(t["lr"]),
-                                momentum=float(t["momentum"]),
-                                weight_decay=float(t["weight_decay"]),
-                                poly_power=float(t["poly_power"]), ohem=ohem,
-                                augment=aug, log_every=t["log_every"],
-                                eval_every=t["eval_every"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return RunConfig(variant=top["variant"], num_classes=top["num_classes"],
-                     seed=top["seed"], out_dir=top["out_dir"],
-                     data=data_sec, train=train_cfg, augment=aug)
+    The train section's seed, OHEM and augmentation come from the top-level
+    keys `seed`, `ohem` and `augment`; the augment crop defaults to the canvas.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config must be an object, got {doc!r}")
+    top = dict(doc)
+    seed = _value(int, top.pop("seed", TrainConfig.seed), "config.seed")
+    data_sec = _section(DataSection, top.pop("data", {}), "config.data")
+    ohem = _section(OhemConfig, top.pop("ohem", {}), "config.ohem")
+    aug = top.pop("augment", None)
+    if aug is not None:  # null, or no key, means no augmentation
+        a = _section(AugmentConfig, aug, "config.augment", ignore_label=ohem.ignore_label)
+        aug = a if "crop" in aug else replace(a, crop=data_sec.canvas)
+    train = _section(TrainConfig, top.pop("train", {}), "config.train",
+                     seed=seed, ohem=ohem, augment=aug)
+    return _section(RunConfig, top, "config", data=data_sec, train=train)
 
 
 def load_run_config(path) -> RunConfig:
@@ -173,10 +170,7 @@ def _load_datasets(cfg: RunConfig):
         samples = data.load_manifest_samples(manifest)
         split = max(1, int(0.8 * len(samples)))
         return samples[:split], samples[split:] or samples[:1]
-    spec = ShapesSpec(canvas=cfg.data.canvas, num_classes=cfg.num_classes,
-                      shapes_per_image=cfg.data.shapes_per_image,
-                      size_range=cfg.data.size_range, noise=cfg.data.noise,
-                      seed=cfg.data.seed)
+    spec = cfg.data.spec(cfg.num_classes)
     train = data.make_dataset(spec, cfg.data.train_count, start=0)
     val = data.make_dataset(spec, cfg.data.val_count, start=cfg.data.train_count)
     return train, val
@@ -188,16 +182,13 @@ def _load_datasets(cfg: RunConfig):
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.train.seed = args.seed
-    if args.iters is not None:
-        cfg.train = replace(cfg.train, iters=args.iters)
+    overrides = {"seed": args.seed, "iters": args.iters}
+    cfg.train = replace(cfg.train, **{k: v for k, v in overrides.items() if v is not None})
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     net_cfg = network.preset(cfg.variant, num_classes=cfg.num_classes)
-    params = network.build(net_cfg, rng_seed=cfg.seed)
+    params = network.build(net_cfg, rng_seed=cfg.train.seed)
     train_set, val_set = _load_datasets(cfg)
 
     metrics_path = out_dir / "metrics.jsonl"
@@ -218,6 +209,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if not (args.data or args.config):
+        raise ConfigError("eval needs --config or --data for its validation samples")
     params, net_cfg = network.load_checkpoint(args.checkpoint)
     if args.data:
         manifest = data.dataset_manifest(args.data)
@@ -304,6 +297,15 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _analysis_image(args, net_cfg):
+    """--image, or else sample 0 of the shapes generator at --seed, padded to 32."""
+    if args.image:
+        image = data.read_ppm(args.image)
+    else:
+        image = data.generate(ShapesSpec(num_classes=net_cfg.num_classes, seed=args.seed), 0).image
+    return _pad_to_32(image)[0]
+
+
 def cmd_analyze(args) -> int:
     if args.what == "rf":
         cfg = network.preset(args.variant, num_classes=args.classes)
@@ -321,14 +323,11 @@ def cmd_analyze(args) -> int:
             Path(args.out).write_text(json.dumps(report, indent=2), encoding="utf-8")
         return 0
 
+    if not args.checkpoint:
+        raise ConfigError(f"analyze {args.what} needs --checkpoint")
+    params, net_cfg = network.load_checkpoint(args.checkpoint)
     if args.what == "erf":
-        params, net_cfg = network.load_checkpoint(args.checkpoint)
-        if args.image:
-            image = data.read_ppm(args.image)
-        else:
-            spec = ShapesSpec(num_classes=net_cfg.num_classes, seed=args.seed)
-            image = data.generate(spec, 0).image
-        image, _, _ = _pad_to_32(image)
+        image = _analysis_image(args, net_cfg)
         _, _, h, w = image.shape
         tap_h, tap_w = h // 32, w // 32
         cy = args.cy if args.cy is not None else tap_h // 2
@@ -348,7 +347,6 @@ def cmd_analyze(args) -> int:
         return 0
 
     if args.what == "weights":
-        params, net_cfg = network.load_checkpoint(args.checkpoint)
         stats = analysis.branch_weight_stats(params, net_cfg, bins=args.bins)
         doc = [row for s in stats for row in s.to_json()]
         text = json.dumps(doc, indent=2)
@@ -358,15 +356,8 @@ def cmd_analyze(args) -> int:
         return 0
 
     # heatmaps
-    params, net_cfg = network.load_checkpoint(args.checkpoint)
-    if args.image:
-        image = data.read_ppm(args.image)
-    else:
-        spec = ShapesSpec(num_classes=net_cfg.num_classes, seed=args.seed)
-        image = data.generate(spec, 0).image
-    image, _, _ = _pad_to_32(image)
-    result = analysis.dump_feature_heatmaps(params, net_cfg, image, args.block,
-                                            args.out or "heatmaps")
+    result = analysis.dump_feature_heatmaps(params, net_cfg, _analysis_image(args, net_cfg),
+                                            args.block, args.out or "heatmaps")
     print(json.dumps({"files": result["files"]}))
     return 0
 

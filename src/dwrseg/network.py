@@ -375,6 +375,8 @@ def load_checkpoint(path) -> tuple[ParamStore, NetworkConfig]:
 def benchmark_forward(params: ParamStore, config: NetworkConfig, input_shape,
                       warmup: int = 2, iters: int = 10) -> dict:
     """Wall-time stats for eval-mode forward (not comparable to GPU numbers)."""
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
     rng = np.random.default_rng(0)
     x = rng.random(input_shape, dtype=np.float32)
     for _ in range(warmup):

@@ -76,9 +76,6 @@ class ParamStore:
     def bn(self, prefix: str) -> BatchNormState:
         return self._bn[prefix]
 
-    def num_params(self) -> int:
-        return sum(int(v.size) for v in self._params.values())
-
     def set_(self, name: str, value: np.ndarray) -> None:
         """Overwrite a parameter in place (preserves aliases into BN states)."""
         dst = self._params[name]

@@ -167,17 +167,19 @@ def miou(pred: np.ndarray, gt: np.ndarray, num_classes: int, ignore_label: int =
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    scale_range: tuple[float, float] = (0.25, 1.5)
+    scale_range: tuple[float, float] = (1.0, 1.0)
     crop: tuple[int, int] = (640, 1280)  # (h, w)
     hflip_prob: float = 0.5
-    brightness: float = 0.3
-    contrast: float = 0.3
-    saturation: float = 0.3
+    brightness: float = 0.0
+    contrast: float = 0.0
+    saturation: float = 0.0
     ignore_label: int = 255
 
     def __post_init__(self):
         if self.scale_range[0] > self.scale_range[1]:
             raise ValueError(f"scale range {self.scale_range} must be (min, max)")
+        if min(self.crop) < 1:
+            raise ValueError(f"crop must be two sizes >= 1, got {self.crop}")
 
 
 def resize_image_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -16,15 +16,15 @@ from dwrseg.engine import ConvSpec, Tape
 class TestTheoreticalRf:
     @pytest.mark.parametrize("dilation,expected", [(1, 3), (3, 7), (5, 11)])
     def test_single_dilated_conv(self, dilation, expected):
-        state = A.theoretical_rf([("dw", 3, 1, dilation)])
+        state = A.RfState().apply("dw", 3, 1, dilation)
         assert state.rf == expected
 
     def test_two_stacked_convs(self):
-        state = A.theoretical_rf([("c1", 3, 1, 1), ("c2", 3, 1, 1)])
+        state = A.RfState().apply("c1", 3, 1, 1).apply("c2", 3, 1, 1)
         assert state.rf == 5
 
     def test_stride_doubles_jump(self):
-        state = A.theoretical_rf([("c1", 3, 2, 1), ("c2", 3, 2, 1), ("c3", 3, 1, 1)])
+        state = A.RfState().apply("c1", 3, 2, 1).apply("c2", 3, 2, 1).apply("c3", 3, 1, 1)
         jumps = [j for _, _, j in state.trace]
         assert jumps == [2, 4, 4]
 

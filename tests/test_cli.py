@@ -9,7 +9,9 @@ from dwrseg import data as D
 from dwrseg import training
 from dwrseg.cli import (
     DESK_PRESET,
+    FULL_PRESET,
     ConfigError,
+    RunConfig,
     blas_threads,
     main,
     parse_run_config,
@@ -62,10 +64,29 @@ class TestConfigParsing:
         [], {"data": 5}, {"augment": 1}, {"train": {"iters": [1]}},
         {"train": {"iters": True}}, {"train": {"lr": "0.05"}},
         {"data": {"canvas": [64, "64"]}}, {"data": {"kind": "manifest", "dir": 5}},
-        {"augment": {"scale_range": [0.5, None]}}])
+        {"augment": {"scale_range": [0.5, None]}}, {"seed": "x"},
+        {"augment": {"crop": [1, 2, 3]}}])
     def test_wrong_json_type_rejected(self, doc):
         with pytest.raises(ConfigError):
             parse_run_config(doc)
+
+    def test_empty_config_is_dataclass_defaults(self):
+        cfg = parse_run_config({})
+        assert cfg == RunConfig()
+        assert cfg.train == training.TrainConfig()
+        assert cfg.train.ohem == training.OhemConfig() and cfg.train.augment is None
+
+    def test_full_preset_values_land_on_fields(self):
+        cfg = parse_run_config(json.loads(json.dumps(FULL_PRESET)))
+        assert (cfg.variant, cfg.num_classes, cfg.out_dir) == ("B", 19, "runs/full")
+        assert cfg.train.seed == FULL_PRESET["seed"]
+        aliases = {"batch": "batch_size", "lr": "lr_base"}
+        for section, target in (("data", cfg.data), ("train", cfg.train),
+                                ("ohem", cfg.train.ohem), ("augment", cfg.train.augment)):
+            for key, value in FULL_PRESET[section].items():
+                want = tuple(value) if isinstance(value, list) else value
+                assert getattr(target, aliases.get(key, key)) == want, key
+        assert cfg.train.augment.ignore_label == FULL_PRESET["ohem"]["ignore_label"]
 
 
 class TestCount:
@@ -278,6 +299,30 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field} must be >= ")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"data": {"val_count": 0}}, "val_count"), ({"data": {"train_count": 0}}, "train_count"),
+        ({"data": {"canvas": [0, 0]}}, "canvas"), ({"augment": {"crop": [0, 0]}}, "crop"),
+        ({"data": {"shapes_per_image": [3, 1]}}, "shapes_per_image"),
+        ({"data": {"size_range": [1, 1]}}, "size_range")])
+    def test_out_of_range_data_config_exit_2(self, tmp_path, capsys, overrides, field):
+        cfg_path, _ = write_config(tmp_path, **overrides)
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--checkpoint", "{ckpt}"], ["analyze", "erf"], ["analyze", "weights"],
+        ["analyze", "heatmaps"], ["bench", "tiny", "64", "64", "--iters", "0"]])
+    def test_missing_input_exit_2(self, tmp_path, capsys, argv):
+        from dwrseg import network as N
+        cfg = N.preset("tiny", num_classes=4)
+        ckpt = tmp_path / "c.dwck"
+        N.save_checkpoint(N.build(cfg, rng_seed=0), cfg, ckpt)
+        assert main([a.format(ckpt=ckpt) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_negative_iters_override_exit_2(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)

@@ -112,7 +112,7 @@ class TestCounts:
         # 3x3, 16->32, with bias, as a declaring store creates it
         store = ParamStore(zero_init)
         ParamVars(Tape(record=False), store).conv("c", ConvSpec(16, 32, 3, has_bias=True))
-        assert store.num_params() == 4640
+        assert sum(a.size for _, a in store.items()) == 4640
 
     def test_param_targets_b_l(self):
         for variant in ("B", "L"):
@@ -138,7 +138,7 @@ class TestCounts:
     def test_store_size_matches_count(self, tiny):
         cfg, store = tiny
         total, _ = N.count_params(cfg)
-        assert store.num_params() == total
+        assert sum(a.size for _, a in store.items()) == total
 
     def test_mac_closed_form(self):
         from dwrseg.blocks import conv_macs
