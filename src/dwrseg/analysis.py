@@ -153,6 +153,8 @@ def branch_weight_stats(params: ParamStore, config: NetworkConfig,
     Requires a probe-stage network (every dilation branch occupies a known
     slice of the merge weight's input axis).
     """
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
     out = []
     prev = config.stem_channels
     for name, stage in zip(config.stage_names, config.stages):

@@ -86,7 +86,10 @@ _SCALARS = {int: ("an integer", int), float: ("a number", (int, float)),
 
 
 def _is(value, kind: type) -> bool:
-    return isinstance(value, _SCALARS[kind][1]) and not isinstance(value, bool)
+    if isinstance(value, bool) or not isinstance(value, _SCALARS[kind][1]):
+        return False
+    # an integer beyond the float range is no number for a float field
+    return not (kind is float and isinstance(value, int) and abs(value) > sys.float_info.max)
 
 
 def _value(hint, value, where: str):

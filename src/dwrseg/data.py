@@ -129,17 +129,24 @@ def make_dataset(spec: ShapesSpec, count: int, start: int = 0) -> list[Sample]:
 # PPM (P6) / PGM (P5) binary IO, maxval 255
 # ---------------------------------------------------------------------------
 
+# One whitespace byte or one comment per repetition: the two alternatives
+# start with different bytes, so a failed match backtracks in linear time.
+_PNM_NUMBER = re.compile(rb"(?:\s|#[^\n]*\n)*(\d+)")
+
+
 def _read_pnm_header(data: bytes, magic: bytes):
     if not data.startswith(magic):
         raise FormatError(f"expected {magic.decode()} header")
     tokens = []
     pos = 2
     while len(tokens) < 3:
-        m = re.match(rb"(?:\s+|\s*#[^\n]*\n)*(\d+)", data[pos:])
+        m = _PNM_NUMBER.match(data, pos)
         if m is None:
             raise FormatError("malformed PNM header")
+        if len(m.group(1)) > 9:
+            raise FormatError(f"PNM header number of {len(m.group(1))} digits (at most 9)")
         tokens.append(int(m.group(1)))
-        pos += m.end()
+        pos = m.end()
     if pos >= len(data) or data[pos:pos + 1] not in (b" ", b"\t", b"\n", b"\r"):
         raise FormatError("missing whitespace after PNM maxval")
     width, height, maxval = tokens

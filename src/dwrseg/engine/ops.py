@@ -1,22 +1,23 @@
 """Forward and backward implementations of every primitive operator.
 
 All operators are pure functions of their operands (batch norm in train
-mode additionally updates its own running statistics).
+mode additionally updates its own running statistics).  Each backward is
+its forward's map transposed, read off the same description:
 
-Every convolution -- dense, depthwise or grouped -- is one grouped
-matmul over im2col columns: with the input's patches laid out as
-cols (n, groups, cg*k*k, oh*ow), rows ordered channel-major, then kernel
-row, then kernel column, the forward is out[:, g] = W[g] @ cols[:, g].  A
-dense conv has one group, a depthwise conv one channel per group.  The
-backward is the same product transposed: W[g]^T @ grad_out[:, g] scattered
-back onto the input, and grad_out[n, g] @ cols[n, g]^T per image, summed
-over images, for the weights.  Every output element is produced by exactly
-one reduction in a fixed order, so repeated runs are bitwise identical at
-a fixed BLAS thread count (a matmul may round differently at another).
+- convolution, dense, depthwise or grouped: out[:, g] = W[g] @ cols[:, g]
+  over im2col columns (n, groups, cg*k*k, oh*ow), rows ordered channel,
+  kernel row, kernel column; W[g]^T @ grad_out[:, g] goes back onto the
+  input as one strided-slice add per kernel offset (col2im);
+- max pooling: a running maximum over the k*k strided window views; each
+  window's gradient goes back through the view of its first argmax;
+- bilinear upsampling: A_y @ x @ A_x^T with one interpolation matrix per
+  axis; the backward is A_y^T @ grad_out @ A_x.
 
-Convolution padding is zero padding; pooling padding behaves as -inf.
-Bilinear upsampling uses half-pixel source coordinates clamped to the
-borders (src = (dst + 0.5) * in/out - 0.5).
+Every output element is produced by one reduction in a fixed order, so
+repeated runs are bitwise identical at a fixed BLAS thread count (a matmul
+may round differently at another).  Convolution padding is zero padding;
+pooling padding behaves as -inf.  Bilinear upsampling uses half-pixel
+source coordinates clamped to the borders (src = (dst + 0.5) * in/out - 0.5).
 """
 
 from __future__ import annotations
@@ -89,22 +90,6 @@ def _pad(x: np.ndarray, p: int, fill: float = 0.0) -> np.ndarray:
     out[:, :, p:p + h, :p] = fill
     out[:, :, p:p + h, p + w:] = fill
     return out
-
-
-def _scatter_add(target: np.ndarray, index, values: np.ndarray) -> None:
-    """np.add.at(target, index, values) through flat indices.
-
-    Every element receives its values in the same order as with the
-    multi-dimensional index, so the sums are bitwise the same; numpy's
-    fast path for one 1-d integer index makes it several times quicker.
-    """
-    if not target.flags.c_contiguous:
-        raise ValueError("scatter target must be C-contiguous")
-    flat = 0
-    for idx, size in zip(index, target.shape):
-        flat = flat * size + idx  # row-major offset, broadcast over the index arrays
-    np.add.at(target.reshape(-1), flat.reshape(-1),
-              np.broadcast_to(values, flat.shape).reshape(-1))
 
 
 def _patches(x: np.ndarray, k: int, stride: int, dilation: int,
@@ -324,37 +309,46 @@ def _pool_out_hw(h, w, kernel, stride, padding):
     return oh, ow
 
 
-def maxpool_forward(x: np.ndarray, kernel: int, stride: int, padding: int = 0) -> np.ndarray:
+def _pool(x: np.ndarray, kernel: int, stride: int, padding: int):
+    """The k*k strided views (n, c, oh, ow) of the -inf-padded input, one
+    per window offset in row-major order, and their running maximum."""
     check_4d("maxpool input", x)
     if padding >= kernel:
         raise ShapeError(f"maxpool padding {padding} must be < kernel {kernel}")
-    n, c, h, w = x.shape
-    oh, ow = _pool_out_hw(h, w, kernel, stride, padding)
-    xp = _pad(x, padding, -np.inf)
-    pat = _patches(xp, kernel, stride, 1, oh, ow)  # (n, c, k, k, oh, ow)
-    return np.ascontiguousarray(pat.max(axis=(2, 3)))
+    oh, ow = _pool_out_hw(*x.shape[2:], kernel, stride, padding)
+    pat = _patches(_pad(x, padding, -np.inf), kernel, stride, 1, oh, ow)
+    views = [pat[:, :, i, j] for i in range(kernel) for j in range(kernel)]
+    top = views[0].copy()
+    for v in views[1:]:
+        np.maximum(top, v, out=top)
+    return views, top
+
+
+def maxpool_forward(x: np.ndarray, kernel: int, stride: int, padding: int = 0) -> np.ndarray:
+    return _pool(x, kernel, stride, padding)[1]
 
 
 def maxpool_backward(x: np.ndarray, kernel: int, stride: int, padding: int,
                      grad_out: np.ndarray) -> np.ndarray:
-    n, c, h, w = x.shape
-    oh, ow = _pool_out_hw(h, w, kernel, stride, padding)
+    """The forward's slices transposed: each window's gradient goes to the
+    first offset holding its maximum, and the offsets are added back in
+    reverse order, so every pixel sums its windows in row-major order."""
+    views, top = _pool(x, kernel, stride, padding)
+    n, c, oh, ow = top.shape
+    h, w = x.shape[2:]
     if grad_out.shape != (n, c, oh, ow):
         raise ShapeError(f"maxpool grad shape {grad_out.shape} != ({n},{c},{oh},{ow})")
-    xp = _pad(x, padding, -np.inf)
-    pat = _patches(xp, kernel, stride, 1, oh, ow)
-    flat = pat.transpose(0, 1, 4, 5, 2, 3).reshape(n, c, oh, ow, kernel * kernel)
-    am = flat.argmax(axis=-1)  # first max, row-major within the window
-    ki, kj = am // kernel, am % kernel
-    hh = np.arange(oh).reshape(1, 1, oh, 1) * stride + ki
-    ww = np.arange(ow).reshape(1, 1, 1, ow) * stride + kj
-    gx = np.zeros(xp.shape, dtype=grad_out.dtype)
-    bb = np.arange(n).reshape(n, 1, 1, 1)
-    cc = np.arange(c).reshape(1, c, 1, 1)
-    _scatter_add(gx, (bb, cc, hh, ww), grad_out)
-    if padding:
-        gx = gx[:, :, padding:padding + h, padding:padding + w]
-    return np.ascontiguousarray(gx)
+    taken = np.zeros(top.shape, dtype=bool)
+    first = []
+    for v in views:
+        first.append((v == top) & ~taken)
+        taken |= first[-1]
+    gx = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=grad_out.dtype)
+    s = stride
+    for t in reversed(range(kernel * kernel)):
+        i, j = divmod(t, kernel)
+        gx[:, :, i:i + s * oh:s, j:j + s * ow:s] += np.where(first[t], grad_out, 0)
+    return np.ascontiguousarray(gx[:, :, padding:padding + h, padding:padding + w])
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +365,23 @@ def _bilinear_axis(n_in: int, n_out: int):
     return lo, hi, frac
 
 
+def _bilinear_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
+    """The (n_out, n_in) map of one axis: row r holds the taps of output r,
+    with the weights rounded to dtype as resize_bilinear rounds them."""
+    lo, hi, frac = _bilinear_axis(n_in, n_out)
+    frac = frac.astype(dtype)
+    rows = np.arange(n_out)
+    a = np.zeros((n_out, n_in), dtype=dtype)
+    a[rows, lo] = 1 - frac
+    a[rows, hi] += frac  # hi == lo at the clamped border, where frac is 0
+    return a
+
+
 def resize_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Interpolate a 4-d array to out_h x out_w, up or down (no checks).
 
-    The result keeps the memory order numpy gives a non-contiguous input,
+    A_y @ x @ A_x^T evaluated as two gathered taps per axis, which rounds
+    differently from the matrix product.  The result keeps the memory order numpy gives a non-contiguous input,
     so reductions over it sum in the same order as over the input.
     """
     h, w = x.shape[2:]
@@ -401,22 +408,12 @@ def upsample_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 def upsample_bilinear_backward(x_shape, out_h: int, out_w: int,
                                grad_out: np.ndarray) -> np.ndarray:
-    """Exact transpose of the interpolation map above."""
+    """The forward map transposed: A_y^T @ grad_out @ A_x."""
     n, c, h, w = x_shape
     if grad_out.shape != (n, c, out_h, out_w):
         raise ShapeError(f"upsample grad shape {grad_out.shape} != ({n},{c},{out_h},{out_w})")
     if (out_h, out_w) == (h, w):
         return grad_out.copy()
-    y0, y1, fy = _bilinear_axis(h, out_h)
-    x0, x1, fx = _bilinear_axis(w, out_w)
-    fy = fy.astype(grad_out.dtype)
-    fx = fx.astype(grad_out.dtype)
-    gx = np.zeros(x_shape, dtype=grad_out.dtype)
-    wy = ((1 - fy).reshape(out_h, 1), fy.reshape(out_h, 1))
-    wx = ((1 - fx).reshape(1, out_w), fx.reshape(1, out_w))
-    bb = np.arange(n).reshape(n, 1, 1, 1)
-    cc = np.arange(c).reshape(1, c, 1, 1)
-    for yi, wyi in zip((y0, y1), wy):
-        for xi, wxi in zip((x0, x1), wx):
-            _scatter_add(gx, (bb, cc, yi[:, None], xi[None, :]), grad_out * (wyi * wxi))
-    return gx
+    a_y = _bilinear_matrix(h, out_h, grad_out.dtype)
+    a_x = _bilinear_matrix(w, out_w, grad_out.dtype)
+    return a_y.T @ grad_out @ a_x

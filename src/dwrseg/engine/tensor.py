@@ -83,7 +83,10 @@ def nt_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     end = start + 4 * math.prod(dims)
     if end > len(buf):
         raise FormatError(".nt payload truncated")
-    arr = np.frombuffer(buf[start:end], dtype="<f4").reshape(dims).astype(FLOAT)
+    try:
+        arr = np.frombuffer(buf[start:end], dtype="<f4").reshape(dims).astype(FLOAT)
+    except ValueError as exc:  # more dims than numpy supports
+        raise FormatError(f".nt record at offset {offset}: {exc}") from exc
     return np.ascontiguousarray(arr), end
 
 

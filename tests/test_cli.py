@@ -324,6 +324,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_weights_bins_below_one_exit_2(self, tmp_path, capsys, bins):
+        from dwrseg import network as N
+        cfg = N.preset("tiny", num_classes=4, probe=True)
+        ckpt = tmp_path / "probe.dwck"
+        N.save_checkpoint(N.build(cfg, rng_seed=0), cfg, ckpt)
+        assert main(["analyze", "weights", "--checkpoint", str(ckpt), "--bins", bins]) == 2
+        assert capsys.readouterr().err.startswith("error: bins must be >= 1")
+
     def test_negative_iters_override_exit_2(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)
         assert main(["train", "--config", str(cfg_path), "--iters", "-1"]) == 2

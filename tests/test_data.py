@@ -1,5 +1,7 @@
 """Synthetic shapes generator and PPM/PGM/manifest IO."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,6 +113,21 @@ class TestPpmPgm:
         truncated.write_bytes(b"P6\n2 2\n255\n\x00\x00\x00")
         with pytest.raises(FormatError):
             D.read_ppm(truncated)
+
+    def test_whitespace_run_rejected_in_linear_time(self, tmp_path):
+        # a tokenizer that backtracks exponentially takes hours on these 67 bytes
+        p = tmp_path / "ws.ppm"
+        p.write_bytes(b"P6" + b" " * 64 + b"x")
+        start = time.perf_counter()
+        with pytest.raises(FormatError, match="malformed PNM header"):
+            D.read_ppm(p)
+        assert time.perf_counter() - start < 0.5
+
+    def test_overlong_number_rejected(self, tmp_path):
+        p = tmp_path / "long.ppm"
+        p.write_bytes(b"P6 " + b"9" * 5000 + b" 1 255\n")
+        with pytest.raises(FormatError, match="5000 digits"):
+            D.read_ppm(p)
 
     def test_pgm_value_range_enforced(self, tmp_path):
         with pytest.raises(FormatError):

@@ -355,6 +355,27 @@ class TestMaxPool:
         g = E.maxpool_backward(x, 2, 1, 0, go)
         assert g[0, 0, 1, 1] == 4.0  # argmax of all four windows
 
+    @pytest.mark.parametrize("k,s,p", [(3, 2, 1), (2, 1, 0)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_equals_add_at_bitwise(self, k, s, p, dtype):
+        # quantized inputs tie within windows; gradients 12 decades apart make
+        # any summation order other than np.add.at's round differently
+        rng = np.random.default_rng(16)
+        x = (np.round(rng.standard_normal((2, 3, 11, 13)) * 2) / 2).astype(dtype)
+        oh, ow = (11 + 2 * p - k) // s + 1, (13 + 2 * p - k) // s + 1
+        go = (rng.standard_normal((2, 3, oh, ow)) * 10.0 ** rng.integers(-6, 6, (2, 3, oh, ow))
+              ).astype(dtype)
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=-np.inf)
+        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+        am = win.reshape(2, 3, oh, ow, k * k).argmax(axis=-1)  # first row-major max
+        ref = np.zeros(xp.shape, dtype)
+        np.add.at(ref, (np.arange(2).reshape(2, 1, 1, 1), np.arange(3).reshape(1, 3, 1, 1),
+                        np.arange(oh).reshape(oh, 1) * s + am // k,
+                        np.arange(ow) * s + am % k), go)
+        out = E.maxpool_backward(x, k, s, p, go)
+        assert out.dtype == dtype and out.flags.c_contiguous
+        np.testing.assert_array_equal(out, ref[:, :, p:p + 11, p:p + 13])
+
 
 # ---------------------------------------------------------------------------
 # bilinear upsampling
@@ -419,6 +440,15 @@ class TestUpsample:
         gx = E.upsample_bilinear_backward(x.shape, 6, 9, g)
         assert np.sum(up * g) == pytest.approx(np.sum(x * gx), rel=1e-12)
 
+    def test_backward_equals_dense_transpose(self):
+        # column i of the forward map is the upsampled i-th basis image
+        basis = np.eye(12).reshape(12, 1, 3, 4)
+        fwd_t = E.upsample_bilinear(basis, 7, 9).reshape(12, 63)
+        g = rnd((2, 3, 7, 9), seed=17, dtype=np.float64)
+        gx = E.upsample_bilinear_backward((2, 3, 3, 4), 7, 9, g)
+        np.testing.assert_allclose(gx.reshape(2, 3, 12), g.reshape(2, 3, 63) @ fwd_t.T,
+                                   rtol=0, atol=1e-12)
+
     def test_errors(self):
         x = rnd((1, 1, 4, 4))
         with pytest.raises(E.ShapeError):
@@ -428,7 +458,7 @@ class TestUpsample:
 
 
 # ---------------------------------------------------------------------------
-# padding and scatter helpers: bitwise the numpy calls they replace
+# padding helper: bitwise the np.pad call it replaces
 # ---------------------------------------------------------------------------
 
 class TestPadAndScatter:
@@ -441,21 +471,6 @@ class TestPadAndScatter:
             out = ops._pad(x, p, fill)
             assert out.dtype == ref.dtype and out.flags.c_contiguous
             np.testing.assert_array_equal(out, ref)
-
-    def test_scatter_add_sums_in_add_at_order(self):
-        # many values per target, magnitudes far apart: any other order rounds differently
-        rng = np.random.default_rng(16)
-        vals = (rng.standard_normal((2, 3, 40, 40)) * 10.0 ** rng.integers(-6, 6, (2, 3, 40, 40))
-                ).astype(np.float32)
-        index = (np.arange(2).reshape(2, 1, 1, 1), np.arange(3).reshape(1, 3, 1, 1),
-                 rng.integers(0, 4, (40, 1)), rng.integers(0, 5, (1, 40)))
-        ref = np.zeros((2, 3, 4, 5), np.float32)
-        np.add.at(ref, index, vals)
-        out = np.zeros_like(ref)
-        ops._scatter_add(out, index, vals)
-        np.testing.assert_array_equal(out, ref)
-        with pytest.raises(ValueError):
-            ops._scatter_add(out[:, :, ::2], index, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,111 @@
+"""Malformed inputs: every reader of outside bytes or JSON fails with a
+FormatError or a ConfigError (exit code 2), never with another exception."""
+
+import dataclasses
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dwrseg import data as D
+from dwrseg import network as N
+from dwrseg.cli import DESK_PRESET, ConfigError, DataSection, RunConfig, parse_run_config
+from dwrseg.engine import FormatError, nt_bytes, nt_from_bytes, read_nt
+from dwrseg.training import AugmentConfig, OhemConfig, TrainConfig
+
+FUZZ = settings(max_examples=60, deadline=None)
+
+NT = nt_bytes(np.arange(6, dtype=np.float32).reshape(2, 3))
+PPM = b"P6\n# c\n2 1\n255\n" + bytes(range(6))
+PGM = b"P5 2 1 255\n\x07\x08"
+
+
+def corrupted(valid: bytes, span: int | None = None):
+    """Arbitrary bytes, or `valid` cut short with up to four of its first
+    `span` bytes overwritten (overwrites add no bytes, so the numbers in a
+    corrupted checkpoint header stay short and never ask for a large net)."""
+    span = len(valid) if span is None else span
+    edits = st.lists(st.tuples(st.integers(0, span - 1), st.integers(0, 255)), max_size=4)
+
+    def apply(cut, edits):
+        buf = bytearray(valid[:cut])
+        for i, b in edits:
+            if i < len(buf):
+                buf[i] = b
+        return bytes(buf)
+
+    return st.one_of(st.binary(max_size=80), st.builds(apply, st.integers(0, len(valid)), edits))
+
+
+def only_typed_errors(read, *args):
+    try:
+        read(*args)
+    except (FormatError, ConfigError):
+        pass
+
+
+@pytest.fixture(scope="module")
+def path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+@pytest.fixture(scope="module")
+def checkpoint(path):
+    cfg = N.preset("tiny", num_classes=4)
+    N.save_checkpoint(N.build(cfg, rng_seed=0), cfg, path)
+    return path.read_bytes()
+
+
+@FUZZ
+@given(buf=corrupted(NT))
+@example(buf=b"NTSR" + struct.pack("<II", 1, 65) + struct.pack("<65I", *[1] * 65) + bytes(4))
+def test_nt_bytes(path, buf):
+    only_typed_errors(nt_from_bytes, buf)
+    path.write_bytes(buf)
+    only_typed_errors(read_nt, path)
+
+
+@FUZZ
+@given(buf=corrupted(PPM))
+@example(buf=b"P6" + b" " * 64 + b"x")
+@example(buf=b"P6 " + b"9" * 5000 + b" 1 255\n")
+def test_ppm_bytes(path, buf):
+    path.write_bytes(buf)
+    only_typed_errors(D.read_ppm, path)
+
+
+@FUZZ
+@given(buf=corrupted(PGM))
+@example(buf=b"P5" + b"\n" * 64 + b"#")
+def test_pgm_bytes(path, buf):
+    path.write_bytes(buf)
+    only_typed_errors(D.read_pgm, path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_checkpoint_bytes(path, checkpoint, data):
+    header_end = 12 + struct.unpack_from("<I", checkpoint, 8)[0]
+    path.write_bytes(data.draw(corrupted(checkpoint, span=header_end + 16)))
+    only_typed_errors(N.load_checkpoint, path)
+
+
+# Keys are mostly real section and field names, so values reach the field checks.
+KEYS = st.sampled_from(sorted(
+    {"seed", "data", "train", "ohem", "augment", "batch", "lr"}
+    | {f.name for cls in (RunConfig, DataSection, TrainConfig, OhemConfig, AugmentConfig)
+       for f in dataclasses.fields(cls)})) | st.text(max_size=4)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=4),
+    max_leaves=16)
+
+
+@FUZZ
+@given(doc=JSON | st.dictionaries(KEYS, JSON, max_size=5))
+@example(doc={"train": {"lr": 10 ** 400}})
+@example(doc={**DESK_PRESET, "data": {**DESK_PRESET["data"], "noise": -10 ** 400}})
+def test_run_config_json(doc):
+    only_typed_errors(parse_run_config, doc)
