@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import reprlib
 import sys
 import typing
 from dataclasses import dataclass, field, fields, replace
@@ -85,6 +86,20 @@ _SCALARS = {int: ("an integer", int), float: ("a number", (int, float)),
             str: ("a string", str)}
 
 
+class _Shown(reprlib.Repr):
+    """Reprs cut short for error messages, including integers too long for
+    repr itself (over sys.get_int_max_str_digits(), 4300 by default)."""
+
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            return f"<int of {x.bit_length()} bits>"
+
+
+_shown = _Shown().repr
+
+
 def _is(value, kind: type) -> bool:
     if isinstance(value, bool) or not isinstance(value, _SCALARS[kind][1]):
         return False
@@ -103,13 +118,14 @@ def _value(hint, value, where: str):
         kind = args[0]
         if not (isinstance(value, list) and len(value) == 2
                 and all(_is(v, kind) for v in value)):
-            raise ConfigError(f"{where} must be an array of two {kind.__name__}s, got {value!r}")
+            raise ConfigError(
+                f"{where} must be an array of two {kind.__name__}s, got {_shown(value)}")
         return tuple(map(kind, value))
     if value is None and type(None) in args:
         return None
     kind = args[0] if args else hint
     if not _is(value, kind):
-        raise ConfigError(f"{where} must be {_SCALARS[kind][0]}, got {value!r}")
+        raise ConfigError(f"{where} must be {_SCALARS[kind][0]}, got {_shown(value)}")
     return kind(value)
 
 
@@ -120,7 +136,7 @@ def _section(cls, doc, where: str, **given):
     takes its field's default, and cls's own ValueError becomes a ConfigError.
     """
     if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be an object, got {doc!r}")
+        raise ConfigError(f"{where} must be an object, got {_shown(doc)}")
     hints = typing.get_type_hints(cls)
     names = {_ALIASES.get(f.name, f.name): f.name for f in fields(cls) if f.name not in given}
     unknown = set(doc) - set(names)
@@ -140,7 +156,7 @@ def parse_run_config(doc: dict) -> RunConfig:
     keys `seed`, `ohem` and `augment`; the augment crop defaults to the canvas.
     """
     if not isinstance(doc, dict):
-        raise ConfigError(f"config must be an object, got {doc!r}")
+        raise ConfigError(f"config must be an object, got {_shown(doc)}")
     top = dict(doc)
     seed = _value(int, top.pop("seed", TrainConfig.seed), "config.seed")
     data_sec = _section(DataSection, top.pop("data", {}), "config.data")

@@ -11,7 +11,8 @@ its forward's map transposed, read off the same description:
 - max pooling: a running maximum over the k*k strided window views; each
   window's gradient goes back through the view of its first argmax;
 - bilinear upsampling: A_y @ x @ A_x^T with one interpolation matrix per
-  axis; the backward is A_y^T @ grad_out @ A_x.
+  axis, evaluated as a two-pass blend (along x at input height, then along
+  y) into a C-contiguous result; the backward is A_y^T @ grad_out @ A_x.
 
 Every output element is produced by one reduction in a fixed order, so
 repeated runs are bitwise identical at a fixed BLAS thread count (a matmul
@@ -380,18 +381,24 @@ def _bilinear_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
 def resize_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Interpolate a 4-d array to out_h x out_w, up or down (no checks).
 
-    A_y @ x @ A_x^T evaluated as two gathered taps per axis, which rounds
-    differently from the matrix product.  The result keeps the memory order numpy gives a non-contiguous input,
-    so reductions over it sum in the same order as over the input.
+    A_y @ x @ A_x^T as a two-pass blend: each row is blended along x once,
+    at input height, then pairs of those rows are blended along y.  Every
+    output element gets the same multiplies and adds, in the same order, as
+    a four-tap gather, which rounds differently from the matrix product.
+    The result is C-contiguous whatever the input's memory order.
     """
     h, w = x.shape[2:]
     y0, y1, fy = _bilinear_axis(h, out_h)
     x0, x1, fx = _bilinear_axis(w, out_w)
-    fy = fy.astype(x.dtype).reshape(1, 1, out_h, 1)
-    fx = fx.astype(x.dtype).reshape(1, 1, 1, out_w)
-    top = x[:, :, y0][:, :, :, x0] * (1 - fx) + x[:, :, y0][:, :, :, x1] * fx
-    bot = x[:, :, y1][:, :, :, x0] * (1 - fx) + x[:, :, y1][:, :, :, x1] * fx
-    return top * (1 - fy) + bot * fy
+    fy = fy.astype(x.dtype).reshape(out_h, 1)
+    fx = fx.astype(x.dtype)
+    hx = x[..., x0] * (1 - fx) + x[..., x1] * fx
+    out = np.take(hx, y0, axis=2)
+    out *= 1 - fy
+    bot = np.take(hx, y1, axis=2)
+    bot *= fy
+    out += bot
+    return out
 
 
 def upsample_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -403,7 +410,7 @@ def upsample_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
         raise ShapeError(f"upsample target {out_h}x{out_w} smaller than input {h}x{w}")
     if (out_h, out_w) == (h, w):
         return x.copy()
-    return np.ascontiguousarray(resize_bilinear(x, out_h, out_w))
+    return resize_bilinear(x, out_h, out_w)
 
 
 def upsample_bilinear_backward(x_shape, out_h: int, out_w: int,

@@ -186,7 +186,9 @@ def resize_image_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray
     """Half-pixel bilinear resize for (1,3,h,w) images (up or down)."""
     if img.shape[2:] == (out_h, out_w):
         return img
-    return ops.resize_bilinear(img, out_h, out_w)
+    out = ops.resize_bilinear(img, out_h, out_w)
+    # memory order (w, h, n, c), so the jitter and pad-fill means sum as they always have
+    return np.ascontiguousarray(out.transpose(3, 2, 0, 1)).transpose(2, 3, 1, 0)
 
 
 def resize_mask_nearest(mask: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -70,6 +70,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_run_config(doc)
 
+    @pytest.mark.parametrize("doc,key", [
+        ({"variant": 10 ** 5000}, "config.variant"),
+        ({"data": {"dir": 10 ** 5000}}, "config.data.dir"),
+        ({"augment": {"scale_range": [1, -10 ** 5000]}}, "config.augment.scale_range")])
+    def test_overlong_integer_named_in_config_error(self, doc, key):
+        # repr of an integer of more than 4300 digits raises ValueError
+        with pytest.raises(ConfigError, match=rf"^{key} must be .*, got .*<int of 16610 bits>"):
+            parse_run_config(doc)
+
     def test_empty_config_is_dataclass_defaults(self):
         cfg = parse_run_config({})
         assert cfg == RunConfig()

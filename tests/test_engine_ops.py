@@ -449,6 +449,33 @@ class TestUpsample:
         np.testing.assert_allclose(gx.reshape(2, 3, 12), g.reshape(2, 3, 63) @ fwd_t.T,
                                    rtol=0, atol=1e-12)
 
+    @staticmethod
+    def gather_reference(x, out_h, out_w):
+        """The four-tap gather the two-pass blend replaced, verbatim."""
+        h, w = x.shape[2:]
+        y0, y1, fy = ops._bilinear_axis(h, out_h)
+        x0, x1, fx = ops._bilinear_axis(w, out_w)
+        fy = fy.astype(x.dtype).reshape(1, 1, out_h, 1)
+        fx = fx.astype(x.dtype).reshape(1, 1, 1, out_w)
+        top = x[:, :, y0][:, :, :, x0] * (1 - fx) + x[:, :, y0][:, :, :, x1] * fx
+        bot = x[:, :, y1][:, :, :, x0] * (1 - fx) + x[:, :, y1][:, :, :, x1] * fx
+        return top * (1 - fy) + bot * fy
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hw,out_hw", [
+        ((3, 4), (7, 9)), ((8, 16), (64, 128)), ((16, 24), (11, 17))])
+    def test_forward_equals_gather_reference(self, dtype, hw, out_hw):
+        x = rnd((2, 3, *hw), seed=sum(out_hw), dtype=dtype)
+        channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        for inp in (x, channels_last):
+            ref = self.gather_reference(inp, *out_hw)
+            out = ops.resize_bilinear(inp, *out_hw)
+            assert out.dtype == ref.dtype and out.shape == ref.shape
+            assert out.tobytes() == ref.tobytes()  # bitwise, both in C order
+            if out_hw[0] >= hw[0]:
+                up = E.upsample_bilinear(inp, *out_hw)
+                assert up.flags.c_contiguous and up.tobytes() == ref.tobytes()
+
     def test_errors(self):
         x = rnd((1, 1, 4, 4))
         with pytest.raises(E.ShapeError):
@@ -461,7 +488,7 @@ class TestUpsample:
 # padding helper: bitwise the np.pad call it replaces
 # ---------------------------------------------------------------------------
 
-class TestPadAndScatter:
+class TestPad:
     @pytest.mark.parametrize("p", [1, 2, 5])
     @pytest.mark.parametrize("fill", [0.0, -np.inf])
     def test_pad_equals_np_pad(self, p, fill):

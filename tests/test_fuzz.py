@@ -106,6 +106,7 @@ JSON = st.recursive(
 @FUZZ
 @given(doc=JSON | st.dictionaries(KEYS, JSON, max_size=5))
 @example(doc={"train": {"lr": 10 ** 400}})
+@example(doc={"variant": 10 ** 5000, "data": {"dir": 10 ** 5000}})
 @example(doc={**DESK_PRESET, "data": {**DESK_PRESET["data"], "noise": -10 ** 400}})
 def test_run_config_json(doc):
     only_typed_errors(parse_run_config, doc)

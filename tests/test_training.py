@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dwrseg import data as D
 from dwrseg import network as N
 from dwrseg import training as T
-from dwrseg.engine import NumericError
+from dwrseg.engine import NumericError, ops
 from dwrseg.params import ParamStore
 
 
@@ -262,6 +262,16 @@ class TestAugment:
             out = T.augment(sample, cfg, np.random.default_rng(s))
             assert set(np.unique(out.mask)) <= classes
             assert out.image.min() >= 0.0 and out.image.max() <= 1.0
+
+    def test_resize_returns_legacy_memory_order(self):
+        # the dataset's channels-last images; the jitter and pad-fill means sum
+        # in memory order, which test_seeded_outputs_pinned depends on
+        img = np.random.default_rng(5).random((1, 20, 24, 3), np.float32).transpose(0, 3, 1, 2)
+        out = T.resize_image_bilinear(img, 15, 18)
+        assert out.shape == (1, 3, 15, 18)
+        n, c, h, w = (s // out.itemsize for s in out.strides)
+        assert (c, n, h, w) == (1, 3, 3, 3 * 15)  # (w, h, n, c), c fastest
+        np.testing.assert_array_equal(out, ops.resize_bilinear(img, 15, 18))
 
     @pytest.mark.parametrize("scale,digest", [
         (0.75, "623defaf09c954d641c6c3efdbd2828e757f948a7a860c153057a7e4014dd72f"),
