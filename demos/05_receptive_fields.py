@@ -1,7 +1,7 @@
 """Receptive fields, theoretical and effective.
 
 The theoretical trace composes rf <- rf + (k-1)*d*jump through the whole
-encoder, read off a shape-only trace of the network's forward pass (concat
+encoder, read off a batch-0 trace of the network's forward pass (concat
 and add keep the widest input, so a DWR block follows its largest
 dilation); the effective receptive field (ERF) backpropagates a unit
 gradient from one stage-output unit and maps where input pixels actually

@@ -57,7 +57,7 @@ def rf_window(rf: int, jump: int, unit: int, size: int) -> tuple[int, int]:
 def network_rf_report(config: NetworkConfig) -> dict:
     """Per-layer RF trace through the encoder plus per-branch RFs per block.
 
-    Read from a shape-only trace of `forward`: conv and pool nodes apply the
+    Read from a batch-0 trace of `forward`: conv and pool nodes apply the
     composition rule to their input, concat and add take the max over their
     inputs, and every other op passes its input through.  So the running
     value follows the widest path, and `branches` holds the RF of each

@@ -15,7 +15,8 @@ Every block is a stateless function of (params, input) composed of engine
 ops, and its forward is the block's only declaration: each conv call names
 its ConvSpec and each BN takes its width from its input.  Running the
 forward on a declaring ParamStore builds the parameters; parameter and
-MAC counts and the receptive-field trace are read off a shape-only run.
+MAC counts and the receptive-field trace are read off a recorded run at
+batch 0.
 """
 
 from __future__ import annotations

@@ -186,6 +186,8 @@ def _load_datasets(cfg: RunConfig):
                 f"unpaired files in {cfg.data.dir}: "
                 f"images={[str(p) for p in manifest.unpaired_images]} "
                 f"masks={[str(p) for p in manifest.unpaired_masks]}")
+        if not manifest.pairs:
+            raise ConfigError(f"no image/mask pairs found in {cfg.data.dir}")
         samples = data.load_manifest_samples(manifest)
         split = max(1, int(0.8 * len(samples)))
         return samples[:split], samples[split:] or samples[:1]
@@ -203,12 +205,12 @@ def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     overrides = {"seed": args.seed, "iters": args.iters}
     cfg.train = replace(cfg.train, **{k: v for k, v in overrides.items() if v is not None})
+    train_set, val_set = _load_datasets(cfg)
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     net_cfg = network.preset(cfg.variant, num_classes=cfg.num_classes)
     params = network.build(net_cfg, rng_seed=cfg.train.seed)
-    train_set, val_set = _load_datasets(cfg)
 
     metrics_path = out_dir / "metrics.jsonl"
     ckpt_path = out_dir / "checkpoint.dwck"

@@ -18,7 +18,7 @@ from .ops import (
     upsample_bilinear,
     upsample_bilinear_backward,
 )
-from .tape import ShapeTape, Tape, Var
+from .tape import Tape, Var
 from .tensor import (
     FLOAT,
     FormatError,
@@ -34,7 +34,7 @@ from .tensor import (
 
 __all__ = [
     "BatchNormState", "ConvSpec", "FLOAT", "FormatError", "GradCheckReport",
-    "NumericError", "ShapeError", "ShapeTape", "Tape", "Var",
+    "NumericError", "ShapeError", "Tape", "Var",
     "add", "batchnorm_backward", "batchnorm_forward", "check_finite",
     "concat_channels", "conv2d_backward", "conv2d_forward",
     "finite_diff_check", "maxpool_backward", "maxpool_forward",

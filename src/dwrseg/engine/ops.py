@@ -122,8 +122,9 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias, spec: ConvSpec) -> n
     n, _, h, w = x.shape
     oh, ow = spec.out_hw(h, w)
     # (n, groups, cg*k*k, oh*ow): reduction axis ordered channel, kernel row, kernel col
+    # (named, not -1, which numpy cannot infer for a batch of zero images)
     cols = _patches(_pad(x, spec.padding), spec.kernel, spec.stride, spec.dilation,
-                    oh, ow).reshape(n, spec.groups, -1, oh * ow)
+                    oh, ow).reshape(n, spec.groups, weight[0].size, oh * ow)
     wmat = weight.reshape(spec.groups, spec.out_channels // spec.groups, -1)
     out = np.matmul(wmat, cols).reshape(n, spec.out_channels, oh, ow)
     if bias is not None:
@@ -149,9 +150,9 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec,
 
     xp = _pad(x, spec.padding)
     k, s, d, p = spec.kernel, spec.stride, spec.dilation, spec.padding
-    cols = _patches(xp, k, s, d, oh, ow).reshape(n, spec.groups, -1, oh * ow)
+    cols = _patches(xp, k, s, d, oh, ow).reshape(n, spec.groups, weight[0].size, oh * ow)
     wmat = weight.reshape(spec.groups, spec.out_channels // spec.groups, -1)
-    go = grad_out.reshape(n, spec.groups, -1, oh * ow)
+    go = grad_out.reshape(n, spec.groups, spec.out_channels // spec.groups, oh * ow)
 
     # pixels, then images: sum(axis=(0, 2, 3)) fuses both for a single channel,
     # which would round a one-channel group differently from a dense conv
@@ -302,21 +303,17 @@ def split_channels(x: np.ndarray, widths) -> list[np.ndarray]:
 # Max pooling (-inf padding; gradient to the first row-major argmax)
 # ---------------------------------------------------------------------------
 
-def _pool_out_hw(h, w, kernel, stride, padding):
-    oh = (h + 2 * padding - kernel) // stride + 1
-    ow = (w + 2 * padding - kernel) // stride + 1
-    if oh < 1 or ow < 1:
-        raise ShapeError(f"non-positive pool output for input {h}x{w}")
-    return oh, ow
-
-
 def _pool(x: np.ndarray, kernel: int, stride: int, padding: int):
     """The k*k strided views (n, c, oh, ow) of the -inf-padded input, one
     per window offset in row-major order, and their running maximum."""
     check_4d("maxpool input", x)
     if padding >= kernel:
         raise ShapeError(f"maxpool padding {padding} must be < kernel {kernel}")
-    oh, ow = _pool_out_hw(*x.shape[2:], kernel, stride, padding)
+    h, w = x.shape[2:]
+    oh = (h + 2 * padding - kernel) // stride + 1
+    ow = (w + 2 * padding - kernel) // stride + 1
+    if oh < 1 or ow < 1:
+        raise ShapeError(f"non-positive pool output for input {h}x{w}")
     pat = _patches(_pad(x, padding, -np.inf), kernel, stride, 1, oh, ow)
     views = [pat[:, :, i, j] for i in range(kernel) for j in range(kernel)]
     top = views[0].copy()

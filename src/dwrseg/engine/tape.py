@@ -8,10 +8,10 @@ nodes in reverse, accumulating gradients per var index in a fixed order,
 so repeated backward passes are bitwise identical.
 
 A tape created with record=False computes forward results only: no nodes
-and no saved buffers, which is the eval-mode fast path.  A ShapeTape is
-the same tape with shape rules in place of the op kernels: it records the
-same nodes, without backward closures, from output shapes alone, so counts
-and receptive fields can be read off one traced forward pass.
+and no saved buffers, which is the eval-mode fast path.  Every kernel also
+runs on a batch of zero images, so a recording tape fed a (0, c, h, w)
+input is the network's trace: the same nodes, shapes with batch 0, and
+every shape check of the real path, at almost no cost.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class Node:
     parents: tuple[int, ...]        # var indices of all inputs, data first, in grad order
     out: int                        # var index of the output
     shape: tuple[int, ...]          # output shape
-    backward: Callable | None       # grad_out -> parent grads (None = skip); None on a ShapeTape
+    backward: Callable              # grad_out -> parent grads (None = skip)
     spec: ops.ConvSpec | None = None
     window: tuple[int, int, int] | None = None  # (kernel, stride, dilation)
 
@@ -196,62 +196,3 @@ class Tape:
     def grads_by_name(self, grads: list) -> dict[str, np.ndarray]:
         """Project a backward() result onto the named leaves (None where unreached)."""
         return {name: grads[idx] for name, idx in self._leaf_names.items()}
-
-
-# ---------------------------------------------------------------------------
-# Shape-only tracing
-# ---------------------------------------------------------------------------
-
-class ShapeTape(Tape):
-    """Tape with the same op surface that computes output shapes only.
-
-    Every Var's data is a zero-stride view of its shape, so block code that
-    reads `x.data.shape` runs unchanged.  `nodes` holds the same Node per op
-    as a recording Tape, with no backward.  No `ops` kernel runs and nothing
-    can be backpropagated.
-    """
-
-    def _shaped(self, kind: str, parents, shape, **fields) -> Var:
-        data = np.broadcast_to(np.zeros((), parents[0].data.dtype), shape)
-        return self._out(kind, data, parents, None, **fields)
-
-    def backward(self, root, seed_grad):
-        raise RuntimeError("a shape-only tape records no backward")
-
-    def conv2d(self, x, weight, bias, spec):
-        ops._check_conv_operands(x.data, weight.data,
-                                 bias.data if bias is not None else None, spec)
-        n, _, h, w = x.shape
-        return self._shaped("conv2d", (x, weight, bias) if bias is not None else (x, weight),
-                            (n, spec.out_channels, *spec.out_hw(h, w)),
-                            spec=spec, window=(spec.kernel, spec.stride, spec.dilation))
-
-    def batchnorm(self, x, gamma, beta, state, mode):
-        return self._shaped("batchnorm", (x, gamma, beta), x.shape)
-
-    def relu(self, x):
-        return self._shaped("relu", (x,), x.shape)
-
-    def add(self, x, y):
-        if x.shape != y.shape:
-            raise ShapeError(f"add: shapes {x.shape} != {y.shape}")
-        return self._shaped("add", (x, y), x.shape)
-
-    def concat(self, xs):
-        n, _, h, w = xs[0].shape
-        return self._shaped("concat", tuple(xs), (n, sum(v.shape[1] for v in xs), h, w))
-
-    def split(self, x, widths):
-        if sum(widths) != x.shape[1]:
-            raise ShapeError(f"split widths {widths} do not sum to {x.shape[1]} channels")
-        n, _, h, w = x.shape
-        return [self._shaped("split", (x,), (n, c, h, w)) for c in widths]
-
-    def maxpool(self, x, kernel, stride, padding=0):
-        n, c, h, w = x.shape
-        return self._shaped("maxpool", (x,),
-                            (n, c, *ops._pool_out_hw(h, w, kernel, stride, padding)),
-                            window=(kernel, stride, 1))
-
-    def upsample(self, x, out_h, out_w):
-        return self._shaped("upsample", (x,), (*x.shape[:2], out_h, out_w))

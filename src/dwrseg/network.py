@@ -27,7 +27,7 @@ import numpy as np
 
 from . import blocks
 from .blocks import DWRConfig, NonlinearitySwitches, SIRConfig
-from .engine import FLOAT, FormatError, ShapeError, ShapeTape, Tape, Var, nt_bytes, nt_from_bytes
+from .engine import FLOAT, FormatError, ShapeError, Tape, Var, nt_bytes, nt_from_bytes
 from .params import ParamStore, ParamVars, he_normal, zero_init
 
 CHECKPOINT_MAGIC = b"DWCK"
@@ -141,15 +141,17 @@ _BLOCK_FORWARD = {"sir": blocks.sir_forward, "dwr": blocks.dwr_forward,
 
 
 def _declare(config: NetworkConfig, init, input_h: int = 32, input_w: int = 32):
-    """One shape-only run of `forward` on a store declaring with `init`.
+    """One recorded run of `forward` at batch 0 on a store declaring with `init`.
 
-    Every parameter is created the first time the forward asks for it, so
-    the store holds them in call order.  Returns (store, tape, taps); the
-    store is no longer declaring.
+    Every kernel and shape check runs as in a real forward, on empty
+    activations, and each parameter is created the first time the forward
+    asks for it, so the store holds them in call order.  Returns (store,
+    tape, taps); node shapes have batch 0 and the store is no longer
+    declaring.
     """
     store = ParamStore(init)
-    tape = ShapeTape()
-    x = tape.leaf(np.broadcast_to(np.zeros((), FLOAT), (1, 3, input_h, input_w)))
+    tape = Tape()
+    x = tape.leaf(np.zeros((0, 3, input_h, input_w), FLOAT))
     _, taps = forward(store, config, x, tape=tape)
     store.init = None
     return store, tape, taps
@@ -199,10 +201,11 @@ def forward(params: ParamStore, config: NetworkConfig, x, mode: str = "eval",
 
 
 def trace(config: NetworkConfig, input_h: int, input_w: int):
-    """Shape-only run of `forward` on one 3 x input_h x input_w image.
+    """Recorded run of `forward` on a batch of zero 3 x input_h x input_w images.
 
     Returns (tape, taps): `tape.nodes` is the op graph, in call order, that
-    MAC counts and the receptive-field trace are read from.
+    MAC counts and the receptive-field trace are read from; every shape has
+    batch 0.
     """
     _, tape, taps = _declare(config, zero_init, input_h, input_w)
     return tape, taps
@@ -251,7 +254,7 @@ def count_macs(config: NetworkConfig, input_h: int, input_w: int):
     k^2 * in_channels/groups; BN, ReLU, pooling and upsampling excluded.
     """
     tape, _ = trace(config, input_h, input_w)
-    items = [(node.name, blocks.conv_macs(node.spec, node.shape))
+    items = [(node.name, blocks.conv_macs(node.spec, (1, *node.shape[1:])))
              for node in tape.nodes if node.kind == "conv2d"]
     return sum(n for _, n in items), items
 

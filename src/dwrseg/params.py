@@ -25,7 +25,7 @@ def he_normal(rng: np.random.Generator):
 
 
 def zero_init(spec) -> np.ndarray:
-    """Conv-weight init rule: all zeros (shape-only traces, checkpoint loading)."""
+    """Conv-weight init rule: all zeros (traces, checkpoint loading)."""
     return np.zeros(spec.weight_shape, FLOAT)
 
 

@@ -13,10 +13,10 @@ def rnd(shape, seed=0):
 
 
 def declare(forward_fn, x_shape, *args, seed=0, zero=False, prefix="blk"):
-    """Store built by one shape-only run of a block forward on a declaring store."""
+    """Store built by one run of a block forward, at batch 0, on a declaring store."""
     store = ParamStore(zero_init if zero else he_normal(np.random.default_rng(seed)))
-    tape = E.ShapeTape()
-    x = tape.leaf(np.broadcast_to(np.zeros((), np.float32), x_shape))
+    tape = E.Tape()
+    x = tape.leaf(np.zeros((0, *x_shape[1:]), np.float32))
     forward_fn(tape, ParamVars(tape, store), prefix, x, *args, "eval")
     store.init = None
     return store

@@ -283,6 +283,16 @@ class TestExitCodes:
         empty.mkdir()
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(empty)]) == 2
 
+    @pytest.mark.parametrize("make_dir", [True, False], ids=["empty", "missing"])
+    def test_train_without_pairs_exit_2_before_out_dir(self, tmp_path, capsys, make_dir):
+        data_dir = tmp_path / "data"
+        if make_dir:
+            data_dir.mkdir()
+        cfg_path, _ = write_config(tmp_path, data={"kind": "manifest", "dir": str(data_dir)})
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert f"no image/mask pairs found in {data_dir}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_diverged_training_exit_3(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path, train={"iters": 60, "batch": 2,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dwrseg import network as N
-from dwrseg.engine import ConvSpec, FormatError, NumericError, ShapeError, ShapeTape, Tape
+from dwrseg.engine import FLOAT, ConvSpec, FormatError, NumericError, ShapeError, Tape, Var
 from dwrseg.network import NetworkConfig, StageSpec
 from dwrseg.params import ParamStore, ParamVars, zero_init
 
@@ -160,29 +160,45 @@ class TestCounts:
         assert names[-2:] == ["head.conv", "head.pred"]
         assert len(names) == len(set(names))
 
+    def test_param_counts_pinned(self):
+        assert N.count_params(N.preset("B"))[0] == 2_658_131
+        assert N.count_params(N.preset("L"))[0] == 4_023_379
+
     def test_trace_runs_no_op_kernels(self, monkeypatch):
+        # every kernel runs, on empty activations only: a trace does no arithmetic
         from dwrseg.engine import ops
 
-        def refuse(*args):
-            raise AssertionError("a shape-only trace called an op kernel")
+        kernels = ("conv2d_forward", "batchnorm_forward", "relu_forward", "add",
+                   "concat_channels", "split_channels", "maxpool_forward",
+                   "upsample_bilinear")
+        batches: dict[str, list[int]] = {}
 
-        for name in ("conv2d_forward", "batchnorm_forward", "relu_forward", "add",
-                     "concat_channels", "split_channels", "maxpool_forward",
-                     "upsample_bilinear"):
-            monkeypatch.setattr(ops, name, refuse)
-        tape, taps = N.trace(N.preset("tiny", num_classes=4, probe=True), 64, 64)
-        assert {node.kind for node in tape.nodes} == {
-            "conv2d", "batchnorm", "relu", "concat", "maxpool", "upsample", "add"}
-        assert taps["s4"].data.shape == (1, 32, 2, 2) and taps["s4"].data.strides == (0,) * 4
-        assert tape.nodes[-1].shape == (1, 4, 64, 64)
+        def spy(name, kernel):
+            def run(*args):
+                data = {"concat_channels": args[0], "add": args[:2]}.get(name, args[:1])
+                batches.setdefault(name, []).extend(a.shape[0] for a in data)
+                return kernel(*args)
+            return run
 
-    @pytest.mark.parametrize("probe", [False, True])
-    def test_recording_tape_matches_trace(self, probe):
-        cfg = N.preset("tiny", num_classes=4, probe=probe)
+        for name in kernels:
+            monkeypatch.setattr(ops, name, spy(name, getattr(ops, name)))
+        for probe in (False, True):
+            tape, taps = N.trace(N.preset("tiny", num_classes=4, probe=probe), 64, 64)
+            assert taps["s4"].data.shape == (0, 32, 2, 2)
+            assert tape.nodes[-1].shape == (0, 4, 64, 64)
+        assert batches.keys() == set(kernels)
+        assert all(n == 0 for ns in batches.values() for n in ns)
+
+    @pytest.mark.parametrize("variant, probe", [
+        pytest.param("tiny", False, id="False"), pytest.param("tiny", True, id="True"),
+        pytest.param("B", False, id="B"), pytest.param("L", False, id="L")])
+    def test_recording_tape_matches_trace(self, variant, probe):
+        cfg = N.preset(variant, num_classes=4, probe=probe)
+        mode, batch = ("train", 2) if variant == "tiny" else ("eval", 1)
         store = N.build(cfg, rng_seed=0)
         tape = Tape()
-        x = np.random.default_rng(1).random((2, 3, 64, 64), dtype=np.float32)
-        N.forward(store, cfg, x, mode="train", tape=tape)
+        x = np.random.default_rng(1).random((batch, 3, 64, 64), dtype=np.float32)
+        N.forward(store, cfg, x, mode=mode, tape=tape)
         traced, _ = N.trace(cfg, 64, 64)
 
         def graph(t):
@@ -190,16 +206,23 @@ class TestCounts:
                     for n in t.nodes]
 
         assert graph(tape) == graph(traced)
-        assert all(n.backward is not None for n in tape.nodes)
-        assert all(n.backward is None for n in traced.nodes)
+        assert all(n.shape[0] == batch for n in tape.nodes)
+        assert all(n.shape[0] == 0 for n in traced.nodes)
 
-    def test_shape_tape_has_no_backward(self):
-        tape = ShapeTape()
-        x = tape.leaf(np.broadcast_to(np.zeros((), np.float32), (1, 2, 4, 4)))
-        y = tape.relu(x)
-        assert tape.num_nodes == 1 and tape.nodes[0].backward is None
-        with pytest.raises(RuntimeError):
-            tape.backward(y, np.ones(y.shape, np.float32))
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variant", ["tiny", "B"])
+    @pytest.mark.parametrize("probe", [False, True])
+    def test_trace_backpropagates_to_empty_and_zero_grads(self, variant, probe):
+        cfg = N.preset(variant, num_classes=4, probe=probe)
+        tape, _ = N.trace(cfg, 64, 64)
+        last = tape.nodes[-1]
+        grads = tape.backward(Var(np.zeros(last.shape, FLOAT), last.out),
+                              np.zeros(last.shape, FLOAT))
+        assert grads[0].shape == (0, 3, 64, 64)
+        named = tape.grads_by_name(grads)
+        assert {n: g.shape for n, g in named.items()} == \
+            {n: a.shape for n, a in N.build(cfg).items()}
+        assert not any(g.any() for g in named.values())
 
     def test_l_strictly_larger_and_ratio(self):
         pb, _ = N.count_params(N.preset("B"))
