@@ -178,17 +178,23 @@ def load_run_config(path) -> RunConfig:
     return parse_run_config(doc)
 
 
+def _manifest_samples(directory):
+    """Every image/mask pair of a manifest directory; any unpaired file, or
+    no pair at all, is a ConfigError naming the directory."""
+    manifest = data.dataset_manifest(directory)
+    if not manifest.ok:
+        raise ConfigError(
+            f"unpaired files in {directory}: "
+            f"images={[str(p) for p in manifest.unpaired_images]} "
+            f"masks={[str(p) for p in manifest.unpaired_masks]}")
+    if not manifest.pairs:
+        raise ConfigError(f"no image/mask pairs found in {directory}")
+    return data.load_manifest_samples(manifest)
+
+
 def _load_datasets(cfg: RunConfig):
     if cfg.data.kind == "manifest":
-        manifest = data.dataset_manifest(cfg.data.dir)
-        if not manifest.ok:
-            raise ConfigError(
-                f"unpaired files in {cfg.data.dir}: "
-                f"images={[str(p) for p in manifest.unpaired_images]} "
-                f"masks={[str(p) for p in manifest.unpaired_masks]}")
-        if not manifest.pairs:
-            raise ConfigError(f"no image/mask pairs found in {cfg.data.dir}")
-        samples = data.load_manifest_samples(manifest)
+        samples = _manifest_samples(cfg.data.dir)
         split = max(1, int(0.8 * len(samples)))
         return samples[:split], samples[split:] or samples[:1]
     spec = cfg.data.spec(cfg.num_classes)
@@ -234,10 +240,7 @@ def cmd_eval(args) -> int:
         raise ConfigError("eval needs --config or --data for its validation samples")
     params, net_cfg = network.load_checkpoint(args.checkpoint)
     if args.data:
-        manifest = data.dataset_manifest(args.data)
-        if not manifest.pairs:
-            raise ConfigError(f"no image/mask pairs found in {args.data}")
-        samples = data.load_manifest_samples(manifest)
+        samples = _manifest_samples(args.data)
     else:
         cfg = load_run_config(args.config)
         _, samples = _load_datasets(cfg)

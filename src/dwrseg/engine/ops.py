@@ -6,17 +6,21 @@ its forward's map transposed, read off the same description:
 
 - convolution, dense, depthwise or grouped: out[:, g] = W[g] @ cols[:, g]
   over im2col columns (n, groups, cg*k*k, oh*ow), rows ordered channel,
-  kernel row, kernel column; W[g]^T @ grad_out[:, g] goes back onto the
-  input as one strided-slice add per kernel offset (col2im);
+  kernel row, kernel column, gathered and multiplied in balanced bands of
+  whole groups or, within one group, of output rows, each band's columns
+  at most BAND_BYTES; W[g]^T @ grad_out[:, g] goes back onto the input as
+  one strided-slice add per kernel offset (col2im);
 - max pooling: a running maximum over the k*k strided window views; each
   window's gradient goes back through the view of its first argmax;
 - bilinear upsampling: A_y @ x @ A_x^T with one interpolation matrix per
   axis, evaluated as a two-pass blend (along x at input height, then along
-  y) into a C-contiguous result; the backward is A_y^T @ grad_out @ A_x.
+  y, in bands of channel planes or output rows) into a C-contiguous result;
+  the backward is A_y^T @ grad_out @ A_x.
 
 Every output element is produced by one reduction in a fixed order, so
 repeated runs are bitwise identical at a fixed BLAS thread count (a matmul
-may round differently at another).  Convolution padding is zero padding;
+may round differently at another), and banding leaves every result as the
+unbanded computation gives it.  Convolution padding is zero padding;
 pooling padding behaves as -inf.  Bilinear upsampling uses half-pixel
 source coordinates clamped to the borders (src = (dst + 0.5) * in/out - 0.5).
 """
@@ -29,6 +33,10 @@ import numpy as np
 
 from .tensor import FLOAT, ShapeError, check_4d, check_finite
 
+# Transient workspace of one conv or upsample band (im2col columns, gathered
+# rows).  Bands of this size stay far above the sizes where OpenBLAS takes
+# its small-matrix path, so banding does not change any result.
+BAND_BYTES = 8 << 20
 
 # ---------------------------------------------------------------------------
 # Convolution
@@ -115,18 +123,43 @@ def _check_conv_operands(x, weight, bias, spec: ConvSpec):
         raise ShapeError(f"conv bias shape {bias.shape} != ({spec.out_channels},)")
 
 
+def _bands(count: int, unit_bytes: int):
+    """Balanced [i0, i1) bands of `count` units, each at most BAND_BYTES
+    where a unit fits: band sizes differ by at most one unit, so no band is
+    left short (OpenBLAS rounds a small enough product differently)."""
+    nb = max(1, min(count, -(-count // max(1, BAND_BYTES // max(1, unit_bytes)))))
+    cuts = [count * i // nb for i in range(nb + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
 def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias, spec: ConvSpec) -> np.ndarray:
-    """out[:, g] = W[g] @ cols[:, g], one batched matmul for every conv."""
+    """out[:, g] = W[g] @ cols[:, g], one batched matmul per band of the output.
+
+    The im2col columns of a band are gathered from the padded input and
+    multiplied straight into that band of the output, so the workspace stays
+    within BAND_BYTES.  Bands hold whole groups, and split the output rows
+    only where one group's columns do not fit: a one-output-channel group
+    is a matrix-vector product, whose rounding OpenBLAS chooses by its
+    length.  A conv whose columns fit runs one matmul, and every output
+    element is the same reduction either way.
+    """
     _check_conv_operands(x, weight, bias, spec)
     check_finite("conv input", x)
     n, _, h, w = x.shape
     oh, ow = spec.out_hw(h, w)
-    # (n, groups, cg*k*k, oh*ow): reduction axis ordered channel, kernel row, kernel col
-    # (named, not -1, which numpy cannot infer for a batch of zero images)
-    cols = _patches(_pad(x, spec.padding), spec.kernel, spec.stride, spec.dilation,
-                    oh, ow).reshape(n, spec.groups, weight[0].size, oh * ow)
-    wmat = weight.reshape(spec.groups, spec.out_channels // spec.groups, -1)
-    out = np.matmul(wmat, cols).reshape(n, spec.out_channels, oh, ow)
+    cg, og, kk = spec.in_channels // spec.groups, spec.out_channels // spec.groups, weight[0].size
+    pat = _patches(_pad(x, spec.padding), spec.kernel, spec.stride, spec.dilation, oh, ow)
+    wmat = weight.reshape(spec.groups, og, kk)
+    out = np.empty((n, spec.groups, og, oh * ow), dtype=np.result_type(weight, x))
+    row_bytes = n * kk * ow * x.itemsize  # one output row of one group's columns
+    for g0, g1 in _bands(spec.groups, row_bytes * oh):
+        for r0, r1 in _bands(oh, row_bytes * (g1 - g0)):
+            # (n, groups, cg*k*k, pixels): reduction axis ordered channel, kernel row,
+            # kernel col (named, not -1, which numpy cannot infer for zero images)
+            cols = pat[:, g0 * cg:g1 * cg, ..., r0:r1, :].reshape(
+                n, g1 - g0, kk, (r1 - r0) * ow)
+            np.matmul(wmat[g0:g1], cols, out=out[:, g0:g1, :, r0 * ow:r1 * ow])
+    out = out.reshape(n, spec.out_channels, oh, ow)
     if bias is not None:
         out += np.asarray(bias).reshape(1, -1, 1, 1)
     return check_finite("conv output", out)
@@ -158,7 +191,12 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec,
     # which would round a one-channel group differently from a dense conv
     grad_b = grad_out.sum(axis=(2, 3)).sum(axis=0) if spec.has_bias else None
     grad_w = np.matmul(go, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(weight.shape)
-    grad_cols = np.matmul(wmat.transpose(0, 2, 1), go).reshape(n, x.shape[1], k, k, oh, ow)
+    # one output channel per group (depthwise) makes W[g]^T @ grad_out[:, g] an
+    # outer product: numpy has no BLAS call for inner dimension 1, and the
+    # broadcast multiply gives the same single products
+    grad_cols = (wmat.transpose(0, 2, 1) * go if wmat.shape[1] == 1
+                 else np.matmul(wmat.transpose(0, 2, 1), go))
+    grad_cols = grad_cols.reshape(n, x.shape[1], k, k, oh, ow)
     gx_pad = np.zeros(xp.shape, dtype=grad_cols.dtype)
     for i in range(k):
         for j in range(k):
@@ -228,8 +266,9 @@ def batchnorm_forward(x: np.ndarray, state: BatchNormState, mode: str) -> np.nda
         raise ValueError(f"batchnorm mode must be 'train' or 'eval', got {mode!r}")
 
     inv = 1.0 / np.sqrt(var + state.eps)
-    out = (x - mean.reshape(1, c, 1, 1)) * (state.gamma * inv).reshape(1, c, 1, 1) \
-        + state.beta.reshape(1, c, 1, 1)
+    out = x - mean.reshape(1, c, 1, 1)
+    out *= (state.gamma * inv).reshape(1, c, 1, 1)
+    out += state.beta.reshape(1, c, 1, 1)
     return check_finite("batchnorm output", out)
 
 
@@ -379,23 +418,36 @@ def resize_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Interpolate a 4-d array to out_h x out_w, up or down (no checks).
 
     A_y @ x @ A_x^T as a two-pass blend: each row is blended along x once,
-    at input height, then pairs of those rows are blended along y.  Every
-    output element gets the same multiplies and adds, in the same order, as
-    a four-tap gather, which rounds differently from the matrix product.
-    The result is C-contiguous whatever the input's memory order.
+    at input height, then pairs of those rows are blended along y, one band
+    of whole channel planes (or, within one plane, of output rows) at a time
+    into the result.  Every output element gets the same multiplies and
+    adds, in the same order, as a four-tap gather, which rounds differently
+    from the matrix product.  The result is C-contiguous whatever the
+    input's memory order.
     """
-    h, w = x.shape[2:]
+    n, c, h, w = x.shape
     y0, y1, fy = _bilinear_axis(h, out_h)
     x0, x1, fx = _bilinear_axis(w, out_w)
     fy = fy.astype(x.dtype).reshape(out_h, 1)
     fx = fx.astype(x.dtype)
-    hx = x[..., x0] * (1 - fx) + x[..., x1] * fx
-    out = np.take(hx, y0, axis=2)
-    out *= 1 - fy
-    bot = np.take(hx, y1, axis=2)
-    bot *= fy
-    out += bot
-    return out
+    hx = x[..., x0]
+    hx *= 1 - fx
+    right = x[..., x1]
+    right *= fx
+    hx += right
+    del right
+    planes = hx.reshape(n * c, h, out_w)
+    out = np.empty((n * c, out_h, out_w), dtype=hx.dtype)
+    row_bytes = out_w * hx.itemsize
+    for p0, p1 in _bands(n * c, row_bytes * out_h):
+        for r0, r1 in _bands(out_h, row_bytes * (p1 - p0)):
+            band = out[p0:p1, r0:r1]  # contiguous: rows split only within one plane
+            np.take(planes[p0:p1], y0[r0:r1], axis=1, out=band, mode="clip")
+            band *= 1 - fy[r0:r1]
+            bot = np.take(planes[p0:p1], y1[r0:r1], axis=1)
+            bot *= fy[r0:r1]
+            band += bot
+    return out.reshape(n, c, out_h, out_w)
 
 
 def upsample_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

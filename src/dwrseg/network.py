@@ -21,6 +21,7 @@ import json
 import statistics
 import struct
 import time
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -377,7 +378,11 @@ def load_checkpoint(path) -> tuple[ParamStore, NetworkConfig]:
 
 def benchmark_forward(params: ParamStore, config: NetworkConfig, input_shape,
                       warmup: int = 2, iters: int = 10) -> dict:
-    """Wall-time stats for eval-mode forward (not comparable to GPU numbers)."""
+    """Wall-time stats for eval-mode forward (not comparable to GPU numbers).
+
+    peak_mb is the tracemalloc peak (MiB) of one more forward, run after the
+    timed ones so tracing does not slow them.
+    """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     rng = np.random.default_rng(0)
@@ -389,6 +394,12 @@ def benchmark_forward(params: ParamStore, config: NetworkConfig, input_shape,
         t0 = time.perf_counter()
         forward(params, config, x, mode="eval")
         samples.append(time.perf_counter() - t0)
+    tracemalloc.start()
+    try:
+        forward(params, config, x, mode="eval")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     ordered = sorted(samples)
     p95 = ordered[min(len(ordered) - 1, int(np.ceil(0.95 * len(ordered))) - 1)]
     mean = statistics.fmean(samples)
@@ -401,4 +412,5 @@ def benchmark_forward(params: ParamStore, config: NetworkConfig, input_shape,
         "median_s": statistics.median(samples),
         "p95_s": p95,
         "fps": (1.0 / mean) if mean > 0 else float("inf"),
+        "peak_mb": peak / 2**20,
     }

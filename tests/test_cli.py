@@ -210,7 +210,7 @@ class TestBenchAnalyze:
         assert main(["bench", "tiny", "64", "64", "--classes", "4",
                      "--warmup", "1", "--iters", "3"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert len(doc["samples_s"]) == 3 and doc["fps"] > 0
+        assert len(doc["samples_s"]) == 3 and doc["fps"] > 0 and doc["peak_mb"] > 0
 
     def test_threads_option_sets_blas_workers(self, capsys):
         try:
@@ -282,6 +282,25 @@ class TestExitCodes:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(empty)]) == 2
+
+    @pytest.mark.parametrize("orphan", ["orphan.ppm", "orphan_mask.pgm"])
+    def test_eval_unpaired_file_exit_2(self, tmp_path, capsys, orphan):
+        cfg_path, _ = write_config(tmp_path, train={"iters": 0})
+        main(["train", "--config", str(cfg_path)])
+        capsys.readouterr()
+        spec = D.ShapesSpec(canvas=(32, 32), num_classes=3, seed=4)
+        ddir = tmp_path / "ds"
+        ddir.mkdir()
+        for i, stem in enumerate(("a", "b", "orphan")):
+            s = D.generate(spec, i)
+            if stem != "orphan" or orphan.endswith(".ppm"):
+                D.write_ppm(ddir / f"{stem}.ppm", s.image)
+            if stem != "orphan" or orphan.endswith(".pgm"):
+                D.write_pgm(ddir / f"{stem}_mask.pgm", s.mask)
+        ckpt = tmp_path / "run" / "checkpoint.dwck"
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(ddir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unpaired files in {ddir}") and orphan in err
 
     @pytest.mark.parametrize("make_dir", [True, False], ids=["empty", "missing"])
     def test_train_without_pairs_exit_2_before_out_dir(self, tmp_path, capsys, make_dir):

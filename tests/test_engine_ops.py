@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwrseg import engine as E
+from dwrseg import network as N
 from dwrseg.engine import ops
 
 
@@ -193,6 +195,103 @@ class TestConvBackward:
         assert gx.shape == x.shape and gw.shape == w.shape
         with pytest.raises(E.ShapeError):
             E.conv2d_backward(x, w, spec, np.ones((1, 4, 3, 3), np.float32))
+
+    @staticmethod
+    def matmul_grad_x(x, weight, spec, grad_out):
+        """grad_x with grad_cols as one matmul per group, whatever its inner size."""
+        n, c, h, w = x.shape
+        oh, ow = spec.out_hw(h, w)
+        k, s, d, p = spec.kernel, spec.stride, spec.dilation, spec.padding
+        og = spec.out_channels // spec.groups
+        wmat = weight.reshape(spec.groups, og, -1)
+        go = grad_out.reshape(n, spec.groups, og, oh * ow)
+        grad_cols = np.matmul(wmat.transpose(0, 2, 1), go).reshape(n, c, k, k, oh, ow)
+        gx_pad = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=grad_cols.dtype)
+        for i in range(k):
+            for j in range(k):
+                gx_pad[:, :, i * d:i * d + s * oh:s, j * d:j * d + s * ow:s] += \
+                    grad_cols[:, :, i, j]
+        return gx_pad[:, :, p:p + h, p:p + w]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_depthwise_grad_x_equals_matmul_form(self, n, d):
+        spec = E.ConvSpec(16, 16, 3, padding=d, dilation=d, groups=16)
+        x = rnd((n, 16, 12, 20), seed=d)
+        w = rnd(spec.weight_shape, seed=d + 1)
+        go = rnd((n, 16, 12, 20), seed=d + 2)
+        go[:, :, ::3] = 0.0  # zero products, whose sign the two forms may round apart
+        gx = E.conv2d_backward(x, w, spec, go)[0]
+        assert gx.tobytes() == self.matmul_grad_x(x, w, spec, go).tobytes()
+
+
+class TestConvBands:
+    """The banded forward against the one-matmul forward it replaced, at
+    shapes whose columns exceed ops.BAND_BYTES (the real budget: bands much
+    smaller than it would enter OpenBLAS's small-matrix path)."""
+
+    @staticmethod
+    def one_matmul_forward(x, weight, spec):
+        n, _, h, w = x.shape
+        oh, ow = spec.out_hw(h, w)
+        cols = ops._patches(ops._pad(x, spec.padding), spec.kernel, spec.stride,
+                            spec.dilation, oh, ow).reshape(n, spec.groups, weight[0].size, oh * ow)
+        wmat = weight.reshape(spec.groups, spec.out_channels // spec.groups, -1)
+        return np.matmul(wmat, cols).reshape(n, spec.out_channels, oh, ow)
+
+    @staticmethod
+    def count_matmuls(monkeypatch):
+        calls = []
+        real = np.matmul
+        monkeypatch.setattr(ops.np, "matmul", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        return calls
+
+    @pytest.mark.parametrize("shape,spec", [
+        ((1, 320, 64, 128), E.ConvSpec(320, 128, 3, padding=1)),   # B head.conv
+        ((2, 64, 128, 256), E.ConvSpec(64, 64, 3, padding=1)),     # B stem.fuse, batch 2
+        # depthwise, d = 3: whole-group bands keep each matrix-vector product's
+        # length, which OpenBLAS rounds by (row bands of it differ by 1.9e-6)
+        ((1, 64, 128, 256), E.ConvSpec(64, 64, 3, padding=3, dilation=3, groups=64)),
+        # one short row band (364 + 1 rows) differs by up to 3.3e-6
+        ((1, 80, 365, 8), E.ConvSpec(80, 32, 3, padding=1)),
+    ], ids=["head_conv", "stem_fuse_b2", "depthwise_d3", "short_band_hazard"])
+    def test_banded_equals_one_matmul(self, monkeypatch, shape, spec):
+        x = rnd(shape, seed=shape[1])
+        w = rnd(spec.weight_shape, seed=1)
+        matmuls = self.count_matmuls(monkeypatch)
+        out = E.conv2d_forward(x, w, None, spec)
+        assert len(matmuls) > 1  # the shape is really banded
+        assert out.tobytes() == self.one_matmul_forward(x, w, spec).tobytes()
+
+    def test_tiny_convs_run_one_band(self, monkeypatch):
+        cfg = N.preset("tiny", num_classes=4)
+        params = N.build(cfg, rng_seed=0)
+        x = rnd((4, 3, 64, 64))
+        matmuls, per_conv = self.count_matmuls(monkeypatch), []
+        real = ops.conv2d_forward
+
+        def counted(*args):
+            before = len(matmuls)
+            out = real(*args)
+            per_conv.append(len(matmuls) - before)
+            return out
+        monkeypatch.setattr(ops, "conv2d_forward", counted)
+        N.forward(params, cfg, x, mode="train")
+        assert per_conv and set(per_conv) == {1}
+
+    def test_workspace_bounded(self):
+        spec = E.ConvSpec(320, 128, 3, padding=1)  # B head.conv: 94 MB of columns
+        x = rnd((1, 320, 64, 128))
+        w = rnd(spec.weight_shape, seed=1)
+        tracemalloc.start()
+        try:
+            out = E.conv2d_forward(x, w, None, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        padded = x.nbytes * 66 * 130 // (64 * 128)
+        # one 8 MiB band of columns and 2 MiB of slack beyond the arrays themselves
+        assert peak <= x.nbytes + padded + out.nbytes + (8 << 20) + (2 << 20), peak
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +574,16 @@ class TestUpsample:
             if out_hw[0] >= hw[0]:
                 up = E.upsample_bilinear(inp, *out_hw)
                 assert up.flags.c_contiguous and up.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("shape,out_hw", [
+        ((1, 19, 64, 128), (512, 1024)),   # B's logits: bands of whole planes
+        ((1, 1, 128, 256), (1100, 2300)),  # one 10 MB plane: bands of its rows
+    ], ids=["logits", "one_plane"])
+    def test_banded_equals_gather_reference(self, shape, out_hw):
+        x = rnd(shape, seed=19)
+        assert x.nbytes // (shape[2] * shape[3]) * out_hw[0] * out_hw[1] > ops.BAND_BYTES
+        assert ops.resize_bilinear(x, *out_hw).tobytes() == \
+            self.gather_reference(x, *out_hw).tobytes()
 
     def test_errors(self):
         x = rnd((1, 1, 4, 4))

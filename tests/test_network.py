@@ -1,6 +1,7 @@
 """Network-level contracts: build, shapes, counting, checkpoints, benchmark."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,3 +328,18 @@ class TestBenchmark:
         stats = N.benchmark_forward(store, cfg, (1, 3, 32, 32), warmup=1, iters=4)
         assert len(stats["samples_s"]) == 4  # warmup excluded
         assert stats["mean_s"] > 0 and stats["fps"] > 0
+        assert 0 < stats["peak_mb"] < 64
+
+    def test_b_infer_traced_peak_at_512x1024(self):
+        # im2col and upsample workspaces are bounded by ops.BAND_BYTES: 82 MiB
+        # here, where whole-tensor workspaces peaked at 122 MiB (head.conv)
+        cfg = N.preset("B")
+        params = N.build(cfg, rng_seed=0)
+        x = np.random.default_rng(0).random((1, 3, 512, 1024), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            N.infer(params, cfg, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 90 * 2**20, peak / 2**20
