@@ -7,6 +7,11 @@ a closure over the values its backward needs.  `Tape.backward` walks the
 nodes in reverse, accumulating gradients per var index in a fixed order,
 so repeated backward passes are bitwise identical.
 
+The tape checks each op's output for NaN and Inf once, as it takes it;
+the kernels do not check.  A NumericError names the op's layer or, for an
+op without parameters, the last layer before it: "s3.1.merge: conv2d
+output: ..." or "add after s3.1.merge: add output: ...".
+
 A tape created with record=False computes forward results only: no nodes
 and no saved buffers, which is the eval-mode fast path.  Every kernel also
 runs on a batch of zero images, so a recording tape fed a (0, c, h, w)
@@ -22,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import ops
-from .tensor import NumericError, ShapeError
+from .tensor import ShapeError, check_finite
 
 
 class Var:
@@ -63,6 +68,7 @@ class Tape:
         self._num_vars = 0
         self._leaf_names: dict[str, int] = {}
         self._layer: dict[int, str] = {}  # named leaf var index -> layer name
+        self._last_layer = "input"  # layer of the most recent named op
 
     # -- construction -------------------------------------------------------
 
@@ -81,23 +87,18 @@ class Tape:
 
     def _out(self, kind: str, data: np.ndarray, parents: tuple[Var, ...], backward,
              **fields) -> Var:
+        """Take `data` as one op's output: check it is finite, give it a var, record it."""
+        layer = self._layer_of(parents)
+        if layer is not None:
+            self._last_layer = layer
+        where = layer or f"{kind} after {self._last_layer}"
+        check_finite(f"{where}: {kind} output", data)
         v = Var(data, self._num_vars)
         self._num_vars += 1
         if self.record:
-            self.nodes.append(Node(kind, self._layer_of(parents),
-                                   tuple(p.idx for p in parents), v.idx, data.shape,
-                                   backward, **fields))
+            self.nodes.append(Node(kind, layer, tuple(p.idx for p in parents), v.idx,
+                                   data.shape, backward, **fields))
         return v
-
-    def _kernel(self, fn, parents, *args):
-        """fn(*args), with a NumericError prefixed by the layer of `parents`."""
-        try:
-            return fn(*args)
-        except NumericError as exc:
-            layer = self._layer_of(parents)
-            if layer is None:
-                raise
-            raise NumericError(f"{layer}: {exc}") from exc
 
     @property
     def num_nodes(self) -> int:
@@ -108,7 +109,7 @@ class Tape:
     def conv2d(self, x: Var, weight: Var, bias: Var | None, spec: ops.ConvSpec) -> Var:
         parents = (x, weight, bias) if bias is not None else (x, weight)
         b = bias.data if bias is not None else None
-        out = self._kernel(ops.conv2d_forward, parents, x.data, weight.data, b, spec)
+        out = ops.conv2d_forward(x.data, weight.data, b, spec)
         xd, wd = x.data, weight.data
         # grad_b is None without a bias, and the parents then end at the weight
         return self._out("conv2d", out, parents,
@@ -120,10 +121,9 @@ class Tape:
         # gamma/beta vars alias the arrays inside `state`
         if gamma.data is not state.gamma or beta.data is not state.beta:
             raise ValueError("batchnorm vars must alias the state's gamma/beta arrays")
-        parents = (x, gamma, beta)
-        out = self._kernel(ops.batchnorm_forward, parents, x.data, state, mode)
+        out = ops.batchnorm_forward(x.data, state, mode)
         xd = x.data
-        return self._out("batchnorm", out, parents,
+        return self._out("batchnorm", out, (x, gamma, beta),
                          lambda go: ops.batchnorm_backward(xd, state, go, mode))
 
     def relu(self, x: Var) -> Var:

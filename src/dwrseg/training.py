@@ -343,8 +343,6 @@ def train_loop(params: ParamStore, net_cfg: NetworkConfig, dataset,
         tape = Tape()
         logits, _ = forward(params, net_cfg, images, mode="train", tape=tape)
         loss, dlogits = ohem_ce_loss(logits.data, labels, cfg.ohem)
-        if not np.isfinite(loss):
-            raise NumericError(f"training diverged at iter {it}: loss={loss}")
         grads = grads_from_backward(tape, params, logits, dlogits)
         lr = poly_lr(it, opt)
         sgd_step(params, grads, opt, lr)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dwrseg import data as D
-from dwrseg import training
+from dwrseg import network, training
 from dwrseg.cli import (
     DESK_PRESET,
     FULL_PRESET,
@@ -389,6 +389,18 @@ class TestExitCodes:
         assert main(["predict", "--checkpoint", str(bad), "--image", str(image),
                      "--out", str(tmp_path / "out.pgm")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_nan_checkpoint_predict_exit_3_names_layer(self, tmp_path, capsys):
+        net_cfg = network.preset("tiny", num_classes=3)
+        params = network.build(net_cfg, rng_seed=0)
+        params["s3.0.merge.weight"][0, 0, 0, 0] = np.nan
+        ckpt = tmp_path / "nan.dwck"
+        network.save_checkpoint(params, net_cfg, ckpt)
+        image = tmp_path / "in.ppm"
+        D.write_ppm(image, np.zeros((1, 3, 32, 32), np.float32))
+        assert main(["predict", "--checkpoint", str(ckpt), "--image", str(image),
+                     "--out", str(tmp_path / "out.pgm")]) == 3
+        assert capsys.readouterr().err.startswith("numeric failure: s3.0.merge: ")
 
     def test_preset_round_trips(self, capsys):
         assert main(["preset", "desk"]) == 0

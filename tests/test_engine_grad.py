@@ -206,6 +206,20 @@ class TestTape:
         with pytest.raises(RuntimeError):
             t.backward(out, np.ones_like(out.data))
 
+    @pytest.mark.parametrize("record", [True, False])
+    def test_non_finite_output_raises(self, record):
+        # the kernels do not check; the tape checks every op's output once
+        x = rnd((1, 3, 4, 4), 37).astype(np.float32)
+        x[0, 0, 0, 0] = np.nan
+        w = rnd((2, 3, 3, 3), 38).astype(np.float32)
+        t = E.Tape(record=record)
+        with pytest.raises(E.NumericError, match=r"^conv2d after input: conv2d output: 8 "):
+            t.conv2d(t.leaf(x), t.leaf(w), None, E.ConvSpec(3, 2, 3, padding=1))
+        out = t.conv2d(t.leaf(np.ones_like(x)), t.leaf(w, "s1.conv.weight"), None,
+                       E.ConvSpec(3, 2, 3, padding=1))
+        with pytest.raises(E.NumericError, match=r"^add after s1\.conv: add output: 32 "):
+            t.add(out, t.leaf(np.full_like(out.data, np.inf)))
+
     def test_batchnorm_through_tape(self):
         x = rnd((2, 2, 3, 3), 36).astype(np.float32)
         st = E.BatchNormState.create(2)

@@ -318,8 +318,58 @@ class TestNumericErrors:
         poisoned = store.astype(np.float32)
         poisoned["s3.0.merge.weight"][0, 0, 0, 0] = np.nan
         x = np.random.default_rng(4).random((1, 3, 64, 64), dtype=np.float32)
-        with pytest.raises(NumericError, match=r"^s3\.0\.merge: conv output: \d+ non-finite"):
+        with pytest.raises(NumericError, match=r"^s3\.0\.merge: conv2d output: \d+ non-finite"):
             N.forward(poisoned, cfg, x)
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("probe", [False, True], ids=["tiny", "tiny-probe"])
+    def test_nan_in_any_parameter_names_its_layer(self, probe, mode):
+        cfg = N.preset("tiny", num_classes=4, probe=probe)
+        store = N.build(cfg, rng_seed=0)
+        x = np.random.default_rng(4).random((2, 3, 64, 64), dtype=np.float32)
+        wrong = {}
+        for name in store.names():
+            poisoned = store.astype(np.float32)
+            poisoned[name].reshape(-1)[0] = np.nan
+            try:
+                N.forward(poisoned, cfg, x, mode=mode, tape=Tape(record=mode == "train"))
+                wrong[name] = "no error"
+            except NumericError as exc:
+                if not str(exc).startswith(name.rsplit(".", 1)[0] + ": "):
+                    wrong[name] = str(exc)
+        assert not wrong
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_residual_add_overflow_names_the_add(self, tiny):
+        # each merge output stays finite (3e38 < float32 max); s3.1's residual
+        # add overflows, and the error names it, not the next block's conv
+        cfg, store = tiny
+        poisoned = store.astype(np.float32)
+        poisoned["s3.0.merge.bias"][...] = 3e38
+        poisoned["s3.1.merge.bias"][...] = 3e38
+        poisoned["s3.1.rr.conv.weight"][...] = 0
+        x = np.random.default_rng(4).random((1, 3, 64, 64), dtype=np.float32)
+        with pytest.raises(NumericError, match=r"^add after s3\.1\.merge: add output: \d+ "):
+            N.forward(poisoned, cfg, x)
+
+
+class TestBatchInvariance:
+    @pytest.mark.parametrize("variant, h, w", [("tiny", 64, 64), ("B", 256, 512)])
+    def test_eval_batch_equals_each_image_alone(self, monkeypatch, variant, h, w):
+        cfg = N.preset(variant)
+        params = N.build(cfg, rng_seed=0)
+        x = np.random.default_rng(5).random((3, 3, h, w), dtype=np.float32)
+        calls = []
+        real = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        batch, _ = N.infer(params, cfg, x)
+        batch_calls = len(calls)
+        for i in range(3):
+            del calls[:]
+            alone, _ = N.infer(params, cfg, x[i:i + 1])
+            assert batch[i].tobytes() == alone[0].tobytes(), i
+        if variant == "B":  # stem.fuse and head.conv run in more bands at batch 3
+            assert batch_calls > len(calls)
 
 
 class TestBenchmark:
