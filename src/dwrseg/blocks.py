@@ -212,7 +212,14 @@ def stem_forward(tape: Tape, pv: ParamVars, prefix: str, x: Var, stem_channels: 
 def seghead_forward(tape: Tape, pv: ParamVars, prefix: str, x: Var, in_channels: int,
                     head_width: int, num_classes: int, out_h: int, out_w: int,
                     mode: str) -> Var:
+    """3x3 conv + BN + ReLU, 1x1 class conv, bilinear upsample to out_h x out_w.
+
+    `x` is released after the first conv: when the caller holds no other
+    reference (network.forward passes the decoder output in directly), an
+    eval forward frees it before the large final upsample.
+    """
     t = _conv(tape, pv, f"{prefix}.conv", x, ConvSpec(in_channels, head_width, 3, padding=1))
+    del x
     t = tape.relu(_bn(tape, pv, f"{prefix}.conv.bn", t, mode))
     t = _conv(tape, pv, f"{prefix}.pred", t, ConvSpec(head_width, num_classes, 1, has_bias=True))
     return tape.upsample(t, out_h, out_w)

@@ -7,9 +7,11 @@ its forward's map transposed, read off the same description:
 - convolution, dense, depthwise or grouped: out[:, g] = W[g] @ cols[:, g]
   over im2col columns (n, groups, cg*k*k, oh*ow), rows ordered channel,
   kernel row, kernel column, gathered and multiplied in balanced bands of
-  whole groups or, within one group, of output rows, each band's columns
-  at most BAND_BYTES; W[g]^T @ grad_out[:, g] goes back onto the input as
-  one strided-slice add per kernel offset (col2im);
+  whole groups or, within one group of several output channels, of output
+  rows, each band's columns at most BAND_BYTES (a one-output-channel
+  group, a matrix-vector product, is never split); W[g]^T @ grad_out[:, g]
+  goes back onto the input as one strided-slice add per kernel offset
+  (col2im);
 - max pooling: a running maximum over the k*k strided window views; each
   window's gradient goes back through the view of its first argmax;
 - bilinear upsampling: A_y @ x @ A_x^T with one interpolation matrix per
@@ -34,9 +36,13 @@ import numpy as np
 from .tensor import FLOAT, ShapeError, check_4d
 
 # Transient workspace of one conv or upsample band (im2col columns, gathered
-# rows).  Bands of this size stay far above the sizes where OpenBLAS takes
-# its small-matrix path, so banding does not change any result.
-BAND_BYTES = 8 << 20
+# rows): half of a 2 MiB per-core L2, so a band's columns are still cached
+# when its matmul reads them back.  Balanced bands that split a conv hold
+# more than a third of this (about half where the units are small), which
+# keeps every product far above the sizes where OpenBLAS takes its
+# small-matrix path; a matrix-vector product, whose rounding OpenBLAS
+# chooses by its length, is never split.  So banding changes no result.
+BAND_BYTES = 1 << 20
 
 # ---------------------------------------------------------------------------
 # Convolution
@@ -138,10 +144,11 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias, spec: ConvSpec) -> n
     The im2col columns of a band are gathered from the padded input and
     multiplied straight into that band of the output, so the workspace stays
     within BAND_BYTES.  Bands hold whole groups, and split the output rows
-    only where one group's columns do not fit: a one-output-channel group
-    is a matrix-vector product, whose rounding OpenBLAS chooses by its
-    length.  A conv whose columns fit runs one matmul, and every output
-    element is the same reduction either way.
+    only where one group's columns do not fit and the group has several
+    output channels: a one-output-channel group (depthwise) is a
+    matrix-vector product, whose rounding OpenBLAS chooses by its length,
+    so it runs whole, one group per band.  A conv whose columns fit runs one
+    matmul, and every output element is the same reduction either way.
     """
     _check_conv_operands(x, weight, bias, spec)
     n, _, h, w = x.shape
@@ -152,7 +159,7 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias, spec: ConvSpec) -> n
     out = np.empty((n, spec.groups, og, oh * ow), dtype=np.result_type(weight, x))
     row_bytes = n * kk * ow * x.itemsize  # one output row of one group's columns
     for g0, g1 in _bands(spec.groups, row_bytes * oh):
-        for r0, r1 in _bands(oh, row_bytes * (g1 - g0)):
+        for r0, r1 in _bands(oh, row_bytes * (g1 - g0)) if og > 1 else [(0, oh)]:
             # (n, groups, cg*k*k, pixels): reduction axis ordered channel, kernel row,
             # kernel col (named, not -1, which numpy cannot infer for zero images)
             cols = pat[:, g0 * cg:g1 * cg, ..., r0:r1, :].reshape(
@@ -310,7 +317,7 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     # gradient defined as 0 at exactly x == 0
-    return np.where(x > 0, grad_out, 0).astype(grad_out.dtype)
+    return np.where(x > 0, grad_out, 0)  # a Python 0 keeps grad_out's dtype
 
 
 def add(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ a closure over the values its backward needs.  `Tape.backward` walks the
 nodes in reverse, accumulating gradients per var index in a fixed order,
 so repeated backward passes are bitwise identical.
 
-The tape checks each op's output for NaN and Inf once, as it takes it;
+The tape checks for NaN and Inf once, where one can first appear: in the
+output of each conv, batch norm, add and upsample, as it takes it.  ReLU,
+concat, split and maxpool only select or copy values of their inputs, and
 the kernels do not check.  A NumericError names the op's layer or, for an
 op without parameters, the last layer before it: "s3.1.merge: conv2d
 output: ..." or "add after s3.1.merge: add output: ...".
@@ -28,6 +30,11 @@ import numpy as np
 
 from . import ops
 from .tensor import ShapeError, check_finite
+
+# The ops whose output can be non-finite where their inputs are finite (a
+# product, sum or blend can overflow).  The others only pass values on:
+# maxpool's -inf padding never wins a window, which always holds a pixel.
+_CHECKED_KINDS = frozenset({"conv2d", "batchnorm", "add", "upsample"})
 
 
 class Var:
@@ -87,12 +94,14 @@ class Tape:
 
     def _out(self, kind: str, data: np.ndarray, parents: tuple[Var, ...], backward,
              **fields) -> Var:
-        """Take `data` as one op's output: check it is finite, give it a var, record it."""
+        """Take `data` as one op's output: check it is finite if the op is
+        one of _CHECKED_KINDS, give it a var, record it."""
         layer = self._layer_of(parents)
         if layer is not None:
             self._last_layer = layer
-        where = layer or f"{kind} after {self._last_layer}"
-        check_finite(f"{where}: {kind} output", data)
+        if kind in _CHECKED_KINDS:
+            where = layer or f"{kind} after {self._last_layer}"
+            check_finite(f"{where}: {kind} output", data)
         v = Var(data, self._num_vars)
         self._num_vars += 1
         if self.record:

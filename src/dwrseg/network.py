@@ -163,6 +163,15 @@ def build(config: NetworkConfig, rng_seed: int = 0) -> ParamStore:
     return _declare(config, he_normal(np.random.default_rng(rng_seed)))[0]
 
 
+def _decoder(tape: Tape, pv: ParamVars, taps: dict[str, Var], h8: int, w8: int,
+             mode: str) -> Var:
+    """BN over s2 concatenated with s3 and s4 upsampled to 1/8 scale."""
+    cat = tape.concat([taps["s2"], tape.upsample(taps["s3"], h8, w8),
+                       tape.upsample(taps["s4"], h8, w8)])
+    gamma, beta, state = pv.bn("decoder.bn", cat.shape[1])
+    return tape.batchnorm(cat, gamma, beta, state, mode)
+
+
 def forward(params: ParamStore, config: NetworkConfig, x, mode: str = "eval",
             tape: Tape | None = None, capture: dict | None = None):
     """Run the network; returns (logits, taps) as tape vars.
@@ -190,14 +199,11 @@ def forward(params: ParamStore, config: NetworkConfig, x, mode: str = "eval",
         taps[name] = t
         prev = stage.channels
 
-    h8, w8 = h // 8, w // 8
-    up3 = tape.upsample(taps["s3"], h8, w8)
-    up4 = tape.upsample(taps["s4"], h8, w8)
-    cat = tape.concat([taps["s2"], up3, up4])
-    gamma, beta, state = pv.bn("decoder.bn", cat.shape[1])
-    cat = tape.batchnorm(cat, gamma, beta, state, mode)
-    logits = blocks.seghead_forward(tape, pv, "head", cat, config.decoder_width,
-                                    config.head_width, config.num_classes, h, w, mode)
+    # the decoder output is passed on, not kept: the head drops it after its
+    # first conv, so no decoder feature is alive during the final upsample
+    logits = blocks.seghead_forward(
+        tape, pv, "head", _decoder(tape, pv, taps, h // 8, w // 8, mode),
+        config.decoder_width, config.head_width, config.num_classes, h, w, mode)
     return logits, taps
 
 

@@ -208,7 +208,7 @@ class TestTape:
 
     @pytest.mark.parametrize("record", [True, False])
     def test_non_finite_output_raises(self, record):
-        # the kernels do not check; the tape checks every op's output once
+        # the kernels do not check; the tape checks each conv, BN, add and upsample output
         x = rnd((1, 3, 4, 4), 37).astype(np.float32)
         x[0, 0, 0, 0] = np.nan
         w = rnd((2, 3, 3, 3), 38).astype(np.float32)

@@ -259,6 +259,43 @@ class TestConvBands:
         assert len(matmuls) > 1  # the shape is really banded
         assert out.tobytes() == self.one_matmul_forward(x, w, spec).tobytes()
 
+    @staticmethod
+    def network_conv_shapes(n):
+        """(spec, input shape at batch n) of every conv of B, L and tiny traced
+        at 256x512 and 512x1024."""
+        shapes = set()
+        for variant in ("B", "L", "tiny"):
+            for h, w in ((256, 512), (512, 1024)):
+                tape, _ = N.trace(N.preset(variant), h, w)
+                out_shape = {node.out: node.shape for node in tape.nodes}
+                for node in tape.nodes:
+                    if node.kind == "conv2d":
+                        _, c, ih, iw = out_shape.get(node.parents[0], (0, 3, h, w))
+                        shapes.add((node.spec, (n, c, ih, iw)))
+        return sorted(shapes, key=repr)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_network_convs_equal_one_matmul(self, monkeypatch, n):
+        matmuls, banded = self.count_matmuls(monkeypatch), 0
+        for i, (spec, shape) in enumerate(self.network_conv_shapes(n)):
+            x = rnd(shape, seed=i)
+            w = rnd(spec.weight_shape, seed=i + 1)
+            del matmuls[:]
+            out = E.conv2d_forward(x, w, None, spec)
+            banded += len(matmuls) > 1
+            assert out.tobytes() == self.one_matmul_forward(x, w, spec).tobytes(), (spec, shape)
+        assert banded > 0
+
+    def test_depthwise_group_over_budget_runs_whole(self, monkeypatch):
+        # one group's columns exceed the budget: each group is still one
+        # matrix-vector product over all its pixels, one matmul per group
+        spec = E.ConvSpec(64, 64, 3, padding=3, dilation=3, groups=64)
+        x = rnd((1, 64, 128, 256))
+        assert 9 * 128 * 256 * x.itemsize > ops.BAND_BYTES
+        matmuls = self.count_matmuls(monkeypatch)
+        E.conv2d_forward(x, rnd(spec.weight_shape, seed=1), None, spec)
+        assert len(matmuls) == spec.groups
+
     def test_tiny_convs_run_one_band(self, monkeypatch):
         cfg = N.preset("tiny", num_classes=4)
         params = N.build(cfg, rng_seed=0)
@@ -286,8 +323,10 @@ class TestConvBands:
         finally:
             tracemalloc.stop()
         padded = x.nbytes * 66 * 130 // (64 * 128)
-        # one 8 MiB band of columns and 2 MiB of slack beyond the arrays themselves
-        assert peak <= x.nbytes + padded + out.nbytes + (8 << 20) + (2 << 20), peak
+        row = 320 * 9 * 128 * x.itemsize  # one output row of columns, 1.4 MiB
+        assert row > ops.BAND_BYTES  # so each band gathers one row
+        # one band of columns and 2 MiB of slack beyond the arrays themselves
+        assert peak <= x.nbytes + padded + out.nbytes + row + (2 << 20), peak
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +416,11 @@ class TestPointwise:
         np.testing.assert_array_equal(E.relu_forward(x).ravel(), [0, 0, 2])
         g = E.relu_backward(x, np.ones_like(x))
         np.testing.assert_array_equal(g.ravel(), [0, 0, 1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_backward_keeps_grad_dtype(self, dtype):
+        x = rnd((1, 2, 3, 3), dtype=dtype)
+        assert E.relu_backward(x, np.ones_like(x)).dtype == dtype
 
     @given(st.lists(st.floats(-10, 10, width=32), min_size=1, max_size=32))
     @settings(max_examples=50, deadline=None)

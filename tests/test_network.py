@@ -8,6 +8,7 @@ import pytest
 
 from dwrseg import network as N
 from dwrseg.engine import FLOAT, ConvSpec, FormatError, NumericError, ShapeError, Tape, Var
+from dwrseg.engine import tape as tape_module
 from dwrseg.network import NetworkConfig, StageSpec
 from dwrseg.params import ParamStore, ParamVars, zero_init
 
@@ -352,6 +353,19 @@ class TestNumericErrors:
         with pytest.raises(NumericError, match=r"^add after s3\.1\.merge: add output: \d+ "):
             N.forward(poisoned, cfg, x)
 
+    def test_checks_only_ops_that_can_make_non_finite_values(self, tiny, monkeypatch):
+        # relu, concat, split and maxpool pass their inputs' values on unchecked
+        cfg, store = tiny
+        checked = []
+        monkeypatch.setattr(tape_module, "check_finite",
+                            lambda what, data: checked.append(what.rsplit(" ", 2)[-2]))
+        tape = Tape()
+        x = np.random.default_rng(4).random((4, 3, 64, 64), dtype=np.float32)
+        N.forward(store, cfg, x, mode="train", tape=tape)
+        kinds = [node.kind for node in tape.nodes]
+        assert {"relu", "concat", "split", "maxpool"} <= set(kinds)
+        assert checked == [k for k in kinds if k in {"conv2d", "batchnorm", "add", "upsample"}]
+
 
 class TestBatchInvariance:
     @pytest.mark.parametrize("variant, h, w", [("tiny", 64, 64), ("B", 256, 512)])
@@ -381,8 +395,10 @@ class TestBenchmark:
         assert 0 < stats["peak_mb"] < 64
 
     def test_b_infer_traced_peak_at_512x1024(self):
-        # im2col and upsample workspaces are bounded by ops.BAND_BYTES: 82 MiB
+        # im2col and upsample workspaces are bounded by ops.BAND_BYTES, and no
+        # decoder feature is alive during the 38 MiB final upsample: 51 MiB
         # here, where whole-tensor workspaces peaked at 122 MiB (head.conv)
+        # and decoder features held through the upsample at 82 MiB
         cfg = N.preset("B")
         params = N.build(cfg, rng_seed=0)
         x = np.random.default_rng(0).random((1, 3, 512, 1024), dtype=np.float32)
@@ -392,4 +408,4 @@ class TestBenchmark:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 90 * 2**20, peak / 2**20
+        assert peak <= 55 * 2**20, peak / 2**20
