@@ -160,7 +160,7 @@ def branch_weight_stats(params: ParamStore, config: NetworkConfig,
     for name, stage in zip(config.stage_names, config.stages):
         if stage.kind != "probe":
             raise ShapeError(f"branch_weight_stats needs probe stages; {name} is {stage.kind!r}")
-        cfg0 = _block_config(stage, 0, prev, config.switches)
+        cfg0 = _block_config(stage, 0, prev)
         slices = cfg0.branch_slices()
         pooled: list[list[np.ndarray]] = [[] for _ in slices]
         for j in range(stage.repeats):

@@ -1,15 +1,17 @@
 """Network building blocks.
 
 A DWR (dilation-wise residual) block extracts multi-scale context in two
-steps: a 3x3 conv + BN + ReLU produces widened "region" features, which
-are split into groups and filtered by depthwise 3x3 convolutions with one
-dilation rate per group, then concatenated, normalized, merged back down
-by a pointwise conv and added to the block input.  An SIR (simple inverted
-residual) block keeps only the expand conv + BN + ReLU + pointwise
-projection for the low stage.  The probe block is the receptive-field
-demand variant of DWR (`DWRConfig.broadcast`): every dilation branch
-consumes the entire region output so the pointwise merge weights reveal
-how much each receptive field is used.
+steps: a 3x3 conv + BN + ReLU produces "region" features 1.5x as wide as
+the block, which are split into groups at a fixed ratio and filtered by
+depthwise 3x3 convolutions with one dilation rate per group (1, 3 in s3;
+1, 3, 5 in s4), then concatenated, normalized, merged back down by a
+pointwise conv and added to the block input.  That is the one DWR design:
+its rates and ratios are the constants DILATIONS and BRANCH_RATIO.  An SIR
+(simple inverted residual) block keeps only the expand conv + BN + ReLU +
+pointwise projection for the low stage.  The probe block is the
+receptive-field demand variant of DWR (`DWRConfig.broadcast`): every
+dilation branch consumes the entire region output so the pointwise merge
+weights reveal how much each receptive field is used.
 
 Every block is a stateless function of (params, input) composed of engine
 ops, and its forward is the block's only declaration: each conv call names
@@ -21,7 +23,7 @@ batch 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from math import prod
 
@@ -29,27 +31,10 @@ from .engine import ConvSpec, ShapeError, Tape, Var
 from .params import ParamVars
 
 
-@dataclass(frozen=True)
-class NonlinearitySwitches:
-    """Ablation toggles for the DWR/probe pipeline; defaults are the baseline."""
-
-    rr_relu: bool = True            # off = "sitch 1"
-    rr_bn: bool = True              # off = "sitch 2"
-    sr_bn: bool = True              # off = "sitch 3"
-    sr_relu_after_bn: bool = False  # on = "sitch 4"
-    bn_after_pointwise: bool = False  # on = "sitch 5"
-
-
-DEFAULT_DILATIONS = {2: (1, 3), 3: (1, 3, 5)}
-DEFAULT_BRANCH_RATIO = {2: (2, 1), 3: (2, 1, 1)}
-
-
-def _split_by_ratio(total: int, ratio: tuple[int, ...]) -> tuple[int, ...]:
-    denom = sum(ratio)
-    if total % denom:
-        raise ShapeError(f"width {total} not divisible into ratio {ratio}")
-    unit = total // denom
-    return tuple(unit * r for r in ratio)
+# per branch count: one dilation rate per branch, and the branches' shares
+# of the region width
+DILATIONS = {2: (1, 3), 3: (1, 3, 5)}
+BRANCH_RATIO = {2: (2, 1), 3: (2, 1, 1)}
 
 
 @dataclass(frozen=True)
@@ -57,42 +42,37 @@ class DWRConfig:
     channels: int
     in_channels: int
     branch_count: int = 3
-    dilations: tuple[int, ...] = ()
-    branch_ratio: tuple[int, ...] = ()
-    rr_expansion: float = 1.5
     stride: int = 1
-    switches: NonlinearitySwitches = field(default_factory=NonlinearitySwitches)
     broadcast: bool = False  # every branch sees the whole region output (the probe block)
 
     def __post_init__(self):
-        if self.branch_count not in (2, 3):
+        if self.branch_count not in DILATIONS:
             raise ShapeError(f"branch_count must be 2 or 3, got {self.branch_count}")
-        if not self.dilations:
-            object.__setattr__(self, "dilations", DEFAULT_DILATIONS[self.branch_count])
-        if not self.branch_ratio:
-            object.__setattr__(self, "branch_ratio", DEFAULT_BRANCH_RATIO[self.branch_count])
-        if len(self.dilations) != self.branch_count or len(self.branch_ratio) != self.branch_count:
-            raise ShapeError("dilations/branch_ratio length must equal branch_count")
         if self.stride not in (1, 2):
             raise ShapeError(f"stride must be 1 or 2, got {self.stride}")
         if self.stride == 1 and self.in_channels != self.channels:
             raise ShapeError("in_channels may differ from channels only when stride == 2")
-        rw = self.rr_expansion * self.channels
-        if abs(rw - round(rw)) > 1e-9:
-            raise ShapeError(f"rr_expansion {self.rr_expansion} * {self.channels} is not integral")
-        if not self.broadcast:
-            _split_by_ratio(int(round(rw)), self.branch_ratio)
+        if self.channels % 2:
+            raise ShapeError(f"region width 1.5 * {self.channels} is not integral")
+        ratio = BRANCH_RATIO[self.branch_count]
+        if not self.broadcast and self.rr_width % sum(ratio):
+            raise ShapeError(f"width {self.rr_width} not divisible into ratio {ratio}")
+
+    @property
+    def dilations(self) -> tuple[int, ...]:
+        return DILATIONS[self.branch_count]
 
     @property
     def rr_width(self) -> int:
-        return int(round(self.rr_expansion * self.channels))
+        return 3 * self.channels // 2
 
     @property
     def group_widths(self) -> tuple[int, ...]:
         """Input width of each dilation branch."""
         if self.broadcast:
             return (self.rr_width,) * self.branch_count
-        return _split_by_ratio(self.rr_width, self.branch_ratio)
+        ratio = BRANCH_RATIO[self.branch_count]
+        return tuple(self.rr_width // sum(ratio) * r for r in ratio)
 
     def branch_slices(self) -> list[tuple[int, int]]:
         """Input-axis partition of the merge weight, one slice per branch."""
@@ -136,16 +116,12 @@ def _bn(tape: Tape, pv: ParamVars, name: str, x: Var, mode: str) -> Var:
 
 def dwr_forward(tape: Tape, pv: ParamVars, prefix: str, x: Var, cfg: DWRConfig,
                 mode: str, capture: dict | None = None) -> Var:
-    sw = cfg.switches
     if x.data.shape[1] != cfg.in_channels:
         raise ShapeError(f"{prefix}: input has {x.data.shape[1]} channels, "
                          f"config wants {cfg.in_channels}")
     t = _conv(tape, pv, f"{prefix}.rr.conv", x,
               ConvSpec(cfg.in_channels, cfg.rr_width, 3, stride=cfg.stride, padding=1))
-    if sw.rr_bn:
-        t = _bn(tape, pv, f"{prefix}.rr.bn", t, mode)
-    if sw.rr_relu:
-        t = tape.relu(t)
+    t = tape.relu(_bn(tape, pv, f"{prefix}.rr.bn", t, mode))
     if capture is not None:
         capture[f"{prefix}.rr"] = t.data
     widths = cfg.group_widths
@@ -153,16 +129,11 @@ def dwr_forward(tape: Tape, pv: ParamVars, prefix: str, x: Var, cfg: DWRConfig,
     t = tape.concat([_conv(tape, pv, f"{prefix}.sr.b{i}", g,
                            ConvSpec(c, c, 3, padding=d, dilation=d, groups=c))
                      for i, (g, c, d) in enumerate(zip(groups, widths, cfg.dilations))])
-    if sw.sr_bn:
-        t = _bn(tape, pv, f"{prefix}.sr.bn", t, mode)
-    if sw.sr_relu_after_bn:
-        t = tape.relu(t)
+    t = _bn(tape, pv, f"{prefix}.sr.bn", t, mode)
     if capture is not None:
         capture[f"{prefix}.sr"] = t.data
     t = _conv(tape, pv, f"{prefix}.merge", t,
               ConvSpec(sum(widths), cfg.channels, 1, has_bias=True))
-    if sw.bn_after_pointwise:
-        t = _bn(tape, pv, f"{prefix}.merge.bn", t, mode)
     if cfg.stride == 1 and cfg.in_channels == cfg.channels:
         t = tape.add(x, t)
     return t

@@ -33,16 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import FLOAT, ShapeError, check_4d
+from .tensor import BAND_BYTES, FLOAT, ShapeError, check_4d
 
-# Transient workspace of one conv or upsample band (im2col columns, gathered
-# rows): half of a 2 MiB per-core L2, so a band's columns are still cached
-# when its matmul reads them back.  Balanced bands that split a conv hold
-# more than a third of this (about half where the units are small), which
-# keeps every product far above the sizes where OpenBLAS takes its
-# small-matrix path; a matrix-vector product, whose rounding OpenBLAS
-# chooses by its length, is never split.  So banding changes no result.
-BAND_BYTES = 1 << 20
+# BAND_BYTES bounds the transient workspace of one conv or upsample band
+# (im2col columns, gathered rows), so a band's columns are still cached when
+# its matmul reads them back.  Balanced bands that split a conv hold more
+# than a third of it (about half where the units are small), which keeps
+# every product far above the sizes where OpenBLAS takes its small-matrix
+# path; a matrix-vector product, whose rounding OpenBLAS chooses by its
+# length, is never split.  So banding changes no result.
 
 # ---------------------------------------------------------------------------
 # Convolution
@@ -316,7 +315,8 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    # gradient defined as 0 at exactly x == 0
+    # gradient defined as 0 at exactly x == 0; `x` may be the relu's input or
+    # its output, which is > 0 at exactly the same elements (NaN in neither)
     return np.where(x > 0, grad_out, 0)  # a Python 0 keeps grad_out's dtype
 
 

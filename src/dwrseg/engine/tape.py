@@ -137,8 +137,8 @@ class Tape:
 
     def relu(self, x: Var) -> Var:
         out = ops.relu_forward(x.data)
-        xd = x.data
-        return self._out("relu", out, (x,), lambda go: (ops.relu_backward(xd, go),))
+        # the mask is read from the output, so the input need not be kept
+        return self._out("relu", out, (x,), lambda go: (ops.relu_backward(out, go),))
 
     def add(self, x: Var, y: Var) -> Var:
         out = ops.add(x.data, y.data)

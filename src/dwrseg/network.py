@@ -22,12 +22,12 @@ import statistics
 import struct
 import time
 import tracemalloc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import blocks
-from .blocks import DWRConfig, NonlinearitySwitches, SIRConfig
+from .blocks import DWRConfig, SIRConfig
 from .engine import FLOAT, FormatError, ShapeError, Tape, Var, nt_bytes, nt_from_bytes
 from .params import ParamStore, ParamVars, he_normal, zero_init
 
@@ -44,10 +44,7 @@ class StageSpec:
     kind: str                   # "sir" | "dwr" | "probe"
     repeats: int
     channels: int
-    branch_count: int = 3
-    dilations: tuple[int, ...] = ()
-    branch_ratio: tuple[int, ...] = ()
-    rr_expansion: float = 1.5
+    branch_count: int = 3       # DWR and probe only
     expansion: int = 3          # SIR only
 
     def __post_init__(self):
@@ -64,7 +61,6 @@ class NetworkConfig:
     stem_channels: int
     stages: tuple[StageSpec, StageSpec, StageSpec]
     head_width: int
-    switches: NonlinearitySwitches = field(default_factory=NonlinearitySwitches)
 
     def __post_init__(self):
         if self.num_classes < 2:
@@ -92,49 +88,39 @@ VARIANTS = tuple(_PRESETS)
 
 
 def preset(variant: str, num_classes: int = 19, deltas: tuple[int, int, int] = (0, 0, 0),
-           switches: NonlinearitySwitches | None = None, sir_expansion: int = 3,
-           rr_expansion: float = 1.5, branch_ratio: tuple[int, ...] = (),
            probe: bool = False) -> NetworkConfig:
-    """Named configuration with the ablation knobs exposed.
+    """Named configuration.
 
-    `deltas` offsets the per-stage block counts; `sir_expansion`,
-    `rr_expansion` and `branch_ratio` override the width ratios; `probe`
-    swaps every block for the receptive-field demand variant.
+    `deltas` offsets the per-stage block counts; `probe` swaps every block
+    for the receptive-field demand variant.
     """
     if variant not in _PRESETS:
         raise ShapeError(f"unknown variant {variant!r}; expected one of {sorted(_PRESETS)}")
     stem, (r2, c2), (r3, c3), (r4, c4), head = _PRESETS[variant]
     reps = [max(1, r + d) for r, d in zip((r2, r3, r4), deltas)]
-    sw = switches or NonlinearitySwitches()
     if probe:
-        stages = tuple(
-            StageSpec("probe", reps[i], ch, branch_count=3, dilations=(1, 3, 5),
-                      rr_expansion=rr_expansion)
-            for i, ch in enumerate((c2, c3, c4)))
+        stages = tuple(StageSpec("probe", reps[i], ch, branch_count=3)
+                       for i, ch in enumerate((c2, c3, c4)))
         variant = f"{variant}-probe"
     else:
         stages = (
-            StageSpec("sir", reps[0], c2, expansion=sir_expansion),
-            StageSpec("dwr", reps[1], c3, branch_count=2, rr_expansion=rr_expansion,
-                      branch_ratio=branch_ratio[:2]),
-            StageSpec("dwr", reps[2], c4, branch_count=3, rr_expansion=rr_expansion,
-                      branch_ratio=branch_ratio),
+            StageSpec("sir", reps[0], c2),
+            StageSpec("dwr", reps[1], c3, branch_count=2),
+            StageSpec("dwr", reps[2], c4, branch_count=3),
         )
     return NetworkConfig(variant=variant, num_classes=num_classes, stem_channels=stem,
-                         stages=stages, head_width=head, switches=sw)
+                         stages=stages, head_width=head)
 
 
-def _block_config(stage: StageSpec, block_idx: int, in_channels: int,
-                  switches: NonlinearitySwitches):
+def _block_config(stage: StageSpec, block_idx: int, in_channels: int):
     stride = 2 if block_idx == 0 else 1
     cin = in_channels if block_idx == 0 else stage.channels
     if stage.kind == "sir":
         return SIRConfig(channels=stage.channels, in_channels=cin,
                          expansion=stage.expansion, stride=stride)
     return DWRConfig(channels=stage.channels, in_channels=cin,
-                     branch_count=stage.branch_count, dilations=stage.dilations,
-                     branch_ratio=stage.branch_ratio, rr_expansion=stage.rr_expansion,
-                     stride=stride, switches=switches, broadcast=stage.kind == "probe")
+                     branch_count=stage.branch_count, stride=stride,
+                     broadcast=stage.kind == "probe")
 
 
 _BLOCK_FORWARD = {"sir": blocks.sir_forward, "dwr": blocks.dwr_forward,
@@ -193,7 +179,7 @@ def forward(params: ParamStore, config: NetworkConfig, x, mode: str = "eval",
     prev = config.stem_channels
     for name, stage in zip(config.stage_names, config.stages):
         for j in range(stage.repeats):
-            cfg = _block_config(stage, j, prev, config.switches)
+            cfg = _block_config(stage, j, prev)
             t = _BLOCK_FORWARD[stage.kind](tape, pv, f"{name}.{j}", t, cfg, mode,
                                            capture=capture)
         taps[name] = t
@@ -292,19 +278,26 @@ def format_count_report(title: str, total: int, items, target: float | None = No
 # Checkpoints
 # ---------------------------------------------------------------------------
 
+# Header keys of checkpoint format v1 that no field of NetworkConfig holds
+# are written at the one value the network is built with, and a header with
+# any other value is rejected.
+_V1_SWITCHES = {"rr_relu": True, "rr_bn": True, "sr_bn": True,
+                "sr_relu_after_bn": False, "bn_after_pointwise": False}
+
+
 def config_to_dict(config: NetworkConfig) -> dict:
     return {
         "variant": config.variant,
         "num_classes": config.num_classes,
         "stem_channels": config.stem_channels,
         "head_width": config.head_width,
-        "switches": vars(config.switches).copy(),
+        "switches": dict(_V1_SWITCHES),
         "stages": [
             {
                 "kind": s.kind, "repeats": s.repeats, "channels": s.channels,
-                "branch_count": s.branch_count, "dilations": list(s.dilations),
-                "branch_ratio": list(s.branch_ratio),
-                "rr_expansion": s.rr_expansion, "expansion": s.expansion,
+                "branch_count": s.branch_count,
+                "dilations": list(blocks.DILATIONS[s.branch_count]) if s.kind == "probe" else [],
+                "branch_ratio": [], "rr_expansion": 1.5, "expansion": s.expansion,
             }
             for s in config.stages
         ],
@@ -312,16 +305,17 @@ def config_to_dict(config: NetworkConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> NetworkConfig:
+    """Config of a v1 header; FormatError unless `config_to_dict` gives it back."""
     stages = tuple(
         StageSpec(kind=s["kind"], repeats=s["repeats"], channels=s["channels"],
-                  branch_count=s["branch_count"], dilations=tuple(s["dilations"]),
-                  branch_ratio=tuple(s["branch_ratio"]),
-                  rr_expansion=s["rr_expansion"], expansion=s["expansion"])
+                  branch_count=s["branch_count"], expansion=s["expansion"])
         for s in d["stages"])
-    return NetworkConfig(variant=d["variant"], num_classes=d["num_classes"],
-                         stem_channels=d["stem_channels"], stages=stages,
-                         head_width=d["head_width"],
-                         switches=NonlinearitySwitches(**d["switches"]))
+    config = NetworkConfig(variant=d["variant"], num_classes=d["num_classes"],
+                           stem_channels=d["stem_channels"], stages=stages,
+                           head_width=d["head_width"])
+    if json.dumps(config_to_dict(config), sort_keys=True) != json.dumps(d, sort_keys=True):
+        raise FormatError("config header describes a network this version does not build")
+    return config
 
 
 def save_checkpoint(params: ParamStore, config: NetworkConfig, path) -> None:

@@ -129,14 +129,9 @@ class ParamVars:
     def __init__(self, tape: Tape, store: ParamStore):
         self.tape = tape
         self.store = store
-        self._cache: dict[str, Var] = {}
 
     def __call__(self, name: str) -> Var:
-        v = self._cache.get(name)
-        if v is None:
-            v = self.tape.leaf(self.store[name], name)
-            self._cache[name] = v
-        return v
+        return self.tape.leaf(self.store[name], name)
 
     def conv(self, name: str, spec):
         """(weight var, bias var or None) of conv layer `name`."""

@@ -97,10 +97,9 @@ def ohem_ce_loss(logits: np.ndarray, labels: np.ndarray, cfg: OhemConfig):
     if bad.any():
         raise ValueError(f"{int(bad.sum())} label(s) outside [0, {num_classes})")
 
-    grad = np.zeros_like(logits)
     n_valid = int(valid.sum())
     if n_valid == 0:
-        return 0.0, grad
+        return 0.0, np.zeros_like(logits)
 
     # stable log-softmax over the class axis
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -126,12 +125,13 @@ def ohem_ce_loss(logits: np.ndarray, labels: np.ndarray, cfg: OhemConfig):
     if not np.isfinite(loss):
         raise NumericError(f"non-finite OHEM loss ({loss})")
 
-    softmax = np.exp(logp)
-    onehot = np.zeros_like(logits)
-    np.put_along_axis(onehot, safe_labels[:, None], 1.0, axis=1)
-    mask = (kept.astype(logits.dtype) / k)[:, None]
-    grad = (softmax - onehot) * mask
-    return loss, grad.astype(logits.dtype)
+    # softmax minus the one-hot label, masked: s - 1 at the label, s elsewhere
+    grad = np.exp(logp)
+    label_idx = safe_labels[:, None]
+    np.put_along_axis(grad, label_idx, np.take_along_axis(grad, label_idx, axis=1) - 1,
+                      axis=1)
+    grad *= (kept.astype(logits.dtype) / k)[:, None]
+    return loss, grad
 
 
 # ---------------------------------------------------------------------------

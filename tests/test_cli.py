@@ -17,6 +17,7 @@ from dwrseg.cli import (
     parse_run_config,
     set_blas_threads,
 )
+from dwrseg.engine import FormatError
 
 
 def write_config(tmp_path, **overrides):
@@ -387,6 +388,32 @@ class TestExitCodes:
         image = tmp_path / "in.ppm"
         D.write_ppm(image, np.zeros((1, 3, 32, 32), np.float32))
         assert main(["predict", "--checkpoint", str(bad), "--image", str(image),
+                     "--out", str(tmp_path / "out.pgm")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda c: c["switches"].update(rr_relu=False), id="rr_relu_off"),
+        pytest.param(lambda c: c["stages"][1].update(dilations=[1, 5]), id="dilations"),
+        pytest.param(lambda c: c["stages"][2].update(rr_expansion=2.0), id="rr_expansion"),
+        pytest.param(lambda c: c.update(dropout=0.1), id="unknown_key"),
+    ])
+    def test_checkpoint_of_unbuilt_variant_exit_2(self, tmp_path, capsys, edit):
+        net_cfg = network.preset("tiny", num_classes=3)
+        ckpt = tmp_path / "tiny.dwck"
+        network.save_checkpoint(network.build(net_cfg, rng_seed=0), net_cfg, ckpt)
+        buf = ckpt.read_bytes()
+        end = 12 + int.from_bytes(buf[8:12], "little")
+        header = json.loads(buf[12:end])
+        blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
+        assert buf[12:end] == blob  # the header re-encodes as the writer wrote it
+        edit(header["config"])
+        blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
+        ckpt.write_bytes(buf[:8] + len(blob).to_bytes(4, "little") + blob + buf[end:])
+        with pytest.raises(FormatError):
+            network.load_checkpoint(ckpt)
+        image = tmp_path / "in.ppm"
+        D.write_ppm(image, np.zeros((1, 3, 32, 32), np.float32))
+        assert main(["predict", "--checkpoint", str(ckpt), "--image", str(image),
                      "--out", str(tmp_path / "out.pgm")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 

@@ -1,9 +1,13 @@
 """Gradient suite: analytic backward vs central finite differences, plus tape."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 from dwrseg import engine as E
+from dwrseg.engine import ops
 from dwrseg.engine.gradcheck import finite_diff_check
 
 SEED = 20240917  # documented RNG seed for all random gradient checks
@@ -219,6 +223,42 @@ class TestTape:
                        E.ConvSpec(3, 2, 3, padding=1))
         with pytest.raises(E.NumericError, match=r"^add after s1\.conv: add output: 32 "):
             t.add(out, t.leaf(np.full_like(out.data, np.inf)))
+
+    def test_relu_keeps_only_its_output(self):
+        # the backward reads its mask from the output, so a recorded relu does
+        # not keep its input alive, and the gradient is the input-mask one
+        x = rnd((1, 2, 4, 4), 39).astype(np.float32)
+        x[0, 0, 0, 0] = 0.0
+        t = E.Tape()
+        a = t.leaf(x)
+        h = t.add(a, a)
+        h_ref, h_in = weakref.ref(h.data), h.data.copy()
+        r = t.relu(h)
+        del h
+        assert h_ref() is None
+        go = rnd(x.shape, 40).astype(np.float32)
+        grads = t.backward(r, go)
+        np.testing.assert_array_equal(grads[a.idx], 2 * E.relu_backward(h_in, go))
+
+    def test_check_finite_in_bands(self):
+        # checked in BAND_BYTES slices of a flat view: a finite array makes no
+        # mask as large as itself, and a failure still counts every bad value
+        x = np.zeros((2, 3, 256, 512), np.float32)  # 3 MiB: three slices
+        tracemalloc.start()
+        try:
+            E.check_finite("x", x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ops.BAND_BYTES // 4 + (64 << 10), peak  # one slice's bool mask
+        E.check_finite("empty", x[:0])
+        x[-1, -1, -1, -1] = np.inf  # in the last slice
+        with pytest.raises(E.NumericError, match=r"^x: 1 non-finite value\(s\) in tensor "
+                                                 r"of shape \(2, 3, 256, 512\)$"):
+            E.check_finite("x", x)
+        x[0, 0, 0, 0] = np.nan
+        with pytest.raises(E.NumericError, match=r"^x: 2 non-finite"):
+            E.check_finite("x", x)
 
     def test_batchnorm_through_tape(self):
         x = rnd((2, 2, 3, 3), 36).astype(np.float32)

@@ -28,6 +28,14 @@ class TestBuild:
         for name, arr in a.items():
             np.testing.assert_array_equal(arr, b[name])
 
+    def test_parameter_read_twice_in_one_forward_raises(self, tiny):
+        # each parameter is one tape leaf: a second read of a name is a bug
+        _, store = tiny
+        pv = ParamVars(Tape(), store)
+        pv("head.pred.bias")
+        with pytest.raises(ValueError, match="duplicate leaf name 'head.pred.bias'"):
+            pv("head.pred.bias")
+
     def test_astype_same_dtype_copies(self):
         store = N.build(N.preset("tiny", num_classes=4), rng_seed=0)
         before = store["stem.conv1.weight"].copy()
@@ -240,14 +248,50 @@ class TestCounts:
         assert N.preset("L").decoder_width == 320
 
 
+def _v1_stage(kind, repeats, channels, branch_count=3, dilations=()):
+    return {"kind": kind, "repeats": repeats, "channels": channels,
+            "branch_count": branch_count, "dilations": list(dilations), "branch_ratio": [],
+            "rr_expansion": 1.5, "expansion": 3}
+
+
+def _v1_config(variant, num_classes, stem, head, stages):
+    return {"variant": variant, "num_classes": num_classes, "stem_channels": stem,
+            "head_width": head,
+            "switches": {"rr_relu": True, "rr_bn": True, "sr_bn": True,
+                         "sr_relu_after_bn": False, "bn_after_pointwise": False},
+            "stages": stages}
+
+
+# the v1 checkpoint config headers of the presets: a fixed data format
+V1_HEADERS = {
+    ("B", False): _v1_config("B", 19, 64, 128, [
+        _v1_stage("sir", 7, 64), _v1_stage("dwr", 3, 128, 2), _v1_stage("dwr", 3, 128)]),
+    ("L", False): _v1_config("L", 19, 64, 128, [
+        _v1_stage("sir", 8, 64), _v1_stage("dwr", 8, 128, 2), _v1_stage("dwr", 3, 128)]),
+    ("tiny", False): _v1_config("tiny", 19, 16, 32, [
+        _v1_stage("sir", 2, 16), _v1_stage("dwr", 2, 32, 2), _v1_stage("dwr", 2, 32)]),
+    ("tiny", True): _v1_config("tiny-probe", 19, 16, 32, [
+        _v1_stage("probe", 2, 16, 3, (1, 3, 5)), _v1_stage("probe", 2, 32, 3, (1, 3, 5)),
+        _v1_stage("probe", 2, 32, 3, (1, 3, 5))]),
+}
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("variant,probe", list(V1_HEADERS))
+    def test_config_header_is_format_v1(self, variant, probe):
+        cfg = N.preset(variant, probe=probe)
+        assert N.config_to_dict(cfg) == V1_HEADERS[variant, probe]
+        assert N.config_from_dict(V1_HEADERS[variant, probe]) == cfg
+
     def test_save_load_save_byte_identical(self, tiny, tmp_path):
         cfg, store = tiny
-        p1, p2 = tmp_path / "a.dwck", tmp_path / "b.dwck"
-        N.save_checkpoint(store, cfg, p1)
-        loaded, cfg2 = N.load_checkpoint(p1)
-        N.save_checkpoint(loaded, cfg2, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        probe_cfg = N.preset("tiny", num_classes=4, probe=True)
+        for i, (c, params) in enumerate([(cfg, store), (probe_cfg, N.build(probe_cfg))]):
+            p1, p2 = tmp_path / f"a{i}.dwck", tmp_path / f"b{i}.dwck"
+            N.save_checkpoint(params, c, p1)
+            loaded, c2 = N.load_checkpoint(p1)
+            N.save_checkpoint(loaded, c2, p2)
+            assert p1.read_bytes() == p2.read_bytes()
 
     def test_reload_reproduces_logits(self, tmp_path):
         cfg = N.preset("tiny", num_classes=4)
@@ -396,9 +440,10 @@ class TestBenchmark:
 
     def test_b_infer_traced_peak_at_512x1024(self):
         # im2col and upsample workspaces are bounded by ops.BAND_BYTES, and no
-        # decoder feature is alive during the 38 MiB final upsample: 51 MiB
-        # here, where whole-tensor workspaces peaked at 122 MiB (head.conv)
-        # and decoder features held through the upsample at 82 MiB
+        # decoder feature is alive during the 38 MiB final upsample: 49 MiB
+        # here, where whole-tensor workspaces peaked at 122 MiB (head.conv),
+        # decoder features held through the upsample at 82 MiB and a
+        # full-size finiteness mask of the logits at 51 MiB
         cfg = N.preset("B")
         params = N.build(cfg, rng_seed=0)
         x = np.random.default_rng(0).random((1, 3, 512, 1024), dtype=np.float32)
