@@ -18,26 +18,26 @@ def run(forward, x, *args, seed=0, zero=False, **kw):
 
 
 print("=== 1. DWR channel accounting ===")
-cfg = B.DWRConfig(channels=128, in_channels=128, branch_count=3)
+cfg = B.StageSpec("dwr", 1, 128, branch_count=3)
 print(f"c=128, 3 branches: region width {cfg.rr_width} "
       f"split {cfg.group_widths} with dilations {cfg.dilations}")
-cfg2 = B.DWRConfig(channels=128, in_channels=128, branch_count=2)
+cfg2 = B.StageSpec("dwr", 1, 128, branch_count=2)
 print(f"c=128, 2 branches: region width {cfg2.rr_width} "
       f"split {cfg2.group_widths} with dilations {cfg2.dilations}\n")
 
 print("=== 2. zero weights -> the block is exactly the identity ===")
-small = B.DWRConfig(channels=16, in_channels=16, branch_count=3)
+small = B.StageSpec("dwr", 1, 16, branch_count=3)
 x = np.random.default_rng(3).standard_normal((1, 16, 8, 8)).astype(np.float32)
-out = run(B.dwr_forward, x, small, zero=True)
+out = run(B.dwr_forward, x, small, 1, zero=True)
 print("dwr(x) == x bitwise:", np.array_equal(out.data, x))
 
-sir = B.SIRConfig(channels=16, in_channels=16)
-out = run(B.sir_forward, x, sir, zero=True)
+sir = B.StageSpec("sir", 1, 16)
+out = run(B.sir_forward, x, sir, 1, zero=True)
 print("sir(x) == x bitwise:", np.array_equal(out.data, x), "\n")
 
 print("=== 3. one dilation rate per group of region features ===")
 cap = {}
-run(B.dwr_forward, x, small, seed=5, capture=cap)
+run(B.dwr_forward, x, small, 1, seed=5, capture=cap)
 print("region map (post-ReLU) shape:", cap["blk.rr"].shape,
       "min:", float(cap["blk.rr"].min()))
 print("filtered map (post-BN) shape:", cap["blk.sr"].shape, "\n")
@@ -48,8 +48,8 @@ out = run(B.stem_forward, img, 64, seed=6)
 print("input", img.shape, "->", out.data.shape, "\n")
 
 print("=== 5. the probe block gives every branch the whole region map ===")
-probe = B.DWRConfig(channels=64, in_channels=64, branch_count=3, broadcast=True)
-split = B.DWRConfig(channels=64, in_channels=64, branch_count=3)
+probe = B.StageSpec("probe", 1, 64, branch_count=3)
+split = B.StageSpec("dwr", 1, 64, branch_count=3)
 print(f"c=64: region width {probe.rr_width}; branch inputs {probe.group_widths} "
       f"(split DWR: {split.group_widths})")
 print(f"merge weight slices per branch: {probe.branch_slices()} "

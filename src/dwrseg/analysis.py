@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import write_pgm
 from .engine import ShapeError, Tape, write_nt
-from .network import NetworkConfig, _block_config, forward, trace
+from .network import NetworkConfig, forward, trace
 from .params import ParamStore
 
 
@@ -156,12 +156,10 @@ def branch_weight_stats(params: ParamStore, config: NetworkConfig,
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     out = []
-    prev = config.stem_channels
     for name, stage in zip(config.stage_names, config.stages):
         if stage.kind != "probe":
             raise ShapeError(f"branch_weight_stats needs probe stages; {name} is {stage.kind!r}")
-        cfg0 = _block_config(stage, 0, prev)
-        slices = cfg0.branch_slices()
+        slices = stage.branch_slices()
         pooled: list[list[np.ndarray]] = [[] for _ in slices]
         for j in range(stage.repeats):
             wname = f"{name}.{j}.merge.weight"
@@ -178,9 +176,8 @@ def branch_weight_stats(params: ParamStore, config: NetworkConfig,
             pmf.append(p)
             cdf.append(np.cumsum(p))
             counts.append(int(vals.size))
-        out.append(BranchWeightStats(stage=name, dilations=tuple(cfg0.dilations),
+        out.append(BranchWeightStats(stage=name, dilations=stage.dilations,
                                      bin_edges=edges, pmf=pmf, cdf=cdf, counts=counts))
-        prev = stage.channels
     return out
 
 

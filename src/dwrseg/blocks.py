@@ -9,9 +9,14 @@ pointwise conv and added to the block input.  That is the one DWR design:
 its rates and ratios are the constants DILATIONS and BRANCH_RATIO.  An SIR
 (simple inverted residual) block keeps only the expand conv + BN + ReLU +
 pointwise projection for the low stage.  The probe block is the
-receptive-field demand variant of DWR (`DWRConfig.broadcast`): every
-dilation branch consumes the entire region output so the pointwise merge
-weights reveal how much each receptive field is used.
+receptive-field demand variant of DWR (a "probe" stage): every dilation
+branch consumes the entire region output so the pointwise merge weights
+reveal how much each receptive field is used.
+
+`StageSpec` is the one record of a stage and of each block in it: the
+paper fixes kind, width, branch count and dilations per stage.  A block
+forward takes the stage and its stride; it reads its input width from its
+input and adds the residual exactly when the stride is 1.
 
 Every block is a stateless function of (params, input) composed of engine
 ops, and its forward is the block's only declaration: each conv call names
@@ -38,24 +43,30 @@ BRANCH_RATIO = {2: (2, 1), 3: (2, 1, 1)}
 
 
 @dataclass(frozen=True)
-class DWRConfig:
+class StageSpec:
+    """One network stage: every block in it has this kind, width and branch count."""
+
+    kind: str                   # "sir" | "dwr" | "probe"
+    repeats: int
     channels: int
-    in_channels: int
-    branch_count: int = 3
-    stride: int = 1
-    broadcast: bool = False  # every branch sees the whole region output (the probe block)
+    branch_count: int = 3       # DWR and probe only
+    expansion: int = 3          # SIR only
 
     def __post_init__(self):
+        if self.kind not in ("sir", "dwr", "probe"):
+            raise ShapeError(f"unknown stage kind {self.kind!r}")
+        if self.repeats < 1:
+            raise ShapeError(f"stage needs >= 1 block, got {self.repeats}")
+        if self.kind == "sir":
+            if self.expansion < 1:
+                raise ShapeError(f"expansion must be >= 1, got {self.expansion}")
+            return
         if self.branch_count not in DILATIONS:
             raise ShapeError(f"branch_count must be 2 or 3, got {self.branch_count}")
-        if self.stride not in (1, 2):
-            raise ShapeError(f"stride must be 1 or 2, got {self.stride}")
-        if self.stride == 1 and self.in_channels != self.channels:
-            raise ShapeError("in_channels may differ from channels only when stride == 2")
         if self.channels % 2:
             raise ShapeError(f"region width 1.5 * {self.channels} is not integral")
         ratio = BRANCH_RATIO[self.branch_count]
-        if not self.broadcast and self.rr_width % sum(ratio):
+        if self.kind == "dwr" and self.rr_width % sum(ratio):
             raise ShapeError(f"width {self.rr_width} not divisible into ratio {ratio}")
 
     @property
@@ -67,9 +78,13 @@ class DWRConfig:
         return 3 * self.channels // 2
 
     @property
+    def hidden_width(self) -> int:
+        return self.expansion * self.channels
+
+    @property
     def group_widths(self) -> tuple[int, ...]:
-        """Input width of each dilation branch."""
-        if self.broadcast:
+        """Input width of each dilation branch; a probe branch sees the whole region."""
+        if self.kind == "probe":
             return (self.rr_width,) * self.branch_count
         ratio = BRANCH_RATIO[self.branch_count]
         return tuple(self.rr_width // sum(ratio) * r for r in ratio)
@@ -78,26 +93,6 @@ class DWRConfig:
         """Input-axis partition of the merge weight, one slice per branch."""
         ends = [0, *accumulate(self.group_widths)]
         return list(zip(ends, ends[1:]))
-
-
-@dataclass(frozen=True)
-class SIRConfig:
-    channels: int
-    in_channels: int
-    expansion: int = 3
-    stride: int = 1
-
-    def __post_init__(self):
-        if self.expansion < 1:
-            raise ShapeError(f"expansion must be >= 1, got {self.expansion}")
-        if self.stride not in (1, 2):
-            raise ShapeError(f"stride must be 1 or 2, got {self.stride}")
-        if self.stride == 1 and self.in_channels != self.channels:
-            raise ShapeError("in_channels may differ from channels only when stride == 2")
-
-    @property
-    def hidden_width(self) -> int:
-        return self.expansion * self.channels
 
 
 # ---------------------------------------------------------------------------
@@ -114,45 +109,51 @@ def _bn(tape: Tape, pv: ParamVars, name: str, x: Var, mode: str) -> Var:
     return tape.batchnorm(x, gamma, beta, state, mode)
 
 
-def dwr_forward(tape: Tape, pv: ParamVars, prefix: str, x: Var, cfg: DWRConfig,
-                mode: str, capture: dict | None = None) -> Var:
-    if x.data.shape[1] != cfg.in_channels:
-        raise ShapeError(f"{prefix}: input has {x.data.shape[1]} channels, "
-                         f"config wants {cfg.in_channels}")
+def _in_width(prefix: str, x: Var, stage: StageSpec, stride: int) -> int:
+    """Input width of a block; only a stride-2 block may change the width."""
+    c = x.data.shape[1]
+    if stride == 1 and c != stage.channels:
+        raise ShapeError(f"{prefix}: input has {c} channels, "
+                         f"a stride-1 block needs {stage.channels}")
+    return c
+
+
+def dwr_forward(tape: Tape, pv: ParamVars, prefix: str, x: Var, stage: StageSpec,
+                stride: int, mode: str, capture: dict | None = None) -> Var:
+    cin = _in_width(prefix, x, stage, stride)
     t = _conv(tape, pv, f"{prefix}.rr.conv", x,
-              ConvSpec(cfg.in_channels, cfg.rr_width, 3, stride=cfg.stride, padding=1))
+              ConvSpec(cin, stage.rr_width, 3, stride=stride, padding=1))
     t = tape.relu(_bn(tape, pv, f"{prefix}.rr.bn", t, mode))
     if capture is not None:
         capture[f"{prefix}.rr"] = t.data
-    widths = cfg.group_widths
-    groups = [t] * cfg.branch_count if cfg.broadcast else tape.split(t, list(widths))
+    widths = stage.group_widths
+    groups = ([t] * stage.branch_count if stage.kind == "probe"
+              else tape.split(t, list(widths)))
     t = tape.concat([_conv(tape, pv, f"{prefix}.sr.b{i}", g,
                            ConvSpec(c, c, 3, padding=d, dilation=d, groups=c))
-                     for i, (g, c, d) in enumerate(zip(groups, widths, cfg.dilations))])
+                     for i, (g, c, d) in enumerate(zip(groups, widths, stage.dilations))])
     t = _bn(tape, pv, f"{prefix}.sr.bn", t, mode)
     if capture is not None:
         capture[f"{prefix}.sr"] = t.data
     t = _conv(tape, pv, f"{prefix}.merge", t,
-              ConvSpec(sum(widths), cfg.channels, 1, has_bias=True))
-    if cfg.stride == 1 and cfg.in_channels == cfg.channels:
+              ConvSpec(sum(widths), stage.channels, 1, has_bias=True))
+    if stride == 1:
         t = tape.add(x, t)
     return t
 
 
-def sir_forward(tape: Tape, pv: ParamVars, prefix: str, x: Var, cfg: SIRConfig,
-                mode: str, capture: dict | None = None) -> Var:
-    if x.data.shape[1] != cfg.in_channels:
-        raise ShapeError(f"{prefix}: input has {x.data.shape[1]} channels, "
-                         f"config wants {cfg.in_channels}")
+def sir_forward(tape: Tape, pv: ParamVars, prefix: str, x: Var, stage: StageSpec,
+                stride: int, mode: str, capture: dict | None = None) -> Var:
+    cin = _in_width(prefix, x, stage, stride)
     t = _conv(tape, pv, f"{prefix}.rr.conv", x,
-              ConvSpec(cfg.in_channels, cfg.hidden_width, 3, stride=cfg.stride, padding=1))
+              ConvSpec(cin, stage.hidden_width, 3, stride=stride, padding=1))
     t = _bn(tape, pv, f"{prefix}.rr.bn", t, mode)
     t = tape.relu(t)
     if capture is not None:
         capture[f"{prefix}.rr"] = t.data
     t = _conv(tape, pv, f"{prefix}.proj", t,
-              ConvSpec(cfg.hidden_width, cfg.channels, 1, has_bias=True))
-    if cfg.stride == 1 and cfg.in_channels == cfg.channels:
+              ConvSpec(stage.hidden_width, stage.channels, 1, has_bias=True))
+    if stride == 1:
         t = tape.add(x, t)
     return t
 

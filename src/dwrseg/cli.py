@@ -76,6 +76,12 @@ class RunConfig:
     def __post_init__(self):
         if self.variant not in network.VARIANTS:
             raise ValueError(f"variant must be one of {sorted(network.VARIANTS)}")
+        # class ids fit a PGM mask, and 255 stays free for the ignore label
+        if not 2 <= self.num_classes <= 255:
+            raise ValueError(f"num_classes must be in [2, 255], got {self.num_classes}")
+        if 0 <= self.train.ohem.ignore_label < self.num_classes:
+            raise ValueError(f"ohem.ignore_label {self.train.ohem.ignore_label} is a class id "
+                             f"(classes are 0..{self.num_classes - 1})")
         self.data.spec(self.num_classes)  # its range checks, before anything runs
 
 
@@ -552,6 +558,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ConfigError, FormatError, ShapeError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # sizes too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blocks
-from .blocks import DWRConfig, SIRConfig
+from .blocks import StageSpec
 from .engine import FLOAT, FormatError, ShapeError, Tape, Var, nt_bytes, nt_from_bytes
 from .params import ParamStore, ParamVars, he_normal, zero_init
 
@@ -37,21 +37,6 @@ CHECKPOINT_VERSION = 1
 # published reference budgets for the two full-size variants
 PARAM_TARGETS = {"B": 2.54e6, "L": 3.53e6}
 MAC_TARGETS = {"B": 13.62e9, "L": 16.42e9}  # at 3x512x1024
-
-
-@dataclass(frozen=True)
-class StageSpec:
-    kind: str                   # "sir" | "dwr" | "probe"
-    repeats: int
-    channels: int
-    branch_count: int = 3       # DWR and probe only
-    expansion: int = 3          # SIR only
-
-    def __post_init__(self):
-        if self.kind not in ("sir", "dwr", "probe"):
-            raise ShapeError(f"unknown stage kind {self.kind!r}")
-        if self.repeats < 1:
-            raise ShapeError(f"stage needs >= 1 block, got {self.repeats}")
 
 
 @dataclass(frozen=True)
@@ -112,17 +97,6 @@ def preset(variant: str, num_classes: int = 19, deltas: tuple[int, int, int] = (
                          stages=stages, head_width=head)
 
 
-def _block_config(stage: StageSpec, block_idx: int, in_channels: int):
-    stride = 2 if block_idx == 0 else 1
-    cin = in_channels if block_idx == 0 else stage.channels
-    if stage.kind == "sir":
-        return SIRConfig(channels=stage.channels, in_channels=cin,
-                         expansion=stage.expansion, stride=stride)
-    return DWRConfig(channels=stage.channels, in_channels=cin,
-                     branch_count=stage.branch_count, stride=stride,
-                     broadcast=stage.kind == "probe")
-
-
 _BLOCK_FORWARD = {"sir": blocks.sir_forward, "dwr": blocks.dwr_forward,
                   "probe": blocks.dwr_forward}
 
@@ -176,14 +150,11 @@ def forward(params: ParamStore, config: NetworkConfig, x, mode: str = "eval",
 
     t = blocks.stem_forward(tape, pv, "stem", x, config.stem_channels, mode)
     taps: dict[str, Var] = {}
-    prev = config.stem_channels
     for name, stage in zip(config.stage_names, config.stages):
         for j in range(stage.repeats):
-            cfg = _block_config(stage, j, prev)
-            t = _BLOCK_FORWARD[stage.kind](tape, pv, f"{name}.{j}", t, cfg, mode,
-                                           capture=capture)
+            t = _BLOCK_FORWARD[stage.kind](tape, pv, f"{name}.{j}", t, stage,
+                                           2 if j == 0 else 1, mode, capture=capture)
         taps[name] = t
-        prev = stage.channels
 
     # the decoder output is passed on, not kept: the head drops it after its
     # first conv, so no decoder feature is alive during the final upsample
@@ -350,11 +321,15 @@ def load_checkpoint(path) -> tuple[ParamStore, NetworkConfig]:
         header = json.loads(buf[12:12 + hlen].decode("utf-8"))
         config = config_from_dict(header["config"])
         param_entries = [(e["name"], e["shape"]) for e in header["params"]]
-        stat_names = [e["name"] for e in header["stats"]]
+        stat_entries = [(e["name"], e["shape"]) for e in header["stats"]]
+        # every block declares several tensors: more blocks than manifest
+        # entries is a wrong header, rejected before anything is allocated
+        if sum(s.repeats for s in config.stages) > len(param_entries):
+            raise FormatError("config declares more blocks than the manifest holds")
         store = _declare(config, zero_init)[0]
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError, MemoryError) as exc:
         raise FormatError(f"{path}: corrupt header ({type(exc).__name__}: {exc})") from exc
-    if [name for name, _ in param_entries] != store.names():
+    if param_entries != [(name, list(a.shape)) for name, a in store.items()]:
         raise FormatError(f"{path}: parameter manifest does not match the config")
     offset = 12 + hlen
     for name, shape in param_entries:
@@ -362,10 +337,12 @@ def load_checkpoint(path) -> tuple[ParamStore, NetworkConfig]:
         if list(arr.shape) != shape:
             raise FormatError(f"{path}: shape mismatch for {name}")
         store.set_(name, arr)
-    if stat_names != [n for n, _ in store.stat_items()]:
+    if stat_entries != [(name, list(a.shape)) for name, a in store.stat_items()]:
         raise FormatError(f"{path}: statistics manifest does not match the config")
-    for name in stat_names:
+    for name, shape in stat_entries:
         arr, offset = nt_from_bytes(buf, offset)
+        if list(arr.shape) != shape:
+            raise FormatError(f"{path}: shape mismatch for {name}")
         store.set_stat_(name, arr)
     if offset != len(buf):
         raise FormatError(f"{path}: {len(buf) - offset} trailing byte(s)")

@@ -202,12 +202,12 @@ def test_criterion_4_residual_identity(capsys):
     results = []
     x = rnd((2, 16, 10, 10), 20).astype(np.float32)
     for kind, cfg, fwd in (
-        ("DWR", B.DWRConfig(channels=16, in_channels=16, branch_count=3), B.dwr_forward),
-        ("SIR", B.SIRConfig(channels=16, in_channels=16), B.sir_forward),
+        ("DWR", B.StageSpec("dwr", 1, 16, branch_count=3), B.dwr_forward),
+        ("SIR", B.StageSpec("sir", 1, 16), B.sir_forward),
     ):
         store = ParamStore(zero_init)  # the first forward declares zero conv weights
         tape = E.Tape(record=False)
-        out = fwd(tape, ParamVars(tape, store), "blk", tape.leaf(x), cfg, "train")
+        out = fwd(tape, ParamVars(tape, store), "blk", tape.leaf(x), cfg, 1, "train")
         results.append((kind, np.array_equal(out.data, x)))
     ok = all(flag for _, flag in results)
     with capsys.disabled():

@@ -163,8 +163,7 @@ class TestBranchWeightStats:
         cfg, params = train_probe_briefly(iters=2)
         stats = A.branch_weight_stats(params, cfg, bins=4)
         for s, stage in zip(stats, cfg.stages):
-            rr_width = N._block_config(stage, 1, stage.channels).rr_width
-            assert all(c == stage.repeats * stage.channels * rr_width for c in s.counts)
+            assert all(c == stage.repeats * stage.channels * stage.rr_width for c in s.counts)
 
     def test_stats_serialize_and_reload(self, tmp_path):
         cfg, params = train_probe_briefly(iters=4)

@@ -22,100 +22,130 @@ def declare(forward_fn, x_shape, *args, seed=0, zero=False, prefix="blk"):
     return store
 
 
-def run_block(forward_fn, cfg, x, mode="eval", seed=0, zero=False, prefix="blk"):
-    store = declare(forward_fn, x.shape, cfg, seed=seed, zero=zero, prefix=prefix)
+def run_block(forward_fn, stage, x, stride=1, mode="eval", seed=0, zero=False, prefix="blk"):
+    store = declare(forward_fn, x.shape, stage, stride, seed=seed, zero=zero, prefix=prefix)
     tape = E.Tape(record=False)
     pv = ParamVars(tape, store)
-    out = forward_fn(tape, pv, prefix, tape.leaf(x), cfg, mode)
+    out = forward_fn(tape, pv, prefix, tape.leaf(x), stage, stride, mode)
     return out.data, store
 
 
 class TestChannelAccounting:
     def test_three_branch_widths(self):
-        cfg = B.DWRConfig(channels=128, in_channels=128, branch_count=3)
+        cfg = B.StageSpec("dwr", 1, 128, branch_count=3)
         assert cfg.rr_width == 192
         assert cfg.group_widths == (96, 48, 48)
         assert cfg.dilations == (1, 3, 5)
 
     def test_two_branch_widths(self):
-        cfg = B.DWRConfig(channels=128, in_channels=128, branch_count=2)
+        cfg = B.StageSpec("dwr", 1, 128, branch_count=2)
         assert cfg.rr_width == 192
         assert cfg.group_widths == (128, 64)
         assert cfg.dilations == (1, 3)
 
     def test_sr_conv_weights_match_widths(self):
-        cfg = B.DWRConfig(channels=128, in_channels=128, branch_count=3)
-        store = declare(B.dwr_forward, (1, 128, 8, 8), cfg, prefix="s4.0")
+        cfg = B.StageSpec("dwr", 1, 128, branch_count=3)
+        store = declare(B.dwr_forward, (1, 128, 8, 8), cfg, 1, prefix="s4.0")
         assert store["s4.0.sr.b0.weight"].shape == (96, 1, 3, 3)
         assert store["s4.0.sr.b1.weight"].shape == (48, 1, 3, 3)
         assert store["s4.0.sr.b2.weight"].shape == (48, 1, 3, 3)
         assert store["s4.0.merge.weight"].shape[1] == 192
 
     def test_sir_hidden_width(self):
-        cfg = B.SIRConfig(channels=64, in_channels=64, expansion=3)
+        cfg = B.StageSpec("sir", 1, 64, expansion=3)
         assert cfg.hidden_width == 192
 
     def test_probe_concat_width(self):
-        cfg = B.DWRConfig(channels=64, in_channels=64, branch_count=3, broadcast=True)
+        cfg = B.StageSpec("probe", 1, 64, branch_count=3)
         assert cfg.rr_width == 96
         assert sum(cfg.group_widths) == 288
         assert cfg.branch_slices() == [(0, 96), (96, 192), (192, 288)]
-        store = declare(B.dwr_forward, (1, 64, 8, 8), cfg, prefix="p")
+        store = declare(B.dwr_forward, (1, 64, 8, 8), cfg, 1, prefix="p")
         assert store["p.merge.weight"].shape[1] == 288
 
     def test_indivisible_ratio_rejected(self):
         with pytest.raises(E.ShapeError):
-            B.DWRConfig(channels=100, in_channels=100, branch_count=3)  # 150 % 4 != 0
+            B.StageSpec("dwr", 1, 100, branch_count=3)  # 150 % 4 != 0
 
     def test_in_channels_requires_stride_two(self):
+        stage = B.StageSpec("dwr", 1, 64, branch_count=2)
         with pytest.raises(E.ShapeError):
-            B.DWRConfig(channels=64, in_channels=32, branch_count=2, stride=1)
-        B.DWRConfig(channels=64, in_channels=32, branch_count=2, stride=2)  # fine
+            declare(B.dwr_forward, (1, 32, 8, 8), stage, 1)
+        declare(B.dwr_forward, (1, 32, 8, 8), stage, 2)  # fine
+
+
+class TestStageChecks:
+    @pytest.mark.parametrize("kind, channels, kw", [  # with test_indivisible_ratio_rejected
+        ("dwr", 15, {"branch_count": 2}),  # odd width: region 1.5 * 15
+        ("probe", 15, {"branch_count": 3}),
+        ("dwr", 16, {"branch_count": 4}),
+        ("probe", 16, {"branch_count": 4}),
+        ("sir", 16, {"expansion": 0}),
+    ])
+    def test_rejected(self, kind, channels, kw):
+        with pytest.raises(E.ShapeError):
+            B.StageSpec(kind, 1, channels, **kw)
+
+    def test_checks_apply_only_to_their_kinds(self):
+        B.StageSpec("probe", 1, 100, branch_count=3)  # a probe branch takes the whole region
+        B.StageSpec("sir", 1, 15, branch_count=4)     # SIR has no branches
+        B.StageSpec("dwr", 1, 16, expansion=0)        # nor does DWR expand
+
+    @pytest.mark.parametrize("fwd, stage", [
+        (B.dwr_forward, B.StageSpec("dwr", 1, 16, branch_count=2)),
+        (B.sir_forward, B.StageSpec("sir", 1, 16)),
+    ])
+    def test_stride_one_needs_the_stage_width(self, fwd, stage):
+        with pytest.raises(E.ShapeError, match="s3.1: input has 8 channels, "
+                                               "a stride-1 block needs 16"):
+            declare(fwd, (1, 8, 8, 8), stage, 1, prefix="s3.1")
+        store = declare(fwd, (1, 8, 8, 8), stage, 2, prefix="s3.0")
+        assert store["s3.0.rr.conv.weight"].shape[1] == 8
 
 
 class TestResidualIdentity:
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_dwr_zero_weights_is_identity(self, mode):
-        cfg = B.DWRConfig(channels=16, in_channels=16, branch_count=3)
+        cfg = B.StageSpec("dwr", 1, 16, branch_count=3)
         x = rnd((2, 16, 8, 8), seed=1)
         out, store = run_block(B.dwr_forward, cfg, x, mode=mode, zero=True)
         np.testing.assert_array_equal(out, x)
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_sir_zero_weights_is_identity(self, mode):
-        cfg = B.SIRConfig(channels=16, in_channels=16, expansion=3)
+        cfg = B.StageSpec("sir", 1, 16, expansion=3)
         x = rnd((2, 16, 8, 8), seed=2)
         out, _ = run_block(B.sir_forward, cfg, x, mode=mode, zero=True)
         np.testing.assert_array_equal(out, x)
 
     def test_probe_zero_weights_is_identity(self):
-        cfg = B.DWRConfig(channels=16, in_channels=16, branch_count=3, broadcast=True)
+        cfg = B.StageSpec("probe", 1, 16, branch_count=3)
         x = rnd((1, 16, 8, 8), seed=3)
         out, _ = run_block(B.dwr_forward, cfg, x, zero=True)
         np.testing.assert_array_equal(out, x)
 
     def test_identity_robust_to_gamma(self):
         # BN gamma scales a zero residual; identity must be unaffected
-        cfg = B.DWRConfig(channels=8, in_channels=8, branch_count=2)
-        store = declare(B.dwr_forward, (1, 8, 6, 6), cfg, zero=True)
+        cfg = B.StageSpec("dwr", 1, 8, branch_count=2)
+        store = declare(B.dwr_forward, (1, 8, 6, 6), cfg, 1, zero=True)
         store.bn("blk.rr.bn").gamma[:] = 1.7
         store.bn("blk.sr.bn").gamma[:] = 0.3
         x = rnd((1, 8, 6, 6), seed=4)
         tape = E.Tape(record=False)
-        out = B.dwr_forward(tape, ParamVars(tape, store), "blk", tape.leaf(x), cfg, "eval")
+        out = B.dwr_forward(tape, ParamVars(tape, store), "blk", tape.leaf(x), cfg, 1, "eval")
         np.testing.assert_array_equal(out.data, x)
 
     def test_stride_two_has_no_shortcut(self):
-        cfg = B.DWRConfig(channels=16, in_channels=8, branch_count=2, stride=2)
+        cfg = B.StageSpec("dwr", 1, 16, branch_count=2)
         x = rnd((1, 8, 8, 8), seed=5)
-        out, _ = run_block(B.dwr_forward, cfg, x, zero=True)
+        out, _ = run_block(B.dwr_forward, cfg, x, stride=2, zero=True)
         assert out.shape == (1, 16, 4, 4)
         assert not out.any()  # zero residual, no identity path
 
 
 class TestOpCompositionOracle:
     def test_dwr_matches_engine_composition(self):
-        cfg = B.DWRConfig(channels=16, in_channels=16, branch_count=3)
+        cfg = B.StageSpec("dwr", 1, 16, branch_count=3)
         x = rnd((2, 16, 8, 8), seed=6)
         out, store = run_block(B.dwr_forward, cfg, x, seed=7)
 
@@ -137,7 +167,7 @@ class TestOpCompositionOracle:
         np.testing.assert_array_equal(out, ref)
 
     def test_sir_matches_engine_composition(self):
-        cfg = B.SIRConfig(channels=10, in_channels=10, expansion=3)
+        cfg = B.StageSpec("sir", 1, 10, expansion=3)
         x = rnd((1, 10, 6, 6), seed=8)
         out, store = run_block(B.sir_forward, cfg, x, seed=9)
         t = E.conv2d_forward(x, store["blk.rr.conv.weight"], None,
@@ -149,7 +179,7 @@ class TestOpCompositionOracle:
         np.testing.assert_array_equal(out, E.add(x, t))
 
     def test_probe_matches_engine_composition(self):
-        cfg = B.DWRConfig(channels=8, in_channels=8, branch_count=3, broadcast=True)
+        cfg = B.StageSpec("probe", 1, 8, branch_count=3)
         x = rnd((1, 8, 8, 8), seed=10)
         out, store = run_block(B.dwr_forward, cfg, x, seed=11)
         w = cfg.rr_width
@@ -257,20 +287,20 @@ class TestShapePreservation:
     @pytest.mark.parametrize("shape", [(1, 16, 8, 8), (2, 16, 16, 8), (3, 16, 8, 16)])
     def test_stride_one_blocks_preserve_shape(self, shape):
         x = rnd(shape, seed=20)
-        dwr = B.DWRConfig(channels=16, in_channels=16, branch_count=2)
+        dwr = B.StageSpec("dwr", 1, 16, branch_count=2)
         out, _ = run_block(B.dwr_forward, dwr, x, seed=21)
         assert out.shape == shape
-        sir = B.SIRConfig(channels=16, in_channels=16)
+        sir = B.StageSpec("sir", 1, 16)
         out, _ = run_block(B.sir_forward, sir, x, seed=22)
         assert out.shape == shape
 
     def test_capture_exposes_rr_and_sr(self):
-        cfg = B.DWRConfig(channels=8, in_channels=8, branch_count=2)
-        store = declare(B.dwr_forward, (1, 8, 8, 8), cfg, seed=23)
+        cfg = B.StageSpec("dwr", 1, 8, branch_count=2)
+        store = declare(B.dwr_forward, (1, 8, 8, 8), cfg, 1, seed=23)
         tape = E.Tape(record=False)
         cap = {}
         x = rnd((1, 8, 8, 8), seed=24)
-        B.dwr_forward(tape, ParamVars(tape, store), "blk", tape.leaf(x), cfg, "eval",
+        B.dwr_forward(tape, ParamVars(tape, store), "blk", tape.leaf(x), cfg, 1, "eval",
                       capture=cap)
         assert cap["blk.rr"].shape == (1, 12, 8, 8)
         assert cap["blk.sr"].shape == (1, 12, 8, 8)

@@ -343,7 +343,9 @@ class TestExitCodes:
         ({"data": {"val_count": 0}}, "val_count"), ({"data": {"train_count": 0}}, "train_count"),
         ({"data": {"canvas": [0, 0]}}, "canvas"), ({"augment": {"crop": [0, 0]}}, "crop"),
         ({"data": {"shapes_per_image": [3, 1]}}, "shapes_per_image"),
-        ({"data": {"size_range": [1, 1]}}, "size_range")])
+        ({"data": {"size_range": [1, 1]}}, "size_range"), ({"seed": -1}, "seed"),
+        ({"ohem": {"ignore_label": 0}}, "ignore_label"), ({"num_classes": 300}, "num_classes"),
+        ({"num_classes": 1}, "num_classes"), ({"num_classes": 10 ** 12}, "num_classes")])
     def test_out_of_range_data_config_exit_2(self, tmp_path, capsys, overrides, field):
         cfg_path, _ = write_config(tmp_path, **overrides)
         assert main(["train", "--config", str(cfg_path)]) == 2
@@ -377,6 +379,12 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg_path), "--iters", "-1"]) == 2
         assert capsys.readouterr().err.startswith("error: iters must be >= 0")
 
+    def test_negative_seed_override_exit_2(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg_path), "--seed", "-3"]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+        assert not (tmp_path / "run").exists()
+
     def test_bad_checkpoint_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.dwck"
         bad.write_bytes(b"garbage")
@@ -396,6 +404,18 @@ class TestExitCodes:
         pytest.param(lambda c: c["stages"][1].update(dilations=[1, 5]), id="dilations"),
         pytest.param(lambda c: c["stages"][2].update(rr_expansion=2.0), id="rr_expansion"),
         pytest.param(lambda c: c.update(dropout=0.1), id="unknown_key"),
+        # stages that break a StageSpec check
+        pytest.param(lambda c: c["stages"][2].update(channels=100), id="dwr_ratio"),
+        pytest.param(lambda c: c["stages"][1].update(channels=33), id="dwr_odd_width"),
+        pytest.param(lambda c: c["stages"][2].update(kind="probe", channels=33,
+                                                     dilations=[1, 3, 5]), id="probe_odd_width"),
+        pytest.param(lambda c: c["stages"][2].update(branch_count=4), id="branch_count_4"),
+        pytest.param(lambda c: c["stages"][0].update(expansion=0), id="sir_expansion_0"),
+        # networks too large to build
+        pytest.param(lambda c: c["stages"][0].update(channels=10 ** 8), id="channels"),
+        pytest.param(lambda c: c["stages"][0].update(repeats=10 ** 9), id="repeats"),
+        pytest.param(lambda c: c.update(num_classes=10 ** 12), id="num_classes"),
+        pytest.param(lambda c: c.update(stem_channels=4 * 10 ** 9), id="stem_channels"),
     ])
     def test_checkpoint_of_unbuilt_variant_exit_2(self, tmp_path, capsys, edit):
         net_cfg = network.preset("tiny", num_classes=3)
@@ -416,6 +436,17 @@ class TestExitCodes:
         assert main(["predict", "--checkpoint", str(ckpt), "--image", str(image),
                      "--out", str(tmp_path / "out.pgm")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "tiny", "--classes", str(10 ** 12)],
+        ["train", "--config", "{cfg}"],
+    ])
+    def test_sizes_that_cannot_be_allocated_exit_2(self, tmp_path, capsys, argv):
+        cfg_path, _ = write_config(tmp_path, data={"canvas": [10 ** 6, 10 ** 6]})
+        assert main([a.format(cfg=cfg_path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     def test_nan_checkpoint_predict_exit_3_names_layer(self, tmp_path, capsys):
         net_cfg = network.preset("tiny", num_classes=3)

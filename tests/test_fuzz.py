@@ -2,6 +2,7 @@
 FormatError or a ConfigError (exit code 2), never with another exception."""
 
 import dataclasses
+import json
 import struct
 
 import numpy as np
@@ -25,7 +26,8 @@ PGM = b"P5 2 1 255\n\x07\x08"
 def corrupted(valid: bytes, span: int | None = None):
     """Arbitrary bytes, or `valid` cut short with up to four of its first
     `span` bytes overwritten (overwrites add no bytes, so the numbers in a
-    corrupted checkpoint header stay short and never ask for a large net)."""
+    corrupted checkpoint header stay short and never ask for a large net;
+    test_checkpoint_header_values asks for one)."""
     span = len(valid) if span is None else span
     edits = st.lists(st.tuples(st.integers(0, span - 1), st.integers(0, 255)), max_size=4)
 
@@ -90,6 +92,35 @@ def test_checkpoint_bytes(path, checkpoint, data):
     header_end = 12 + struct.unpack_from("<I", checkpoint, 8)[0]
     path.write_bytes(data.draw(corrupted(checkpoint, span=header_end + 16)))
     only_typed_errors(N.load_checkpoint, path)
+
+
+# Config values a header may carry: sizes of the network (widths, block and
+# branch counts, expansion, classes), each replaced by one of VALUES.  10**4
+# and 10**5 are left out: an allocation that size may be granted, while one of
+# 10**6 or more fails at once and 10**3 stays small.
+HEADER_FIELDS = [("num_classes",), ("stem_channels",), ("head_width",)] + [
+    ("stages", i, key) for i in range(3)
+    for key in ("channels", "repeats", "branch_count", "expansion")]
+VALUES = [0, -1, 15, True, 1.5, "2", 10 ** 3, 10 ** 6, 10 ** 9, 10 ** 12]
+
+
+@settings(max_examples=60, deadline=None)
+@given(where=st.sampled_from(HEADER_FIELDS), value=st.sampled_from(VALUES))
+@example(where=("stages", 0, "channels"), value=10 ** 8)
+@example(where=("stages", 0, "repeats"), value=10 ** 9)
+def test_checkpoint_header_values(path, checkpoint, where, value):
+    end = 12 + struct.unpack_from("<I", checkpoint, 8)[0]
+    header = json.loads(checkpoint[12:end])
+    parent = header["config"]
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(checkpoint[:8] + struct.pack("<I", len(blob)) + blob + checkpoint[end:])
+    try:
+        N.load_checkpoint(path)  # a value the network ignores loads
+    except FormatError:
+        pass
 
 
 # Keys are mostly real section and field names, so values reach the field checks.
