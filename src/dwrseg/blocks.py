@@ -49,14 +49,18 @@ class StageSpec:
     kind: str                   # "sir" | "dwr" | "probe"
     repeats: int
     channels: int
-    branch_count: int = 3       # DWR and probe only
-    expansion: int = 3          # SIR only
+    branch_count: int = 3       # DWR and probe only; SIR keeps the default
+    expansion: int = 3          # SIR only; DWR and probe keep the default
 
     def __post_init__(self):
         if self.kind not in ("sir", "dwr", "probe"):
             raise ShapeError(f"unknown stage kind {self.kind!r}")
         if self.repeats < 1:
             raise ShapeError(f"stage needs >= 1 block, got {self.repeats}")
+        ignored = "branch_count" if self.kind == "sir" else "expansion"
+        if getattr(self, ignored) != 3:
+            raise ShapeError(f"a {self.kind} stage ignores {ignored}, which must keep "
+                             f"its default 3, got {getattr(self, ignored)!r}")
         if self.kind == "sir":
             if self.expansion < 1:
                 raise ShapeError(f"expansion must be >= 1, got {self.expansion}")
@@ -105,8 +109,7 @@ def _conv(tape: Tape, pv: ParamVars, name: str, x: Var, spec: ConvSpec) -> Var:
 
 
 def _bn(tape: Tape, pv: ParamVars, name: str, x: Var, mode: str) -> Var:
-    gamma, beta, state = pv.bn(name, x.shape[1])
-    return tape.batchnorm(x, gamma, beta, state, mode)
+    return tape.batchnorm(x, *pv.bn(name, x.shape[1]), mode)
 
 
 def _in_width(prefix: str, x: Var, stage: StageSpec, stride: int) -> int:

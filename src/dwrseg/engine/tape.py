@@ -125,11 +125,11 @@ class Tape:
                          lambda go: ops.conv2d_backward(xd, wd, spec, go),
                          spec=spec, window=(spec.kernel, spec.stride, spec.dilation))
 
-    def batchnorm(self, x: Var, gamma: Var, beta: Var, state: ops.BatchNormState,
-                  mode: str) -> Var:
-        # gamma/beta vars alias the arrays inside `state`
-        if gamma.data is not state.gamma or beta.data is not state.beta:
-            raise ValueError("batchnorm vars must alias the state's gamma/beta arrays")
+    def batchnorm(self, x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
+                  running_var: np.ndarray, mode: str) -> Var:
+        # the kernels read exactly the gamma/beta arrays this node records;
+        # train mode updates the running statistics in place
+        state = ops.BatchNormState(gamma.data, beta.data, running_mean, running_var)
         out = ops.batchnorm_forward(x.data, state, mode)
         xd = x.data
         return self._out("batchnorm", out, (x, gamma, beta),

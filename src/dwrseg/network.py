@@ -128,8 +128,7 @@ def _decoder(tape: Tape, pv: ParamVars, taps: dict[str, Var], h8: int, w8: int,
     """BN over s2 concatenated with s3 and s4 upsampled to 1/8 scale."""
     cat = tape.concat([taps["s2"], tape.upsample(taps["s3"], h8, w8),
                        tape.upsample(taps["s4"], h8, w8)])
-    gamma, beta, state = pv.bn("decoder.bn", cat.shape[1])
-    return tape.batchnorm(cat, gamma, beta, state, mode)
+    return blocks._bn(tape, pv, "decoder.bn", cat, mode)
 
 
 def forward(params: ParamStore, config: NetworkConfig, x, mode: str = "eval",
@@ -301,9 +300,7 @@ def save_checkpoint(params: ParamStore, config: NetworkConfig, path) -> None:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
         f.write(blob)
-        for _, arr in params.items():
-            f.write(nt_bytes(arr))
-        for _, arr in params.stat_items():
+        for _, arr in [*params.items(), *params.stat_items()]:
             f.write(nt_bytes(arr))
 
 
@@ -329,21 +326,17 @@ def load_checkpoint(path) -> tuple[ParamStore, NetworkConfig]:
         store = _declare(config, zero_init)[0]
     except (KeyError, TypeError, ValueError, RecursionError, MemoryError) as exc:
         raise FormatError(f"{path}: corrupt header ({type(exc).__name__}: {exc})") from exc
-    if param_entries != [(name, list(a.shape)) for name, a in store.items()]:
-        raise FormatError(f"{path}: parameter manifest does not match the config")
     offset = 12 + hlen
-    for name, shape in param_entries:
-        arr, offset = nt_from_bytes(buf, offset)
-        if list(arr.shape) != shape:
-            raise FormatError(f"{path}: shape mismatch for {name}")
-        store.set_(name, arr)
-    if stat_entries != [(name, list(a.shape)) for name, a in store.stat_items()]:
-        raise FormatError(f"{path}: statistics manifest does not match the config")
-    for name, shape in stat_entries:
-        arr, offset = nt_from_bytes(buf, offset)
-        if list(arr.shape) != shape:
-            raise FormatError(f"{path}: shape mismatch for {name}")
-        store.set_stat_(name, arr)
+    for what, entries, table, set_ in (
+            ("parameter", param_entries, store.items(), store.set_),
+            ("statistics", stat_entries, store.stat_items(), store.set_stat_)):
+        if entries != [(name, list(a.shape)) for name, a in table]:
+            raise FormatError(f"{path}: {what} manifest does not match the config")
+        for name, shape in entries:
+            arr, offset = nt_from_bytes(buf, offset)
+            if list(arr.shape) != shape:
+                raise FormatError(f"{path}: shape mismatch for {name}")
+            set_(name, arr)
     if offset != len(buf):
         raise FormatError(f"{path}: {len(buf) - offset} trailing byte(s)")
     return store, config

@@ -29,8 +29,21 @@ def zero_init(spec) -> np.ndarray:
     return np.zeros(spec.weight_shape, FLOAT)
 
 
+def _assign(table: dict, name: str, value: np.ndarray) -> None:
+    """Overwrite `table[name]` in place; KeyError for a name it lacks."""
+    dst = table[name]
+    if dst.shape != value.shape:
+        raise ShapeError(f"{name}: shape {value.shape} != stored {dst.shape}")
+    dst[...] = value
+
+
 class ParamStore:
-    """Ordered map of learnable arrays plus the BN states that alias them.
+    """Two ordered tables of named arrays, and the only owner of both.
+
+    The parameters are what SGD updates: conv weights and biases and BN
+    `<layer>.gamma`, `<layer>.beta`.  The statistics are the BN running
+    `<layer>.running_mean`, `<layer>.running_var`, in the order the layers
+    were declared.  A BatchNormState is only ever a view over these arrays.
 
     With `init` set the store declares itself: a conv layer the forward
     asks for gets `init(spec)` as weight, then a zero bias; a BN layer gets
@@ -39,7 +52,7 @@ class ParamStore:
 
     def __init__(self, init=None):
         self._params: dict[str, np.ndarray] = {}
-        self._bn: dict[str, BatchNormState] = {}
+        self._stats: dict[str, np.ndarray] = {}
         self.init = init
 
     # -- registration -------------------------------------------------------
@@ -51,16 +64,13 @@ class ParamStore:
         self._params[name] = arr
         return arr
 
-    def add_bn(self, prefix: str, channels: int, eps: float = 1e-5,
-               momentum: float = 0.1) -> BatchNormState:
-        state = BatchNormState.create(channels, eps=eps, momentum=momentum)
-        self.add(f"{prefix}.gamma", state.gamma)
-        self.add(f"{prefix}.beta", state.beta)
-        # keep the registered arrays as the canonical storage
-        state.gamma = self._params[f"{prefix}.gamma"]
-        state.beta = self._params[f"{prefix}.beta"]
-        self._bn[prefix] = state
-        return state
+    def add_bn(self, prefix: str, channels: int) -> BatchNormState:
+        """Declare an identity BN layer: gamma 1, beta 0, running mean 0, var 1."""
+        self.add(f"{prefix}.gamma", np.ones(channels, FLOAT))
+        self.add(f"{prefix}.beta", np.zeros(channels, FLOAT))
+        self._stats[f"{prefix}.running_mean"] = np.zeros(channels, FLOAT)
+        self._stats[f"{prefix}.running_var"] = np.ones(channels, FLOAT)
+        return self.bn(prefix)
 
     # -- access --------------------------------------------------------------
 
@@ -74,52 +84,31 @@ class ParamStore:
         return list(self._params)
 
     def bn(self, prefix: str) -> BatchNormState:
-        return self._bn[prefix]
+        """View of BN layer `prefix` over the stored arrays."""
+        return BatchNormState(self[f"{prefix}.gamma"], self[f"{prefix}.beta"],
+                              self._stats[f"{prefix}.running_mean"],
+                              self._stats[f"{prefix}.running_var"])
 
     def set_(self, name: str, value: np.ndarray) -> None:
-        """Overwrite a parameter in place (preserves aliases into BN states)."""
-        dst = self._params[name]
-        if dst.shape != value.shape:
-            raise ShapeError(f"{name}: shape {value.shape} != stored {dst.shape}")
-        dst[...] = value
+        """Overwrite a parameter in place (views and tape leaves see it)."""
+        _assign(self._params, name, value)
 
     def items(self):
         return self._params.items()
 
     def stat_items(self):
         """(name, array) pairs for BN running statistics, in order."""
-        for prefix, st in self._bn.items():
-            yield f"{prefix}.running_mean", st.running_mean
-            yield f"{prefix}.running_var", st.running_var
+        return self._stats.items()
 
     def set_stat_(self, name: str, value: np.ndarray) -> None:
-        prefix, field = name.rsplit(".", 1)
-        st = self._bn[prefix]
-        arr = getattr(st, field)
-        if arr.shape != value.shape:
-            raise ShapeError(f"{name}: shape {value.shape} != stored {arr.shape}")
-        arr[...] = value
+        """Overwrite a running statistic in place; KeyError for any other name."""
+        _assign(self._stats, name, value)
 
     def astype(self, dtype) -> "ParamStore":
         """Copy of the store with all arrays cast (float64 for gradcheck runs)."""
-        def copy(a):
-            return np.array(a, dtype=dtype, order="C")
-
         out = ParamStore()
-        bn_names = {f"{p}.{f}" for p in self._bn for f in ("gamma", "beta")}
-        for name, arr in self._params.items():
-            if name not in bn_names:
-                out._params[name] = copy(arr)
-        for prefix, st in self._bn.items():
-            new = BatchNormState(gamma=copy(st.gamma), beta=copy(st.beta),
-                                 running_mean=copy(st.running_mean),
-                                 running_var=copy(st.running_var),
-                                 eps=st.eps, momentum=st.momentum)
-            out._params[f"{prefix}.gamma"] = new.gamma
-            out._params[f"{prefix}.beta"] = new.beta
-            out._bn[prefix] = new
-        # restore original ordering
-        out._params = {name: out._params[name] for name in self._params}
+        out._params = {n: np.array(a, dtype=dtype, order="C") for n, a in self._params.items()}
+        out._stats = {n: np.array(a, dtype=dtype, order="C") for n, a in self._stats.items()}
         return out
 
 
@@ -144,9 +133,9 @@ class ParamVars:
         return weight, self(f"{name}.bias") if spec.has_bias else None
 
     def bn(self, prefix: str, channels: int):
-        """(gamma var, beta var, state) for tape.batchnorm."""
+        """(gamma var, beta var, running mean, running var) for tape.batchnorm."""
         store = self.store
         if store.init is not None and f"{prefix}.gamma" not in store:
             store.add_bn(prefix, channels)
-        state = store.bn(prefix)
-        return self(f"{prefix}.gamma"), self(f"{prefix}.beta"), state
+        st = store.bn(prefix)
+        return self(f"{prefix}.gamma"), self(f"{prefix}.beta"), st.running_mean, st.running_var

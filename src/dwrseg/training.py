@@ -39,6 +39,8 @@ class OptimizerState:
 
 def poly_lr(iteration: int, state: OptimizerState) -> float:
     """lr_base * (1 - iter/max_iters) ** poly_power, clamped at the end."""
+    if state.max_iters == 0:  # a schedule of no iterations is at its end
+        return 0.0
     frac = min(max(iteration / state.max_iters, 0.0), 1.0)
     return state.lr_base * (1.0 - frac) ** state.poly_power
 

@@ -6,7 +6,11 @@ of minutes on a laptop CPU).
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from dwrseg import data as D
 from dwrseg import engine as E
 from dwrseg import network as N
 from dwrseg import training as T
-from dwrseg.cli import DESK_PRESET, parse_run_config
+from dwrseg.cli import DESK_PRESET
 from dwrseg.engine.gradcheck import finite_diff_check
 from dwrseg.params import ParamStore, ParamVars, zero_init
 
@@ -251,33 +255,34 @@ def test_criterion_6_shape_contract(capsys):
                ok, "channels 64/128/128")
 
 
-def _desk_run(seed: int):
-    run = parse_run_config(json.loads(json.dumps(DESK_PRESET)))
-    spec = D.ShapesSpec(canvas=run.data.canvas, num_classes=run.num_classes,
-                        shapes_per_image=run.data.shapes_per_image,
-                        size_range=run.data.size_range, noise=run.data.noise,
-                        seed=run.data.seed)
-    train = D.make_dataset(spec, run.data.train_count, start=0)
-    val = D.make_dataset(spec, run.data.val_count, start=run.data.train_count)
-    net_cfg = N.preset(run.variant, num_classes=run.num_classes)
-    params = N.build(net_cfg, rng_seed=seed)
-    cfg = run.train
-    cfg.seed = seed
-    log = T.train_loop(params, net_cfg, train, cfg, val_dataset=val)
-    return log, params, net_cfg
-
-
-def test_criterion_7_desk_scale_training(capsys):
+def test_criterion_7_desk_scale_training(capsys, tmp_path):
+    # two seed-0 desk runs of the CLI at once, each in its own process and out dir
     t0 = time.perf_counter()
-    log_a, _, _ = _desk_run(seed=0)
-    miou = log_a[-1]["miou"]
-    log_b, _, _ = _desk_run(seed=0)
+    config = tmp_path / "desk.json"
+    config.write_text(json.dumps(DESK_PRESET), encoding="utf-8")
+    path = [str(Path(N.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    runs = [subprocess.Popen([sys.executable, "-m", "dwrseg.cli", "--threads", "1", "train",
+                              "--config", str(config), "--seed", "0",
+                              "--out", str(tmp_path / run)],
+                             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+            for run in ("a", "b")]
+    try:
+        errors = [run.communicate(timeout=30 * 60)[1].decode() for run in runs]
+    finally:
+        for run in runs:
+            run.kill()
     elapsed = (time.perf_counter() - t0) / 60.0
-    ok = miou >= 0.80 and log_a == log_b and elapsed <= 30.0
+    assert [run.returncode for run in runs] == [0, 0], errors
+    files = ("metrics.jsonl", "eval.json", "checkpoint.dwck")
+    same = all((tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
+               for f in files)
+    miou = json.loads((tmp_path / "a" / "eval.json").read_text(encoding="utf-8"))["miou"]
+    ok = miou >= 0.80 and same and elapsed <= 30.0
     with capsys.disabled():
         report("7. tiny desk training (4 classes, 256/64, 2000 iters, batch 4): "
                "val mIoU >= 0.80, seeded runs identical", ok,
-               f"mIoU={miou:.3f}, logs {'identical' if log_a == log_b else 'DIFFER'}, "
+               f"mIoU={miou:.3f}, {', '.join(files)} {'identical' if same else 'DIFFER'}, "
                f"{elapsed:.1f} min")
 
 

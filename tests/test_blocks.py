@@ -81,6 +81,9 @@ class TestStageChecks:
         ("dwr", 16, {"branch_count": 4}),
         ("probe", 16, {"branch_count": 4}),
         ("sir", 16, {"expansion": 0}),
+        # a field the kind ignores keeps its default, so a header cannot carry another
+        ("sir", 15, {"branch_count": 4}),  # SIR has no branches
+        ("dwr", 16, {"expansion": 0}),     # nor does DWR expand
     ])
     def test_rejected(self, kind, channels, kw):
         with pytest.raises(E.ShapeError):
@@ -88,8 +91,6 @@ class TestStageChecks:
 
     def test_checks_apply_only_to_their_kinds(self):
         B.StageSpec("probe", 1, 100, branch_count=3)  # a probe branch takes the whole region
-        B.StageSpec("sir", 1, 15, branch_count=4)     # SIR has no branches
-        B.StageSpec("dwr", 1, 16, expansion=0)        # nor does DWR expand
 
     @pytest.mark.parametrize("fwd, stage", [
         (B.dwr_forward, B.StageSpec("dwr", 1, 16, branch_count=2)),

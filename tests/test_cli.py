@@ -411,6 +411,10 @@ class TestExitCodes:
                                                      dilations=[1, 3, 5]), id="probe_odd_width"),
         pytest.param(lambda c: c["stages"][2].update(branch_count=4), id="branch_count_4"),
         pytest.param(lambda c: c["stages"][0].update(expansion=0), id="sir_expansion_0"),
+        # a value in a field the stage's kind ignores
+        pytest.param(lambda c: c["stages"][0].update(branch_count=10 ** 12),
+                     id="sir_branch_count"),
+        pytest.param(lambda c: c["stages"][2].update(expansion="2"), id="dwr_expansion"),
         # networks too large to build
         pytest.param(lambda c: c["stages"][0].update(channels=10 ** 8), id="channels"),
         pytest.param(lambda c: c["stages"][0].update(repeats=10 ** 9), id="repeats"),

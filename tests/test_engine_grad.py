@@ -266,9 +266,31 @@ class TestTape:
         t = E.Tape()
         xv = t.leaf(x)
         gv, bv = t.leaf(st.gamma, "g"), t.leaf(st.beta, "b")
-        out = t.batchnorm(xv, gv, bv, st, "train")
+        out = t.batchnorm(xv, gv, bv, st.running_mean, st.running_var, "train")
         grads = t.backward(out, np.ones_like(x))
         ref = E.batchnorm_backward(x, st, np.ones_like(x), "train")
         np.testing.assert_allclose(grads[xv.idx], ref[0], rtol=1e-5)
         np.testing.assert_allclose(grads[gv.idx], ref[1], rtol=1e-5)
         np.testing.assert_allclose(grads[bv.idx], ref[2], rtol=1e-5)
+
+    def test_batchnorm_on_tape_is_the_kernels_bitwise(self):
+        # the tape builds its BN view from the leaves it records and the two
+        # statistic arrays: output, gradients and the running-stat update are
+        # the kernels' own on the same arrays
+        x, go = rnd((2, 3, 4, 4), 41).astype(np.float32), rnd((2, 3, 4, 4), 42).astype(np.float32)
+        gamma, beta = rnd((3,), 43).astype(np.float32), rnd((3,), 44).astype(np.float32)
+        stats = [rnd((3,), 45).astype(np.float32), np.abs(rnd((3,), 46)).astype(np.float32)]
+        ref_stats = [a.copy() for a in stats]
+        ref = E.BatchNormState(gamma.copy(), beta.copy(), *ref_stats)
+        want = E.batchnorm_forward(x, ref, "train")
+        want_grads = E.batchnorm_backward(x, ref, go, "train")
+        t = E.Tape()
+        xv, gv, bv = t.leaf(x), t.leaf(gamma, "bn.gamma"), t.leaf(beta, "bn.beta")
+        out = t.batchnorm(xv, gv, bv, *stats, "train")
+        grads = t.backward(out, go)
+        np.testing.assert_array_equal(out.data, want)
+        for got, expected in zip((grads[xv.idx], grads[gv.idx], grads[bv.idx]), want_grads):
+            np.testing.assert_array_equal(got, expected)
+        for got, expected in zip(stats, ref_stats):
+            np.testing.assert_array_equal(got, expected)
+        assert not np.array_equal(stats[0], rnd((3,), 45).astype(np.float32))

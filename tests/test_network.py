@@ -48,6 +48,22 @@ class TestBuild:
         assert not (store.bn("stem.conv1.bn").running_var == 123.0).any()
         assert copy.bn("stem.conv1.bn").gamma is copy["stem.conv1.bn.gamma"]
 
+    def test_stats_follow_the_bn_layers_in_parameter_order(self, tiny):
+        _, store = tiny
+        layers = [n[:-len(".gamma")] for n in store.names() if n.endswith(".gamma")]
+        assert len(layers) == 16
+        assert [n for n, _ in store.stat_items()] == [
+            f"{layer}.{stat}" for layer in layers for stat in ("running_mean", "running_var")]
+
+    @pytest.mark.parametrize("name", ["stem.conv1.bn.gamma", "stem.conv1.bn.eps"])
+    def test_set_stat_takes_only_statistics(self, name):
+        store = N.build(N.preset("tiny", num_classes=4), rng_seed=0)
+        before = {n: a.copy() for n, a in [*store.items(), *store.stat_items()]}
+        with pytest.raises(KeyError):
+            store.set_stat_(name, np.full_like(store["stem.conv1.bn.gamma"], 7.0))
+        for n, a in [*store.items(), *store.stat_items()]:
+            np.testing.assert_array_equal(a, before[n])
+
     def test_different_seeds_differ(self):
         cfg = N.preset("tiny", num_classes=4)
         a = N.build(cfg, rng_seed=1)

@@ -32,6 +32,9 @@ class TestPolyLr:
         st_ = T.OptimizerState(max_iters=10)
         assert T.poly_lr(15, st_) == 0.0
 
+    def test_zero_iterations_is_at_the_end(self):
+        assert T.poly_lr(0, T.OptimizerState(max_iters=0)) == 0.0
+
 
 def scalar_store(value):
     store = ParamStore()
@@ -312,6 +315,15 @@ class TestTrainLoop:
     def test_out_of_range_config_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be >= "):
             T.TrainConfig(**{field: value})
+
+    def test_zero_iterations_ends_with_the_validation_record(self):
+        ds, net_cfg, params = self.make_setup()
+        before = {n: a.copy() for n, a in [*params.items(), *params.stat_items()]}
+        log = T.train_loop(params, net_cfg, ds, T.TrainConfig(iters=0), val_dataset=ds)
+        assert [(e["iter"], e["lr"], e["loss"]) for e in log] == [(0, 0.0, None)]
+        assert log[0]["eval"] == T.evaluate(params, net_cfg, ds)
+        for n, a in [*params.items(), *params.stat_items()]:
+            np.testing.assert_array_equal(a, before[n])
 
     def test_empty_dataset_rejected(self):
         _, net_cfg, params = self.make_setup()
