@@ -55,6 +55,11 @@ class StageSpec:
     def __post_init__(self):
         if self.kind not in ("sir", "dwr", "probe"):
             raise ShapeError(f"unknown stage kind {self.kind!r}")
+        for name in ("repeats", "channels", "branch_count", "expansion"):
+            value = getattr(self, name)
+            # 3.0 == 3, so a float would pass every check below and be saved back
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ShapeError(f"{name} must be an integer, got {value!r}")
         if self.repeats < 1:
             raise ShapeError(f"stage needs >= 1 block, got {self.repeats}")
         ignored = "branch_count" if self.kind == "sir" else "expansion"

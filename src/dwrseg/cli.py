@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis, data, network, training
 from .data import ShapesSpec
-from .engine import FormatError, NumericError, ShapeError
+from .engine import FormatError, NumericError, ShapeError, ops
 from .training import AugmentConfig, OhemConfig, TrainConfig
 
 
@@ -237,7 +237,7 @@ def cmd_train(args) -> int:
     (out_dir / "eval.json").write_text(json.dumps(report, indent=2), encoding="utf-8")
     print(json.dumps({"checkpoint": str(ckpt_path), "metrics": str(metrics_path),
                       "eval": str(out_dir / "eval.json"), "miou": report["miou"],
-                      "blas_threads": blas_threads()}))
+                      "workers": ops.workers(), "blas_threads": blas_threads()}))
     return 0
 
 
@@ -322,6 +322,7 @@ def cmd_bench(args) -> int:
     stats = network.benchmark_forward(params, cfg, (1, 3, args.height, args.width),
                                       warmup=args.warmup, iters=args.iters)
     stats["variant"] = args.variant
+    stats["workers"] = ops.workers()
     stats["blas_threads"] = blas_threads()
     print(json.dumps(stats, indent=2))
     return 0
@@ -440,9 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train, evaluate, and analyze DWRSeg networks on the CPU.",
         epilog="Config defaults: see `dwrseg preset desk`. Exit codes: "
                "0 ok, 2 config error, 3 numeric failure.")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads of numpy's OpenBLAS (default 1; seeded runs "
-                        "repeat bitwise at a fixed count)")
+    p.add_argument("--threads", type=int, default=ops.DEFAULT_WORKERS,
+                   help="threads that run conv and upsample bands (default: the "
+                        f"{ops.DEFAULT_WORKERS} cores this process may use); BLAS runs "
+                        "on one thread, and seeded runs repeat bitwise at any count")
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("train", help="train a model from a run config")
@@ -553,8 +555,9 @@ def set_blas_threads(n: int) -> int | None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    set_blas_threads(args.threads)
+    set_blas_threads(1)
     try:
+        ops.set_workers(args.threads)
         return args.fn(args)
     except (ConfigError, FormatError, ShapeError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

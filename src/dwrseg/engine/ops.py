@@ -22,13 +22,19 @@ its forward's map transposed, read off the same description:
 Every output element is produced by one reduction in a fixed order, so
 repeated runs are bitwise identical at a fixed BLAS thread count (a matmul
 may round differently at another), and banding leaves every result as the
-unbanded computation gives it.  Convolution padding is zero padding;
+unbanded computation gives it.  The bands of one conv or upsample write
+disjoint slices of one output and run on `workers()` threads (the caller
+and a pool); each band is the same numpy call whichever thread runs it, so results are
+bitwise identical at any worker count (the CLI keeps BLAS at one thread and
+sets the workers with --threads).  Convolution padding is zero padding;
 pooling padding behaves as -inf.  Bilinear upsampling uses half-pixel
 source coordinates clamped to the borders (src = (dst + 0.5) * in/out - 0.5).
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +47,77 @@ from .tensor import BAND_BYTES, FLOAT, ShapeError, check_4d
 # than a third of it (about half where the units are small), which keeps
 # every product far above the sizes where OpenBLAS takes its small-matrix
 # path; a matrix-vector product, whose rounding OpenBLAS chooses by its
-# length, is never split.  So banding changes no result.
+# length, is never split.  So banding changes no result.  Bands are cut by
+# BAND_BYTES alone, never by the worker count, which would change the matmul
+# shapes and with them the rounding.
+
+# ---------------------------------------------------------------------------
+# Band workers
+# ---------------------------------------------------------------------------
+
+# the cores this process may run on; sched_getaffinity is Linux-only
+DEFAULT_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+_workers = DEFAULT_WORKERS
+_executor = None  # a ThreadPoolExecutor of workers - 1 threads, made on first use
+
+
+def workers() -> int:
+    """Threads that run the bands of one conv or upsample (the caller included)."""
+    return _workers
+
+
+def set_workers(n: int) -> None:
+    """Run bands on n threads from now on; results do not depend on n."""
+    global _workers, _executor
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"worker count must be an integer >= 1, got {n!r}")
+    if n != _workers and _executor is not None:
+        _executor.shutdown()
+        _executor = None
+    _workers = n
+
+
+def _run_bands(task, bands) -> None:
+    """task(*band) for every band, on the calling thread and the pool.
+
+    Bands write disjoint slices of one output, so their order is free.  A
+    single band, or one worker, runs inline.  Every band has ended before
+    this returns or re-raises the first exception, so none still writes
+    into the output afterwards.  A task calls numpy and private helpers
+    only: the public functions here may be wrapped by code that is not
+    thread-safe.
+    """
+    global _executor
+    if _workers == 1 or len(bands) == 1:
+        for band in bands:
+            task(*band)
+        return
+    if _executor is None:
+        # imported here: a process whose bands never reach the pool (a desk
+        # or tiny run) pays neither its import time nor its memory
+        from concurrent.futures import ThreadPoolExecutor
+        _executor = ThreadPoolExecutor(_workers - 1, thread_name_prefix="dwrseg-band")
+    todo = iter(bands)
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                band = next(todo, None)
+            if band is None:
+                return
+            task(*band)
+
+    helpers = [_executor.submit(drain) for _ in range(min(_workers, len(bands)) - 1)]
+    try:
+        drain()
+    finally:
+        for helper in helpers:
+            helper.exception()  # waits for the helper to end; raises nothing
+    for helper in helpers:
+        helper.result()
+
 
 # ---------------------------------------------------------------------------
 # Convolution
@@ -157,13 +233,16 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias, spec: ConvSpec) -> n
     wmat = weight.reshape(spec.groups, og, kk)
     out = np.empty((n, spec.groups, og, oh * ow), dtype=np.result_type(weight, x))
     row_bytes = n * kk * ow * x.itemsize  # one output row of one group's columns
-    for g0, g1 in _bands(spec.groups, row_bytes * oh):
-        for r0, r1 in _bands(oh, row_bytes * (g1 - g0)) if og > 1 else [(0, oh)]:
-            # (n, groups, cg*k*k, pixels): reduction axis ordered channel, kernel row,
-            # kernel col (named, not -1, which numpy cannot infer for zero images)
-            cols = pat[:, g0 * cg:g1 * cg, ..., r0:r1, :].reshape(
-                n, g1 - g0, kk, (r1 - r0) * ow)
-            np.matmul(wmat[g0:g1], cols, out=out[:, g0:g1, :, r0 * ow:r1 * ow])
+
+    def band(g0, g1, r0, r1):
+        # (n, groups, cg*k*k, pixels): reduction axis ordered channel, kernel row,
+        # kernel col (named, not -1, which numpy cannot infer for zero images)
+        cols = pat[:, g0 * cg:g1 * cg, ..., r0:r1, :].reshape(n, g1 - g0, kk, (r1 - r0) * ow)
+        np.matmul(wmat[g0:g1], cols, out=out[:, g0:g1, :, r0 * ow:r1 * ow])
+
+    _run_bands(band, [(g0, g1, r0, r1) for g0, g1 in _bands(spec.groups, row_bytes * oh)
+                      for r0, r1 in (_bands(oh, row_bytes * (g1 - g0)) if og > 1
+                                     else [(0, oh)])])
     out = out.reshape(n, spec.out_channels, oh, ow)
     if bias is not None:
         out += np.asarray(bias).reshape(1, -1, 1, 1)
@@ -445,14 +524,17 @@ def resize_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     planes = hx.reshape(n * c, h, out_w)
     out = np.empty((n * c, out_h, out_w), dtype=hx.dtype)
     row_bytes = out_w * hx.itemsize
-    for p0, p1 in _bands(n * c, row_bytes * out_h):
-        for r0, r1 in _bands(out_h, row_bytes * (p1 - p0)):
-            band = out[p0:p1, r0:r1]  # contiguous: rows split only within one plane
-            np.take(planes[p0:p1], y0[r0:r1], axis=1, out=band, mode="clip")
-            band *= 1 - fy[r0:r1]
-            bot = np.take(planes[p0:p1], y1[r0:r1], axis=1)
-            bot *= fy[r0:r1]
-            band += bot
+
+    def band(p0, p1, r0, r1):
+        top = out[p0:p1, r0:r1]  # contiguous: rows split only within one plane
+        np.take(planes[p0:p1], y0[r0:r1], axis=1, out=top, mode="clip")
+        top *= 1 - fy[r0:r1]
+        bot = np.take(planes[p0:p1], y1[r0:r1], axis=1)
+        bot *= fy[r0:r1]
+        top += bot
+
+    _run_bands(band, [(p0, p1, r0, r1) for p0, p1 in _bands(n * c, row_bytes * out_h)
+                      for r0, r1 in _bands(out_h, row_bytes * (p1 - p0))])
     return out.reshape(n, c, out_h, out_w)
 
 

@@ -279,6 +279,9 @@ class TrainConfig:
                           ("eval_every", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        # poly_lr raises 0.0 to this power at the end of the schedule
+        if not (math.isfinite(self.poly_power) and self.poly_power >= 0):
+            raise ValueError(f"poly_power must be >= 0 and finite, got {self.poly_power}")
 
 
 def _assemble_batch(dataset, indices, aug_cfg, seed, iteration):

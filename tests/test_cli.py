@@ -1,6 +1,10 @@
 """Command-line interface: every subcommand, exit codes, artifact layout."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from dwrseg.cli import (
     parse_run_config,
     set_blas_threads,
 )
-from dwrseg.engine import FormatError
+from dwrseg.engine import FormatError, ops
 
 
 def write_config(tmp_path, **overrides):
@@ -124,7 +128,34 @@ class TestTrainEvalPredict:
         assert (run / "eval.json").exists()
         lines = (run / "metrics.jsonl").read_text().splitlines()
         assert all("iter" in json.loads(ln) for ln in lines)
-        assert json.loads(capsys.readouterr().out)["blas_threads"] == blas_threads()
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["blas_threads"] == blas_threads() and doc["workers"] == ops.workers()
+
+    def test_seeded_train_bitwise_at_any_threads(self, tmp_path):
+        # a short desk run per --threads count, each in its own process; at
+        # one BLAS thread the count only sets the band workers
+        doc = json.loads(json.dumps(DESK_PRESET))
+        doc["train"]["log_every"] = 2
+        config = tmp_path / "desk.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        path = [str(Path(network.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        counts = ("1", "2", "4")
+        runs = [subprocess.Popen([sys.executable, "-m", "dwrseg.cli", "--threads", n, "train",
+                                  "--config", str(config), "--iters", "10",
+                                  "--out", str(tmp_path / n)],
+                                 env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                for n in counts]
+        try:
+            outs = [run.communicate(timeout=300) for run in runs]
+        finally:
+            for run in runs:
+                run.kill()
+        assert [run.returncode for run in runs] == [0, 0, 0], [err for _, err in outs]
+        for name in ("metrics.jsonl", "eval.json", "checkpoint.dwck"):
+            first, *others = [(tmp_path / n / name).read_bytes() for n in counts]
+            assert all(other == first for other in others), name
+        assert [json.loads(out)["workers"] for out, _ in outs] == [1, 2, 4]
 
     def test_iters_zero_writes_untrained_checkpoint(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)
@@ -214,20 +245,28 @@ class TestBenchAnalyze:
         assert len(doc["samples_s"]) == 3 and doc["fps"] > 0 and doc["peak_mb"] > 0
 
     def test_threads_option_sets_blas_workers(self, capsys):
+        # --threads sets the band workers; BLAS stays at one thread
         try:
+            set_blas_threads(2)
             assert main(["--threads", "2", "bench", "tiny", "64", "64", "--classes", "4",
                          "--warmup", "0", "--iters", "1"]) == 0
             captured = capsys.readouterr()
             doc = json.loads(captured.out)
+            assert doc["workers"] == 2 and doc["blas_threads"] in (1, None)
             if blas_threads() is None:  # no OpenBLAS thread API: said so, not skipped
-                assert "warning: cannot set BLAS threads to 2" in captured.err
-            else:
-                assert doc["blas_threads"] == 2
+                assert "warning: cannot set BLAS threads to 1" in captured.err
         finally:
+            ops.set_workers(ops.DEFAULT_WORKERS)
             set_blas_threads(1)
         assert main(["bench", "tiny", "64", "64", "--classes", "4",
                      "--warmup", "0", "--iters", "1"]) == 0
-        assert json.loads(capsys.readouterr().out)["blas_threads"] in (1, None)
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["workers"] == ops.DEFAULT_WORKERS and doc["blas_threads"] in (1, None)
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exit_2(self, capsys, threads):
+        assert main(["--threads", threads, "count", "tiny"]) == 2
+        assert capsys.readouterr().err.startswith("error: worker count must be ")
 
     def test_analyze_rf(self, capsys):
         assert main(["analyze", "rf", "--variant", "B", "--json"]) == 0
@@ -332,7 +371,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("train, field", [
         ({"iters": 4, "batch": 0}, "batch_size"), ({"iters": 4, "log_every": -1}, "log_every"),
-        ({"iters": -1}, "iters"), ({"iters": 4, "eval_every": -2}, "eval_every")])
+        ({"iters": -1}, "iters"), ({"iters": 4, "eval_every": -2}, "eval_every"),
+        ({"iters": 4, "poly_power": -1.0}, "poly_power"),
+        ({"iters": 4, "poly_power": float("inf")}, "poly_power"),
+        ({"iters": 4, "poly_power": float("nan")}, "poly_power")])
     def test_out_of_range_train_config_exit_2(self, tmp_path, capsys, train, field):
         cfg_path, _ = write_config(tmp_path, train=train)
         assert main(["train", "--config", str(cfg_path)]) == 2
@@ -415,6 +457,12 @@ class TestExitCodes:
         pytest.param(lambda c: c["stages"][0].update(branch_count=10 ** 12),
                      id="sir_branch_count"),
         pytest.param(lambda c: c["stages"][2].update(expansion="2"), id="dwr_expansion"),
+        # 3.0 == 3, but a float is no block or branch count
+        pytest.param(lambda c: c["stages"][0].update(branch_count=3.0),
+                     id="sir_branch_count_float"),
+        pytest.param(lambda c: c["stages"][2].update(expansion=3.0), id="dwr_expansion_float"),
+        pytest.param(lambda c: c["stages"][2].update(branch_count=3.0),
+                     id="dwr_branch_count_float"),
         # networks too large to build
         pytest.param(lambda c: c["stages"][0].update(channels=10 ** 8), id="channels"),
         pytest.param(lambda c: c["stages"][0].update(repeats=10 ** 9), id="repeats"),

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -221,6 +222,20 @@ class TestConvBackward:
         assert gx.tobytes() == self.matmul_grad_x(x, w, spec, go).tobytes()
 
 
+# conv shapes that run in several bands
+BANDED_CONVS = [
+    pytest.param((1, 320, 64, 128), E.ConvSpec(320, 128, 3, padding=1), id="head_conv"),
+    pytest.param((2, 64, 128, 256), E.ConvSpec(64, 64, 3, padding=1),  # batch 2
+                 id="stem_fuse_b2"),
+    # depthwise, d = 3: whole-group bands keep each matrix-vector product's
+    # length, which OpenBLAS rounds by (row bands of it differ by 1.9e-6)
+    pytest.param((1, 64, 128, 256), E.ConvSpec(64, 64, 3, padding=3, dilation=3, groups=64),
+                 id="depthwise_d3"),
+    # one short row band (364 + 1 rows) differs by up to 3.3e-6
+    pytest.param((1, 80, 365, 8), E.ConvSpec(80, 32, 3, padding=1), id="short_band_hazard"),
+]
+
+
 class TestConvBands:
     """The banded forward against the one-matmul forward it replaced, at
     shapes whose columns exceed ops.BAND_BYTES (the real budget: bands much
@@ -242,15 +257,7 @@ class TestConvBands:
         monkeypatch.setattr(ops.np, "matmul", lambda *a, **kw: calls.append(1) or real(*a, **kw))
         return calls
 
-    @pytest.mark.parametrize("shape,spec", [
-        ((1, 320, 64, 128), E.ConvSpec(320, 128, 3, padding=1)),   # B head.conv
-        ((2, 64, 128, 256), E.ConvSpec(64, 64, 3, padding=1)),     # B stem.fuse, batch 2
-        # depthwise, d = 3: whole-group bands keep each matrix-vector product's
-        # length, which OpenBLAS rounds by (row bands of it differ by 1.9e-6)
-        ((1, 64, 128, 256), E.ConvSpec(64, 64, 3, padding=3, dilation=3, groups=64)),
-        # one short row band (364 + 1 rows) differs by up to 3.3e-6
-        ((1, 80, 365, 8), E.ConvSpec(80, 32, 3, padding=1)),
-    ], ids=["head_conv", "stem_fuse_b2", "depthwise_d3", "short_band_hazard"])
+    @pytest.mark.parametrize("shape,spec", BANDED_CONVS)
     def test_banded_equals_one_matmul(self, monkeypatch, shape, spec):
         x = rnd(shape, seed=shape[1])
         w = rnd(spec.weight_shape, seed=1)
@@ -327,6 +334,69 @@ class TestConvBands:
         assert row > ops.BAND_BYTES  # so each band gathers one row
         # one band of columns and 2 MiB of slack beyond the arrays themselves
         assert peak <= x.nbytes + padded + out.nbytes + row + (2 << 20), peak
+
+
+class TestBandWorkers:
+    """Bands run on ops.workers() threads; each band is the same numpy call
+    on the same operands whichever thread runs it, so the worker count
+    changes no bit of any result."""
+
+    @pytest.fixture
+    def set_workers(self):
+        # a switch interval this short interleaves the band threads as
+        # finely as the interpreter allows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield ops.set_workers
+        finally:
+            sys.setswitchinterval(interval)
+            ops.set_workers(ops.DEFAULT_WORKERS)
+
+    @staticmethod
+    def at_each_count(set_workers, fn):
+        results = []
+        for n in (1, 2, 3):  # 3: more threads than this test needs cores for
+            set_workers(n)
+            results.append(fn().tobytes())
+        return results
+
+    @pytest.mark.parametrize("shape,spec", BANDED_CONVS)
+    def test_conv_bitwise_at_any_worker_count(self, set_workers, shape, spec):
+        x = rnd(shape, seed=shape[1])
+        w = rnd(spec.weight_shape, seed=1)
+        one, *others = self.at_each_count(
+            set_workers, lambda: E.conv2d_forward(x, w, None, spec))
+        assert all(r == one for r in others)
+
+    def test_b_final_upsample_bitwise_at_any_worker_count(self, set_workers):
+        x = rnd((1, 19, 64, 128), seed=19)
+        one, *others = self.at_each_count(set_workers, lambda: E.upsample_bilinear(x, 512, 1024))
+        assert all(r == one for r in others)
+
+    def test_failing_band_raises_after_every_band_ends(self, set_workers, monkeypatch):
+        spec = E.ConvSpec(320, 128, 3, padding=1)
+        x, w = rnd((1, 320, 64, 128)), rnd(spec.weight_shape, seed=1)
+        real = np.matmul
+        started, ended = [], []
+
+        def matmul(*a, **kw):
+            started.append(1)
+            if len(started) == 1:
+                raise FloatingPointError("band failed")
+            time.sleep(0.002)  # the other bands are still running when the first fails
+            out = real(*a, **kw)
+            ended.append(1)
+            return out
+
+        set_workers(2)
+        monkeypatch.setattr(ops.np, "matmul", matmul)
+        with pytest.raises(FloatingPointError, match="band failed"):
+            E.conv2d_forward(x, w, None, spec)
+        at_return = (len(started), len(ended))
+        time.sleep(0.05)
+        assert at_return == (len(started), len(ended))  # no band ran on after the call
+        assert at_return[0] > 2 and at_return[1] == at_return[0] - 1  # every band ended
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from dwrseg import network as N
 from dwrseg.engine import FLOAT, ConvSpec, FormatError, NumericError, ShapeError, Tape, Var
+from dwrseg.engine import ops
 from dwrseg.engine import tape as tape_module
 from dwrseg.network import NetworkConfig, StageSpec
 from dwrseg.params import ParamStore, ParamVars, zero_init
@@ -444,6 +445,23 @@ class TestBatchInvariance:
             assert batch[i].tobytes() == alone[0].tobytes(), i
         if variant == "B":  # stem.fuse and head.conv run in more bands at batch 3
             assert batch_calls > len(calls)
+
+
+class TestWorkerInvariance:
+    def test_b_logits_bitwise_at_one_and_two_workers(self):
+        # at 512x1024 B's large convs and its final upsample run in many bands
+        cfg = N.preset("B")
+        params = N.build(cfg, rng_seed=0)
+        x = np.random.default_rng(0).random((1, 3, 512, 1024), dtype=np.float32)
+        runs = []
+        try:
+            for n in (1, 2):
+                ops.set_workers(n)
+                logits, taps = N.infer(params, cfg, x)
+                runs.append([logits.tobytes()] + [taps[k].tobytes() for k in sorted(taps)])
+        finally:
+            ops.set_workers(ops.DEFAULT_WORKERS)
+        assert runs[0] == runs[1]
 
 
 class TestBenchmark:
