@@ -10,11 +10,11 @@ from dwrseg import engine as E
 from dwrseg.params import ParamStore, ParamVars, he_normal, zero_init
 
 
-def run(forward, x, *args, seed=0, zero=False, **kw):
-    """Run a block forward on a store that creates each parameter as it is asked for."""
-    store = ParamStore(zero_init if zero else he_normal(np.random.default_rng(seed)))
-    tape = E.Tape(record=False)
-    return forward(tape, ParamVars(tape, store), "blk", tape.leaf(x), *args, "eval", **kw)
+def run(forward, x, *args, seed=0, zero=False, capture=None):
+    """Run a block forward in a pass that creates each parameter as it is asked for."""
+    init = zero_init if zero else he_normal(np.random.default_rng(seed))
+    pv = ParamVars(E.Tape(record=False), ParamStore(), capture=capture, init=init)
+    return forward(pv, "blk", pv.tape.leaf(x), *args)
 
 
 print("=== 1. DWR channel accounting ===")

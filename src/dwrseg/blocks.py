@@ -18,12 +18,13 @@ paper fixes kind, width, branch count and dilations per stage.  A block
 forward takes the stage and its stride; it reads its input width from its
 input and adds the residual exactly when the stride is 1.
 
-Every block is a stateless function of (params, input) composed of engine
+Every block is a stateless function of (pass, input) composed of engine
 ops, and its forward is the block's only declaration: each conv call names
-its ConvSpec and each BN takes its width from its input.  Running the
-forward on a declaring ParamStore builds the parameters; parameter and
-MAC counts and the receptive-field trace are read off a recorded run at
-batch 0.
+its ConvSpec and each BN takes its width from its input.  The pass
+(params.ParamVars) carries the tape, the store, the BN mode and the
+capture; running a forward in a declaring pass builds the parameters.
+Parameter and MAC counts and the receptive-field trace are read off a
+recorded run at batch 0.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import prod
 
-from .engine import ConvSpec, ShapeError, Tape, Var
+from .engine import ConvSpec, ShapeError, Var
 from .params import ParamVars
 
 
@@ -108,15 +109,6 @@ class StageSpec:
 # Forward passes
 # ---------------------------------------------------------------------------
 
-def _conv(tape: Tape, pv: ParamVars, name: str, x: Var, spec: ConvSpec) -> Var:
-    weight, bias = pv.conv(name, spec)
-    return tape.conv2d(x, weight, bias, spec)
-
-
-def _bn(tape: Tape, pv: ParamVars, name: str, x: Var, mode: str) -> Var:
-    return tape.batchnorm(x, *pv.bn(name, x.shape[1]), mode)
-
-
 def _in_width(prefix: str, x: Var, stage: StageSpec, stride: int) -> int:
     """Input width of a block; only a stride-2 block may change the width."""
     c = x.data.shape[1]
@@ -126,48 +118,40 @@ def _in_width(prefix: str, x: Var, stage: StageSpec, stride: int) -> int:
     return c
 
 
-def dwr_forward(tape: Tape, pv: ParamVars, prefix: str, x: Var, stage: StageSpec,
-                stride: int, mode: str, capture: dict | None = None) -> Var:
+def dwr_forward(pv: ParamVars, prefix: str, x: Var, stage: StageSpec, stride: int) -> Var:
+    tape = pv.tape
     cin = _in_width(prefix, x, stage, stride)
-    t = _conv(tape, pv, f"{prefix}.rr.conv", x,
-              ConvSpec(cin, stage.rr_width, 3, stride=stride, padding=1))
-    t = tape.relu(_bn(tape, pv, f"{prefix}.rr.bn", t, mode))
-    if capture is not None:
-        capture[f"{prefix}.rr"] = t.data
+    t = pv.conv(f"{prefix}.rr.conv", x, ConvSpec(cin, stage.rr_width, 3, stride=stride, padding=1))
+    t = tape.relu(pv.bn(f"{prefix}.rr.bn", t))
+    pv.keep(f"{prefix}.rr", t)
     widths = stage.group_widths
     groups = ([t] * stage.branch_count if stage.kind == "probe"
               else tape.split(t, list(widths)))
-    t = tape.concat([_conv(tape, pv, f"{prefix}.sr.b{i}", g,
-                           ConvSpec(c, c, 3, padding=d, dilation=d, groups=c))
+    t = tape.concat([pv.conv(f"{prefix}.sr.b{i}", g,
+                             ConvSpec(c, c, 3, padding=d, dilation=d, groups=c))
                      for i, (g, c, d) in enumerate(zip(groups, widths, stage.dilations))])
-    t = _bn(tape, pv, f"{prefix}.sr.bn", t, mode)
-    if capture is not None:
-        capture[f"{prefix}.sr"] = t.data
-    t = _conv(tape, pv, f"{prefix}.merge", t,
-              ConvSpec(sum(widths), stage.channels, 1, has_bias=True))
+    t = pv.bn(f"{prefix}.sr.bn", t)
+    pv.keep(f"{prefix}.sr", t)
+    t = pv.conv(f"{prefix}.merge", t, ConvSpec(sum(widths), stage.channels, 1, has_bias=True))
     if stride == 1:
         t = tape.add(x, t)
     return t
 
 
-def sir_forward(tape: Tape, pv: ParamVars, prefix: str, x: Var, stage: StageSpec,
-                stride: int, mode: str, capture: dict | None = None) -> Var:
+def sir_forward(pv: ParamVars, prefix: str, x: Var, stage: StageSpec, stride: int) -> Var:
     cin = _in_width(prefix, x, stage, stride)
-    t = _conv(tape, pv, f"{prefix}.rr.conv", x,
-              ConvSpec(cin, stage.hidden_width, 3, stride=stride, padding=1))
-    t = _bn(tape, pv, f"{prefix}.rr.bn", t, mode)
-    t = tape.relu(t)
-    if capture is not None:
-        capture[f"{prefix}.rr"] = t.data
-    t = _conv(tape, pv, f"{prefix}.proj", t,
-              ConvSpec(stage.hidden_width, stage.channels, 1, has_bias=True))
+    t = pv.conv(f"{prefix}.rr.conv", x,
+                ConvSpec(cin, stage.hidden_width, 3, stride=stride, padding=1))
+    t = pv.tape.relu(pv.bn(f"{prefix}.rr.bn", t))
+    pv.keep(f"{prefix}.rr", t)
+    t = pv.conv(f"{prefix}.proj", t,
+                ConvSpec(stage.hidden_width, stage.channels, 1, has_bias=True))
     if stride == 1:
-        t = tape.add(x, t)
+        t = pv.tape.add(x, t)
     return t
 
 
-def stem_forward(tape: Tape, pv: ParamVars, prefix: str, x: Var, stem_channels: int,
-                 mode: str) -> Var:
+def stem_forward(pv: ParamVars, prefix: str, x: Var, stem_channels: int) -> Var:
     """Initial 4x downsampling: strided conv, then a conv path and a pool path."""
     n, c, h, w = x.data.shape
     if c != 3:
@@ -177,32 +161,32 @@ def stem_forward(tape: Tape, pv: ParamVars, prefix: str, x: Var, stem_channels: 
     s = stem_channels
     if s % 4:
         raise ShapeError(f"stem channels must be divisible by 4, got {s}")
-    t = _conv(tape, pv, f"{prefix}.conv1", x, ConvSpec(3, s // 2, 3, stride=2, padding=1))
-    t = _bn(tape, pv, f"{prefix}.conv1.bn", t, mode)  # deliberately no activation
-    a = _conv(tape, pv, f"{prefix}.a1", t, ConvSpec(s // 2, s // 4, 1))
-    a = tape.relu(_bn(tape, pv, f"{prefix}.a1.bn", a, mode))
-    a = _conv(tape, pv, f"{prefix}.a2", a, ConvSpec(s // 4, s // 2, 3, stride=2, padding=1))
-    a = tape.relu(_bn(tape, pv, f"{prefix}.a2.bn", a, mode))
+    tape = pv.tape
+    t = pv.conv(f"{prefix}.conv1", x, ConvSpec(3, s // 2, 3, stride=2, padding=1))
+    t = pv.bn(f"{prefix}.conv1.bn", t)  # deliberately no activation
+    a = pv.conv(f"{prefix}.a1", t, ConvSpec(s // 2, s // 4, 1))
+    a = tape.relu(pv.bn(f"{prefix}.a1.bn", a))
+    a = pv.conv(f"{prefix}.a2", a, ConvSpec(s // 4, s // 2, 3, stride=2, padding=1))
+    a = tape.relu(pv.bn(f"{prefix}.a2.bn", a))
     b = tape.maxpool(t, 3, 2, 1)
     t = tape.concat([a, b])
-    t = _conv(tape, pv, f"{prefix}.fuse", t, ConvSpec(s, s, 3, padding=1))
-    return tape.relu(_bn(tape, pv, f"{prefix}.fuse.bn", t, mode))
+    t = pv.conv(f"{prefix}.fuse", t, ConvSpec(s, s, 3, padding=1))
+    return tape.relu(pv.bn(f"{prefix}.fuse.bn", t))
 
 
-def seghead_forward(tape: Tape, pv: ParamVars, prefix: str, x: Var, in_channels: int,
-                    head_width: int, num_classes: int, out_h: int, out_w: int,
-                    mode: str) -> Var:
+def seghead_forward(pv: ParamVars, prefix: str, x: Var, in_channels: int, head_width: int,
+                    num_classes: int, out_h: int, out_w: int) -> Var:
     """3x3 conv + BN + ReLU, 1x1 class conv, bilinear upsample to out_h x out_w.
 
     `x` is released after the first conv: when the caller holds no other
-    reference (network.forward passes the decoder output in directly), an
+    reference (the network forward passes the decoder output in directly), an
     eval forward frees it before the large final upsample.
     """
-    t = _conv(tape, pv, f"{prefix}.conv", x, ConvSpec(in_channels, head_width, 3, padding=1))
+    t = pv.conv(f"{prefix}.conv", x, ConvSpec(in_channels, head_width, 3, padding=1))
     del x
-    t = tape.relu(_bn(tape, pv, f"{prefix}.conv.bn", t, mode))
-    t = _conv(tape, pv, f"{prefix}.pred", t, ConvSpec(head_width, num_classes, 1, has_bias=True))
-    return tape.upsample(t, out_h, out_w)
+    t = pv.tape.relu(pv.bn(f"{prefix}.conv.bn", t))
+    t = pv.conv(f"{prefix}.pred", t, ConvSpec(head_width, num_classes, 1, has_bias=True))
+    return pv.tape.upsample(t, out_h, out_w)
 
 
 # ---------------------------------------------------------------------------

@@ -72,26 +72,21 @@ _PRESETS = {
 VARIANTS = tuple(_PRESETS)
 
 
-def preset(variant: str, num_classes: int = 19, deltas: tuple[int, int, int] = (0, 0, 0),
-           probe: bool = False) -> NetworkConfig:
-    """Named configuration.
-
-    `deltas` offsets the per-stage block counts; `probe` swaps every block
-    for the receptive-field demand variant.
-    """
+def preset(variant: str, num_classes: int = 19, probe: bool = False) -> NetworkConfig:
+    """Named configuration; `probe` swaps every block for the receptive-field
+    demand variant."""
     if variant not in _PRESETS:
         raise ShapeError(f"unknown variant {variant!r}; expected one of {sorted(_PRESETS)}")
     stem, (r2, c2), (r3, c3), (r4, c4), head = _PRESETS[variant]
-    reps = [max(1, r + d) for r, d in zip((r2, r3, r4), deltas)]
     if probe:
-        stages = tuple(StageSpec("probe", reps[i], ch, branch_count=3)
-                       for i, ch in enumerate((c2, c3, c4)))
+        stages = tuple(StageSpec("probe", r, ch, branch_count=3)
+                       for r, ch in ((r2, c2), (r3, c3), (r4, c4)))
         variant = f"{variant}-probe"
     else:
         stages = (
-            StageSpec("sir", reps[0], c2),
-            StageSpec("dwr", reps[1], c3, branch_count=2),
-            StageSpec("dwr", reps[2], c4, branch_count=3),
+            StageSpec("sir", r2, c2),
+            StageSpec("dwr", r3, c3, branch_count=2),
+            StageSpec("dwr", r4, c4, branch_count=3),
         )
     return NetworkConfig(variant=variant, num_classes=num_classes, stem_channels=stem,
                          stages=stages, head_width=head)
@@ -102,20 +97,18 @@ _BLOCK_FORWARD = {"sir": blocks.sir_forward, "dwr": blocks.dwr_forward,
 
 
 def _declare(config: NetworkConfig, init, input_h: int = 32, input_w: int = 32):
-    """One recorded run of `forward` at batch 0 on a store declaring with `init`.
+    """One recorded pass at batch 0 that declares with `init` into a new store.
 
     Every kernel and shape check runs as in a real forward, on empty
-    activations, and each parameter is created the first time the forward
+    activations, and each parameter is created the first time the pass
     asks for it, so the store holds them in call order.  Returns (store,
-    tape, taps); node shapes have batch 0 and the store is no longer
-    declaring.
+    tape, taps); node shapes have batch 0.  Only this pass declares: any
+    later forward on the store needs every parameter to exist.
     """
-    store = ParamStore(init)
-    tape = Tape()
-    x = tape.leaf(np.zeros((0, 3, input_h, input_w), FLOAT))
-    _, taps = forward(store, config, x, tape=tape)
-    store.init = None
-    return store, tape, taps
+    pv = ParamVars(Tape(), ParamStore(), init=init)
+    x = pv.tape.leaf(np.zeros((0, 3, input_h, input_w), FLOAT))
+    _, taps = _forward(pv, config, x)
+    return pv.store, pv.tape, taps
 
 
 def build(config: NetworkConfig, rng_seed: int = 0) -> ParamStore:
@@ -123,12 +116,12 @@ def build(config: NetworkConfig, rng_seed: int = 0) -> ParamStore:
     return _declare(config, he_normal(np.random.default_rng(rng_seed)))[0]
 
 
-def _decoder(tape: Tape, pv: ParamVars, taps: dict[str, Var], h8: int, w8: int,
-             mode: str) -> Var:
+def _decoder(pv: ParamVars, taps: dict[str, Var], h8: int, w8: int) -> Var:
     """BN over s2 concatenated with s3 and s4 upsampled to 1/8 scale."""
+    tape = pv.tape
     cat = tape.concat([taps["s2"], tape.upsample(taps["s3"], h8, w8),
                        tape.upsample(taps["s4"], h8, w8)])
-    return blocks._bn(tape, pv, "decoder.bn", cat, mode)
+    return pv.bn("decoder.bn", cat)
 
 
 def forward(params: ParamStore, config: NetworkConfig, x, mode: str = "eval",
@@ -142,24 +135,25 @@ def forward(params: ParamStore, config: NetworkConfig, x, mode: str = "eval",
         tape = Tape(record=False)
     if not isinstance(x, Var):
         x = tape.leaf(np.ascontiguousarray(x))
+    return _forward(ParamVars(tape, params, mode, capture), config, x)
+
+
+def _forward(pv: ParamVars, config: NetworkConfig, x: Var):
     n, c, h, w = x.data.shape
     if h % 32 or w % 32:
         raise ShapeError(f"input size {h}x{w} must be divisible by 32")
-    pv = ParamVars(tape, params)
-
-    t = blocks.stem_forward(tape, pv, "stem", x, config.stem_channels, mode)
+    t = blocks.stem_forward(pv, "stem", x, config.stem_channels)
     taps: dict[str, Var] = {}
     for name, stage in zip(config.stage_names, config.stages):
         for j in range(stage.repeats):
-            t = _BLOCK_FORWARD[stage.kind](tape, pv, f"{name}.{j}", t, stage,
-                                           2 if j == 0 else 1, mode, capture=capture)
+            t = _BLOCK_FORWARD[stage.kind](pv, f"{name}.{j}", t, stage, 2 if j == 0 else 1)
         taps[name] = t
 
     # the decoder output is passed on, not kept: the head drops it after its
     # first conv, so no decoder feature is alive during the final upsample
     logits = blocks.seghead_forward(
-        tape, pv, "head", _decoder(tape, pv, taps, h // 8, w // 8, mode),
-        config.decoder_width, config.head_width, config.num_classes, h, w, mode)
+        pv, "head", _decoder(pv, taps, h // 8, w // 8),
+        config.decoder_width, config.head_width, config.num_classes, h, w)
     return logits, taps
 
 
@@ -370,8 +364,6 @@ def benchmark_forward(params: ParamStore, config: NetworkConfig, input_shape,
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    ordered = sorted(samples)
-    p95 = ordered[min(len(ordered) - 1, int(np.ceil(0.95 * len(ordered))) - 1)]
     mean = statistics.fmean(samples)
     return {
         "input_shape": list(input_shape),
@@ -380,7 +372,6 @@ def benchmark_forward(params: ParamStore, config: NetworkConfig, input_shape,
         "samples_s": samples,
         "mean_s": mean,
         "median_s": statistics.median(samples),
-        "p95_s": p95,
         "fps": (1.0 / mean) if mean > 0 else float("inf"),
         "peak_mb": peak / 2**20,
     }

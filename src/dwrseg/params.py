@@ -4,9 +4,9 @@ Names follow "<stage>.<block_idx>.<layer>" (e.g. "s3.0.rr.conv.weight");
 iteration order is construction order and is what checkpoints, SGD updates
 and gradient stores key off, so it must stay deterministic.
 
-A store made with an `init` rule is declaring: a forward that asks for a
-conv or BN layer the store lacks creates it there and then, so running a
-forward once builds every parameter it reads, in call order.
+A ParamVars pass made with an `init` rule is declaring: a forward that
+asks for a conv or BN layer its store lacks creates it there and then, so
+running a forward once builds every parameter it reads, in call order.
 """
 
 from __future__ import annotations
@@ -44,16 +44,11 @@ class ParamStore:
     `<layer>.gamma`, `<layer>.beta`.  The statistics are the BN running
     `<layer>.running_mean`, `<layer>.running_var`, in the order the layers
     were declared.  A BatchNormState is only ever a view over these arrays.
-
-    With `init` set the store declares itself: a conv layer the forward
-    asks for gets `init(spec)` as weight, then a zero bias; a BN layer gets
-    `add_bn`.  With `init` None every requested parameter must exist.
     """
 
-    def __init__(self, init=None):
+    def __init__(self):
         self._params: dict[str, np.ndarray] = {}
         self._stats: dict[str, np.ndarray] = {}
-        self.init = init
 
     # -- registration -------------------------------------------------------
 
@@ -113,29 +108,47 @@ class ParamStore:
 
 
 class ParamVars:
-    """Per-forward-pass bridge from a ParamStore to tape leaf variables."""
+    """One forward pass: its tape, its store, its BN mode and its capture.
 
-    def __init__(self, tape: Tape, store: ParamStore):
+    With `init` set the pass declares: a conv layer it is asked for and
+    the store lacks gets `init(spec)` as weight, then a zero bias; a BN
+    layer gets `add_bn` at its input's width.  With `init` None every
+    requested parameter must exist.  `capture`, when given, collects the
+    feature maps the blocks `keep`.
+    """
+
+    def __init__(self, tape: Tape, store: ParamStore, mode: str = "eval",
+                 capture: dict | None = None, init=None):
         self.tape = tape
         self.store = store
+        self.mode = mode
+        self.capture = capture
+        self.init = init
 
     def __call__(self, name: str) -> Var:
         return self.tape.leaf(self.store[name], name)
 
-    def conv(self, name: str, spec):
-        """(weight var, bias var or None) of conv layer `name`."""
+    def conv(self, name: str, x: Var, spec) -> Var:
+        """Conv layer `name` applied to `x`."""
         store = self.store
-        if store.init is not None and f"{name}.weight" not in store:
-            store.add(f"{name}.weight", store.init(spec))
+        if self.init is not None and f"{name}.weight" not in store:
+            store.add(f"{name}.weight", self.init(spec))
             if spec.has_bias:
                 store.add(f"{name}.bias", np.zeros(spec.out_channels, FLOAT))
         weight = self(f"{name}.weight")
-        return weight, self(f"{name}.bias") if spec.has_bias else None
+        bias = self(f"{name}.bias") if spec.has_bias else None
+        return self.tape.conv2d(x, weight, bias, spec)
 
-    def bn(self, prefix: str, channels: int):
-        """(gamma var, beta var, running mean, running var) for tape.batchnorm."""
+    def bn(self, prefix: str, x: Var) -> Var:
+        """BN layer `prefix` applied to `x` in this pass's mode."""
         store = self.store
-        if store.init is not None and f"{prefix}.gamma" not in store:
-            store.add_bn(prefix, channels)
+        if self.init is not None and f"{prefix}.gamma" not in store:
+            store.add_bn(prefix, x.shape[1])
         st = store.bn(prefix)
-        return self(f"{prefix}.gamma"), self(f"{prefix}.beta"), st.running_mean, st.running_var
+        return self.tape.batchnorm(x, self(f"{prefix}.gamma"), self(f"{prefix}.beta"),
+                                   st.running_mean, st.running_var, self.mode)
+
+    def keep(self, key: str, t: Var) -> None:
+        """Store `t`'s data under `key` when the pass captures."""
+        if self.capture is not None:
+            self.capture[key] = t.data

@@ -209,9 +209,9 @@ def test_criterion_4_residual_identity(capsys):
         ("DWR", B.StageSpec("dwr", 1, 16, branch_count=3), B.dwr_forward),
         ("SIR", B.StageSpec("sir", 1, 16), B.sir_forward),
     ):
-        store = ParamStore(zero_init)  # the first forward declares zero conv weights
-        tape = E.Tape(record=False)
-        out = fwd(tape, ParamVars(tape, store), "blk", tape.leaf(x), cfg, 1, "train")
+        # a declaring pass creates zero conv weights as it runs
+        pv = ParamVars(E.Tape(record=False), ParamStore(), "train", init=zero_init)
+        out = fwd(pv, "blk", pv.tape.leaf(x), cfg, 1)
         results.append((kind, np.array_equal(out.data, x)))
     ok = all(flag for _, flag in results)
     with capsys.disabled():

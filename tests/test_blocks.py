@@ -13,20 +13,17 @@ def rnd(shape, seed=0):
 
 
 def declare(forward_fn, x_shape, *args, seed=0, zero=False, prefix="blk"):
-    """Store built by one run of a block forward, at batch 0, on a declaring store."""
-    store = ParamStore(zero_init if zero else he_normal(np.random.default_rng(seed)))
-    tape = E.Tape()
-    x = tape.leaf(np.zeros((0, *x_shape[1:]), np.float32))
-    forward_fn(tape, ParamVars(tape, store), prefix, x, *args, "eval")
-    store.init = None
-    return store
+    """Store built by one run of a block forward, at batch 0, in a declaring pass."""
+    init = zero_init if zero else he_normal(np.random.default_rng(seed))
+    pv = ParamVars(E.Tape(), ParamStore(), init=init)
+    forward_fn(pv, prefix, pv.tape.leaf(np.zeros((0, *x_shape[1:]), np.float32)), *args)
+    return pv.store
 
 
 def run_block(forward_fn, stage, x, stride=1, mode="eval", seed=0, zero=False, prefix="blk"):
     store = declare(forward_fn, x.shape, stage, stride, seed=seed, zero=zero, prefix=prefix)
-    tape = E.Tape(record=False)
-    pv = ParamVars(tape, store)
-    out = forward_fn(tape, pv, prefix, tape.leaf(x), stage, stride, mode)
+    pv = ParamVars(E.Tape(record=False), store, mode)
+    out = forward_fn(pv, prefix, pv.tape.leaf(x), stage, stride)
     return out.data, store
 
 
@@ -132,8 +129,8 @@ class TestResidualIdentity:
         store.bn("blk.rr.bn").gamma[:] = 1.7
         store.bn("blk.sr.bn").gamma[:] = 0.3
         x = rnd((1, 8, 6, 6), seed=4)
-        tape = E.Tape(record=False)
-        out = B.dwr_forward(tape, ParamVars(tape, store), "blk", tape.leaf(x), cfg, 1, "eval")
+        pv = ParamVars(E.Tape(record=False), store)
+        out = B.dwr_forward(pv, "blk", pv.tape.leaf(x), cfg, 1)
         np.testing.assert_array_equal(out.data, x)
 
     def test_stride_two_has_no_shortcut(self):
@@ -201,8 +198,8 @@ class TestOpCompositionOracle:
         s = 16
         x = rnd((1, 3, 32, 32), seed=12)
         store = declare(B.stem_forward, x.shape, s, seed=13, prefix="stem")
-        tape = E.Tape(record=False)
-        out = B.stem_forward(tape, ParamVars(tape, store), "stem", tape.leaf(x), s, "eval")
+        pv = ParamVars(E.Tape(record=False), store)
+        out = B.stem_forward(pv, "stem", pv.tape.leaf(x), s)
 
         t = E.conv2d_forward(x, store["stem.conv1.weight"], None,
                              E.ConvSpec(3, s // 2, 3, stride=2, padding=1))
@@ -243,31 +240,30 @@ class TestStemAndHead:
         for s, hw in ((16, 32), (64, 64)):
             x = rnd((1, 3, hw, hw), seed=14)
             store = declare(B.stem_forward, x.shape, s, seed=15, prefix="stem")
-            tape = E.Tape(record=False)
-            out = B.stem_forward(tape, ParamVars(tape, store), "stem", tape.leaf(x), s, "eval")
+            pv = ParamVars(E.Tape(record=False), store)
+            out = B.stem_forward(pv, "stem", pv.tape.leaf(x), s)
             assert out.data.shape == (1, s, hw // 4, hw // 4)
 
     def test_stem_zero_input_finite(self):
         store = declare(B.stem_forward, (1, 3, 32, 32), 16, seed=16, prefix="stem")
-        tape = E.Tape(record=False)
+        pv = ParamVars(E.Tape(record=False), store)
         x = np.zeros((1, 3, 32, 32), np.float32)
-        out = B.stem_forward(tape, ParamVars(tape, store), "stem", tape.leaf(x), 16, "eval")
+        out = B.stem_forward(pv, "stem", pv.tape.leaf(x), 16)
         assert np.isfinite(out.data).all()
 
     def test_stem_rejects_indivisible_input(self):
         store = declare(B.stem_forward, (1, 3, 32, 32), 16, prefix="stem")
-        tape = E.Tape(record=False)
+        pv = ParamVars(E.Tape(record=False), store)
         x = rnd((1, 3, 30, 32))
         with pytest.raises(E.ShapeError):
-            B.stem_forward(tape, ParamVars(tape, store), "stem", tape.leaf(x), 16, "eval")
+            B.stem_forward(pv, "stem", pv.tape.leaf(x), 16)
 
     def test_seghead_shape(self):
         store = declare(B.seghead_forward, (1, 320, 16, 16), 320, 128, 19, 128, 128,
                         seed=17, prefix="head")
-        tape = E.Tape(record=False)
+        pv = ParamVars(E.Tape(record=False), store)
         x = rnd((1, 320, 16, 16), seed=18)
-        out = B.seghead_forward(tape, ParamVars(tape, store), "head", tape.leaf(x),
-                                320, 128, 19, 128, 128, "eval")
+        out = B.seghead_forward(pv, "head", pv.tape.leaf(x), 320, 128, 19, 128, 128)
         assert out.data.shape == (1, 19, 128, 128)
 
     def test_seghead_zero_weights_logits_equal_bias(self):
@@ -275,10 +271,9 @@ class TestStemAndHead:
                         prefix="head")
         bias = np.arange(5, dtype=np.float32)
         store.set_("head.pred.bias", bias)
-        tape = E.Tape(record=False)
+        pv = ParamVars(E.Tape(record=False), store)
         x = rnd((1, 32, 8, 8), seed=19)
-        out = B.seghead_forward(tape, ParamVars(tape, store), "head", tape.leaf(x),
-                                32, 16, 5, 32, 32, "eval")
+        out = B.seghead_forward(pv, "head", pv.tape.leaf(x), 32, 16, 5, 32, 32)
         for c in range(5):
             np.testing.assert_array_equal(out.data[:, c],
                                           np.full((1, 32, 32), bias[c], np.float32))
@@ -298,11 +293,10 @@ class TestShapePreservation:
     def test_capture_exposes_rr_and_sr(self):
         cfg = B.StageSpec("dwr", 1, 8, branch_count=2)
         store = declare(B.dwr_forward, (1, 8, 8, 8), cfg, 1, seed=23)
-        tape = E.Tape(record=False)
         cap = {}
+        pv = ParamVars(E.Tape(record=False), store, capture=cap)
         x = rnd((1, 8, 8, 8), seed=24)
-        B.dwr_forward(tape, ParamVars(tape, store), "blk", tape.leaf(x), cfg, 1, "eval",
-                      capture=cap)
+        B.dwr_forward(pv, "blk", pv.tape.leaf(x), cfg, 1)
         assert cap["blk.rr"].shape == (1, 12, 8, 8)
         assert cap["blk.sr"].shape == (1, 12, 8, 8)
         assert (cap["blk.rr"] >= 0).all()  # post-ReLU

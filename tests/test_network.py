@@ -2,6 +2,7 @@
 
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,10 +83,6 @@ class TestBuild:
             assert cfg.decoder_width == 320
             assert cfg.head_width == 128
 
-    def test_block_count_deltas(self):
-        cfg = N.preset("B", deltas=(1, -1, 0))
-        assert tuple(s.repeats for s in cfg.stages) == (8, 2, 3)
-
     def test_bn_init(self, tiny):
         _, store = tiny
         np.testing.assert_array_equal(store["s2.0.rr.bn.gamma"],
@@ -121,12 +118,16 @@ class TestForward:
             np.testing.assert_array_equal(v, stats_before[n])
 
     def test_train_mode_updates_running_stats(self, tiny):
+        # the pass carries the mode to every BN, the decoder's and head's too
         cfg, _ = tiny
         store = N.build(cfg, rng_seed=5)
-        before = store.bn("stem.conv1.bn").running_mean.copy()
+        before = {n: a.copy() for n, a in store.stat_items()}
+        assert len(before) == 2 * 16
+        assert {"decoder.bn.running_var", "head.conv.bn.running_mean"} <= set(before)
         x = np.random.default_rng(1).random((2, 3, 64, 64), dtype=np.float32)
         N.infer(store, cfg, x, mode="train")
-        assert not np.array_equal(store.bn("stem.conv1.bn").running_mean, before)
+        for n, a in store.stat_items():
+            assert not np.array_equal(a, before[n]), n
 
     def test_divisibility_error(self, tiny):
         cfg, store = tiny
@@ -136,10 +137,11 @@ class TestForward:
 
 class TestCounts:
     def test_conv_param_closed_form(self):
-        # 3x3, 16->32, with bias, as a declaring store creates it
-        store = ParamStore(zero_init)
-        ParamVars(Tape(record=False), store).conv("c", ConvSpec(16, 32, 3, has_bias=True))
-        assert sum(a.size for _, a in store.items()) == 4640
+        # 3x3, 16->32, with bias, as a declaring pass creates it
+        pv = ParamVars(Tape(), ParamStore(), init=zero_init)
+        x = pv.tape.leaf(np.zeros((0, 16, 8, 8), FLOAT))
+        pv.conv("c", x, ConvSpec(16, 32, 3, has_bias=True))
+        assert sum(a.size for _, a in pv.store.items()) == 4640
 
     def test_param_targets_b_l(self):
         for variant in ("B", "L"):
@@ -348,6 +350,19 @@ class TestCheckpoint:
         p.write_bytes(b"DWCK" + struct.pack("<II", 1, len(header)) + header)
         with pytest.raises(FormatError):
             N.load_checkpoint(p)
+
+    def test_built_or_loaded_store_never_declares(self, tiny, tmp_path):
+        cfg, built = tiny
+        path = tmp_path / "n.dwck"
+        N.save_checkpoint(built, cfg, path)
+        s2 = cfg.stages[0]
+        longer = replace(cfg, stages=(replace(s2, repeats=s2.repeats + 1), *cfg.stages[1:]))
+        x = np.random.default_rng(4).random((1, 3, 32, 32), dtype=np.float32)
+        for store in (built, N.load_checkpoint(path)[0]):
+            names = store.names()
+            with pytest.raises(KeyError, match="s2.2.rr.conv.weight"):
+                N.infer(store, longer, x)
+            assert store.names() == names
 
     def test_running_stats_round_trip(self, tmp_path):
         cfg = N.preset("tiny", num_classes=4)
