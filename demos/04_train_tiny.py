@@ -41,7 +41,7 @@ for entry in log:
 print()
 
 print("=== 3. evaluation report ===")
-report = T.evaluate(params, net_cfg, val_set)
+report = T.evaluate(params, net_cfg, val_set, cfg.ohem.ignore_label)
 print(f"val mIoU {report['miou']:.3f}, pixel accuracy {report['pixel_accuracy']:.3f}")
 print("per-class IoU:", ["-" if v is None else f"{v:.3f}"
                          for v in report["per_class_iou"]], "\n")
@@ -55,7 +55,8 @@ with tempfile.TemporaryDirectory() as tmp:
     D.write_ppm(out / "image.ppm", s.image)
     D.write_pgm(out / "pred.pgm", pred)
     D.write_pgm(out / "truth.pgm", s.mask)
-    iou, mean = T.miou(pred, s.mask, 4)
+    cm = T.confusion_matrix(pred, s.mask, 4, cfg.ohem.ignore_label)
+    iou, mean = T.iou_from_confusion(cm)
     print(f"wrote {sorted(p.name for p in out.iterdir())}")
     print(f"this sample: mIoU {mean:.3f}")
     back = D.read_pgm(out / "pred.pgm")

@@ -169,7 +169,7 @@ def parse_run_config(doc: dict) -> RunConfig:
     ohem = _section(OhemConfig, top.pop("ohem", {}), "config.ohem")
     aug = top.pop("augment", None)
     if aug is not None:  # null, or no key, means no augmentation
-        a = _section(AugmentConfig, aug, "config.augment", ignore_label=ohem.ignore_label)
+        a = _section(AugmentConfig, aug, "config.augment")
         aug = a if "crop" in aug else replace(a, crop=data_sec.canvas)
     train = _section(TrainConfig, top.pop("train", {}), "config.train",
                      seed=seed, ohem=ohem, augment=aug)
@@ -245,12 +245,10 @@ def cmd_eval(args) -> int:
     if not (args.data or args.config):
         raise ConfigError("eval needs --config or --data for its validation samples")
     params, net_cfg = network.load_checkpoint(args.checkpoint)
-    if args.data:
-        samples = _manifest_samples(args.data)
-    else:
-        cfg = load_run_config(args.config)
-        _, samples = _load_datasets(cfg)
-    report = training.evaluate(params, net_cfg, samples)
+    cfg = load_run_config(args.config) if args.config else None
+    samples = _manifest_samples(args.data) if args.data else _load_datasets(cfg)[1]
+    ignore_label = cfg.train.ohem.ignore_label if cfg else data.IGNORE_LABEL
+    report = training.evaluate(params, net_cfg, samples, ignore_label)
     text = json.dumps(report, indent=2)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -339,8 +337,7 @@ def _analysis_image(args, net_cfg):
 
 def cmd_analyze(args) -> int:
     if args.what == "rf":
-        cfg = network.preset(args.variant, num_classes=args.classes)
-        report = analysis.network_rf_report(cfg)
+        report = analysis.network_rf_report(network.preset(args.variant))
         if args.json:
             print(json.dumps(report, indent=2))
         else:
@@ -489,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="receptive fields, ERF, weights, heatmaps")
     a.add_argument("what", choices=["rf", "erf", "weights", "heatmaps"])
     a.add_argument("--variant", default="B", choices=list(network.VARIANTS))
-    a.add_argument("--classes", type=int, default=19)
     a.add_argument("--checkpoint")
     a.add_argument("--image")
     a.add_argument("--stage", default="s4", choices=["s2", "s3", "s4"])

@@ -40,8 +40,10 @@ class ShapesSpec:
     def __post_init__(self):
         if self.num_classes < 2:
             raise ValueError(f"need >= 2 classes, got {self.num_classes}")
-        if self.shapes_per_image[0] > self.shapes_per_image[1]:
+        if not 0 <= self.shapes_per_image[0] <= self.shapes_per_image[1]:
             raise ValueError(f"bad shapes_per_image range {self.shapes_per_image}")
+        if not self.noise >= 0:
+            raise ValueError(f"noise must be >= 0, got {self.noise}")
         if self.size_range[0] > self.size_range[1] or self.size_range[0] < 2:
             raise ValueError(f"bad size_range {self.size_range}")
 

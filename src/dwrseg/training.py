@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Sample
+from .data import IGNORE_LABEL, Sample
 from .engine import NumericError, ShapeError, Tape, ops
 from .network import NetworkConfig, forward, grads_from_backward, infer
 from .params import ParamStore
@@ -29,20 +29,17 @@ from .params import ParamStore
 
 @dataclass
 class OptimizerState:
-    lr_base: float = 0.02
-    momentum: float = 0.9
-    weight_decay: float = 0.0005
-    poly_power: float = 0.9
-    max_iters: int = 1000
+    """The momentum buffers of one run, beside the recipe they follow."""
+    cfg: TrainConfig
     velocity: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def poly_lr(iteration: int, state: OptimizerState) -> float:
-    """lr_base * (1 - iter/max_iters) ** poly_power, clamped at the end."""
-    if state.max_iters == 0:  # a schedule of no iterations is at its end
+def poly_lr(iteration: int, cfg: TrainConfig) -> float:
+    """lr_base * (1 - iter/iters) ** poly_power, clamped at the end."""
+    if cfg.iters == 0:  # a schedule of no iterations is at its end
         return 0.0
-    frac = min(max(iteration / state.max_iters, 0.0), 1.0)
-    return state.lr_base * (1.0 - frac) ** state.poly_power
+    frac = min(max(iteration / cfg.iters, 0.0), 1.0)
+    return cfg.lr_base * (1.0 - frac) ** cfg.poly_power
 
 
 def _decay_exempt(name: str) -> bool:
@@ -57,12 +54,12 @@ def sgd_step(params: ParamStore, grads: dict[str, np.ndarray],
         g = grads[name]
         if g.shape != p.shape:
             raise ShapeError(f"gradient for {name} has shape {g.shape}, param {p.shape}")
-        wd = 0.0 if _decay_exempt(name) else state.weight_decay
+        wd = 0.0 if _decay_exempt(name) else state.cfg.weight_decay
         v = state.velocity.get(name)
         if v is None:
             v = np.zeros_like(p)
             state.velocity[name] = v
-        v *= state.momentum
+        v *= state.cfg.momentum
         v += g
         if wd:
             v += wd * p
@@ -77,7 +74,7 @@ def sgd_step(params: ParamStore, grads: dict[str, np.ndarray],
 class OhemConfig:
     prob_threshold: float = 0.7
     min_kept_fraction: float = 1.0 / 16.0
-    ignore_label: int = 255
+    ignore_label: int = IGNORE_LABEL
 
     def __post_init__(self):
         if not 0.0 < self.prob_threshold < 1.0:
@@ -141,9 +138,13 @@ def ohem_ce_loss(logits: np.ndarray, labels: np.ndarray, cfg: OhemConfig):
 # ---------------------------------------------------------------------------
 
 def confusion_matrix(pred: np.ndarray, gt: np.ndarray, num_classes: int,
-                     ignore_label: int = 255) -> np.ndarray:
+                     ignore_label: int) -> np.ndarray:
     keep = gt != ignore_label
-    idx = num_classes * gt[keep].astype(np.int64) + pred[keep].astype(np.int64)
+    gt = gt[keep].astype(np.int64)
+    bad = np.count_nonzero((gt < 0) | (gt >= num_classes))
+    if bad:
+        raise ValueError(f"{bad} label(s) outside [0, {num_classes})")
+    idx = num_classes * gt + pred[keep].astype(np.int64)
     return np.bincount(idx, minlength=num_classes ** 2).reshape(num_classes, num_classes)
 
 
@@ -158,11 +159,6 @@ def iou_from_confusion(cm: np.ndarray):
     return iou, mean
 
 
-def miou(pred: np.ndarray, gt: np.ndarray, num_classes: int, ignore_label: int = 255):
-    """(per-class IoU with NaN for absent classes, mean over present classes)."""
-    return iou_from_confusion(confusion_matrix(pred, gt, num_classes, ignore_label))
-
-
 # ---------------------------------------------------------------------------
 # Augmentation
 # ---------------------------------------------------------------------------
@@ -175,13 +171,17 @@ class AugmentConfig:
     brightness: float = 0.0
     contrast: float = 0.0
     saturation: float = 0.0
-    ignore_label: int = 255
 
     def __post_init__(self):
-        if self.scale_range[0] > self.scale_range[1]:
-            raise ValueError(f"scale range {self.scale_range} must be (min, max)")
+        if not 0 < self.scale_range[0] <= self.scale_range[1]:
+            raise ValueError(f"scale_range {self.scale_range} must be (min, max) with min > 0")
         if min(self.crop) < 1:
             raise ValueError(f"crop must be two sizes >= 1, got {self.crop}")
+        if not 0.0 <= self.hflip_prob <= 1.0:
+            raise ValueError(f"hflip_prob must be in [0, 1], got {self.hflip_prob}")
+        for name in ("brightness", "contrast", "saturation"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def resize_image_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -202,8 +202,10 @@ def resize_mask_nearest(mask: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return mask[ys][:, xs]
 
 
-def augment(sample: Sample, cfg: AugmentConfig, rng: np.random.Generator) -> Sample:
-    """Random resample, pad, crop, horizontal flip, color jitter (image only).
+def augment(sample: Sample, cfg: AugmentConfig, rng: np.random.Generator,
+            ignore_label: int) -> Sample:
+    """Random resample, pad (masks with ignore_label), crop, horizontal flip,
+    color jitter (image only).
 
     Deterministic for a given RNG state.  Transforms that would be identity
     (unit scale, full crop, zero jitter) leave the arrays bitwise unchanged.
@@ -226,7 +228,7 @@ def augment(sample: Sample, cfg: AugmentConfig, rng: np.random.Generator) -> Sam
         padded = np.broadcast_to(fill, (1, 3, h + pad_h, w + pad_w)).astype(img.dtype).copy()
         padded[:, :, :h, :w] = img
         img = padded
-        mask = np.pad(mask, ((0, pad_h), (0, pad_w)), constant_values=cfg.ignore_label)
+        mask = np.pad(mask, ((0, pad_h), (0, pad_w)), constant_values=ignore_label)
         h, w = mask.shape
 
     if (h, w) != (ch, cw):
@@ -284,20 +286,20 @@ class TrainConfig:
             raise ValueError(f"poly_power must be >= 0 and finite, got {self.poly_power}")
 
 
-def _assemble_batch(dataset, indices, aug_cfg, seed, iteration):
+def _assemble_batch(dataset, indices, cfg: TrainConfig, iteration):
     imgs, masks = [], []
     for slot, idx in enumerate(indices):
         s = dataset[idx]
-        if aug_cfg is not None:
-            rng = np.random.default_rng([seed, iteration, slot])
-            s = augment(s, aug_cfg, rng)
+        if cfg.augment is not None:
+            rng = np.random.default_rng([cfg.seed, iteration, slot])
+            s = augment(s, cfg.augment, rng, cfg.ohem.ignore_label)
         imgs.append(s.image)
         masks.append(s.mask[None])
     return np.concatenate(imgs, axis=0), np.concatenate(masks, axis=0)
 
 
 def evaluate(params: ParamStore, net_cfg: NetworkConfig, dataset,
-             ignore_label: int = 255) -> dict:
+             ignore_label: int) -> dict:
     """Eval-mode mIoU / pixel accuracy over a dataset of samples."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -328,9 +330,7 @@ def train_loop(params: ParamStore, net_cfg: NetworkConfig, dataset,
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
-    opt = OptimizerState(lr_base=cfg.lr_base, momentum=cfg.momentum,
-                         weight_decay=cfg.weight_decay, poly_power=cfg.poly_power,
-                         max_iters=cfg.iters)
+    opt = OptimizerState(cfg)
     order_rng = np.random.default_rng([cfg.seed, 0xD5EC])
     order: list[int] = []
     log: list[dict] = []
@@ -344,13 +344,13 @@ def train_loop(params: ParamStore, net_cfg: NetworkConfig, dataset,
         while len(order) < cfg.batch_size:
             order.extend(order_rng.permutation(len(dataset)).tolist())
         indices, order = order[:cfg.batch_size], order[cfg.batch_size:]
-        images, labels = _assemble_batch(dataset, indices, cfg.augment, cfg.seed, it)
+        images, labels = _assemble_batch(dataset, indices, cfg, it)
 
         tape = Tape()
         logits, _ = forward(params, net_cfg, images, mode="train", tape=tape)
         loss, dlogits = ohem_ce_loss(logits.data, labels, cfg.ohem)
         grads = grads_from_backward(tape, params, logits, dlogits)
-        lr = poly_lr(it, opt)
+        lr = poly_lr(it, cfg)
         sgd_step(params, grads, opt, lr)
 
         if cfg.log_every and (it % cfg.log_every == 0 or it == cfg.iters - 1):
@@ -362,7 +362,7 @@ def train_loop(params: ParamStore, net_cfg: NetworkConfig, dataset,
 
     if val_dataset is not None:
         final = evaluate(params, net_cfg, val_dataset, cfg.ohem.ignore_label)
-        record({"iter": cfg.iters, "lr": poly_lr(cfg.iters, opt), "loss": None,
+        record({"iter": cfg.iters, "lr": poly_lr(cfg.iters, cfg), "loss": None,
                 "miou": final["miou"], "eval": final})
 
     if log_path is not None:

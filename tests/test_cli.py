@@ -100,7 +100,6 @@ class TestConfigParsing:
             for key, value in FULL_PRESET[section].items():
                 want = tuple(value) if isinstance(value, list) else value
                 assert getattr(target, aliases.get(key, key)) == want, key
-        assert cfg.train.augment.ignore_label == FULL_PRESET["ohem"]["ignore_label"]
 
 
 class TestCount:
@@ -219,6 +218,24 @@ class TestTrainEvalPredict:
         doc = json.loads(capsys.readouterr().out)
         assert doc["miou"] >= 0.95
 
+    def test_eval_config_reads_the_ignore_label_train_used(self, tmp_path, capsys):
+        # masks whose top rows carry 254, the run's ignore label in place of 255
+        spec = D.ShapesSpec(canvas=(32, 32), num_classes=4, seed=6)
+        ddir = tmp_path / "ds"
+        ddir.mkdir()
+        for i in range(5):
+            s = D.generate(spec, i)
+            s.mask[:4] = 254
+            D.write_ppm(ddir / f"s{i}.ppm", s.image)
+            D.write_pgm(ddir / f"s{i}_mask.pgm", s.mask)
+        cfg_path, _ = write_config(tmp_path, num_classes=4, ohem={"ignore_label": 254},
+                                   data={"kind": "manifest", "dir": str(ddir)})
+        assert main(["train", "--config", str(cfg_path), "--iters", "2"]) == 0
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.dwck"),
+                     "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "run" / "eval.json").read_bytes()
+
     def test_predict_round_trip(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)
         main(["train", "--config", str(cfg_path)])
@@ -323,6 +340,19 @@ class TestExitCodes:
         empty.mkdir()
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(empty)]) == 2
 
+    def test_eval_label_out_of_range_exit_2(self, tmp_path, capsys):
+        net_cfg = network.preset("tiny", num_classes=4)
+        ckpt = tmp_path / "c.dwck"
+        network.save_checkpoint(network.build(net_cfg, rng_seed=0), net_cfg, ckpt)
+        ddir = tmp_path / "ds"
+        ddir.mkdir()
+        s = D.generate(D.ShapesSpec(canvas=(32, 32), num_classes=4, seed=4), 0)
+        s.mask[0, :5] = 7  # a label that is neither a class nor the ignore label
+        D.write_ppm(ddir / "a.ppm", s.image)
+        D.write_pgm(ddir / "a_mask.pgm", s.mask)
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(ddir)]) == 2
+        assert "error: 5 label(s) outside [0, 4)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("orphan", ["orphan.ppm", "orphan_mask.pgm"])
     def test_eval_unpaired_file_exit_2(self, tmp_path, capsys, orphan):
         cfg_path, _ = write_config(tmp_path, train={"iters": 0})
@@ -387,7 +417,16 @@ class TestExitCodes:
         ({"data": {"shapes_per_image": [3, 1]}}, "shapes_per_image"),
         ({"data": {"size_range": [1, 1]}}, "size_range"), ({"seed": -1}, "seed"),
         ({"ohem": {"ignore_label": 0}}, "ignore_label"), ({"num_classes": 300}, "num_classes"),
-        ({"num_classes": 1}, "num_classes"), ({"num_classes": 10 ** 12}, "num_classes")])
+        ({"num_classes": 1}, "num_classes"), ({"num_classes": 10 ** 12}, "num_classes"),
+        ({"data": {"noise": -0.1}}, "noise"),
+        ({"data": {"shapes_per_image": [-1, 2]}}, "shapes_per_image"),
+        ({"augment": {"scale_range": [-2.0, -1.0]}}, "scale_range"),
+        ({"augment": {"scale_range": [0.0, 1.0]}}, "scale_range"),
+        ({"augment": {"hflip_prob": 7.0}}, "hflip_prob"),
+        ({"augment": {"hflip_prob": -0.5}}, "hflip_prob"),
+        ({"augment": {"brightness": -0.5}}, "brightness"),
+        ({"augment": {"contrast": -0.5}}, "contrast"),
+        ({"augment": {"saturation": -0.5}}, "saturation")])
     def test_out_of_range_data_config_exit_2(self, tmp_path, capsys, overrides, field):
         cfg_path, _ = write_config(tmp_path, **overrides)
         assert main(["train", "--config", str(cfg_path)]) == 2

@@ -16,24 +16,23 @@ from dwrseg.params import ParamStore
 
 class TestPolyLr:
     def test_endpoints_and_midpoint(self):
-        st_ = T.OptimizerState(lr_base=0.02, poly_power=0.9, max_iters=100)
-        assert T.poly_lr(0, st_) == 0.02
-        assert T.poly_lr(100, st_) == 0.0
+        cfg = T.TrainConfig(lr_base=0.02, poly_power=0.9, iters=100)
+        assert T.poly_lr(0, cfg) == 0.02
+        assert T.poly_lr(100, cfg) == 0.0
         # 0.02 * 0.5**0.9, evaluated directly from the formula
-        assert T.poly_lr(50, st_) == pytest.approx(0.010717734625362931, rel=1e-12)
+        assert T.poly_lr(50, cfg) == pytest.approx(0.010717734625362931, rel=1e-12)
 
     def test_monotone_non_increasing(self):
-        st_ = T.OptimizerState(max_iters=37)
-        vals = [T.poly_lr(i, st_) for i in range(38)]
+        cfg = T.TrainConfig(iters=37)
+        vals = [T.poly_lr(i, cfg) for i in range(38)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
-        assert vals[0] == st_.lr_base and vals[-1] == 0.0
+        assert vals[0] == cfg.lr_base and vals[-1] == 0.0
 
     def test_clamped_beyond_max(self):
-        st_ = T.OptimizerState(max_iters=10)
-        assert T.poly_lr(15, st_) == 0.0
+        assert T.poly_lr(15, T.TrainConfig(iters=10)) == 0.0
 
     def test_zero_iterations_is_at_the_end(self):
-        assert T.poly_lr(0, T.OptimizerState(max_iters=0)) == 0.0
+        assert T.poly_lr(0, T.TrainConfig(iters=0)) == 0.0
 
 
 def scalar_store(value):
@@ -45,20 +44,20 @@ def scalar_store(value):
 class TestSgdStep:
     def test_zero_grad_zero_wd_is_identity(self):
         store = scalar_store(1.5)
-        st_ = T.OptimizerState(weight_decay=0.0)
+        st_ = T.OptimizerState(T.TrainConfig(weight_decay=0.0))
         T.sgd_step(store, {"w": np.zeros(1, np.float32)}, st_, lr=0.1)
         assert store["w"][0] == 1.5
 
     def test_lr_zero_is_identity(self):
         store = scalar_store(2.0)
-        st_ = T.OptimizerState()
+        st_ = T.OptimizerState(T.TrainConfig())
         T.sgd_step(store, {"w": np.ones(1, np.float32)}, st_, lr=0.0)
         assert store["w"][0] == 2.0
 
     def test_first_step_formula(self):
         p0, g, wd, lr = 2.0, 0.5, 0.01, 0.1
         store = scalar_store(p0)
-        st_ = T.OptimizerState(momentum=0.9, weight_decay=wd)
+        st_ = T.OptimizerState(T.TrainConfig(momentum=0.9, weight_decay=wd))
         T.sgd_step(store, {"w": np.array([g], np.float32)}, st_, lr=lr)
         assert store["w"][0] == pytest.approx(p0 - lr * (g + wd * p0), rel=1e-6)
 
@@ -71,7 +70,7 @@ class TestSgdStep:
         v2 = mom * v1 + g2 + wd * p1
         p2 = p1 - lr * v2
         store = scalar_store(p)
-        st_ = T.OptimizerState(momentum=mom, weight_decay=wd)
+        st_ = T.OptimizerState(T.TrainConfig(momentum=mom, weight_decay=wd))
         T.sgd_step(store, {"w": np.array([g1], np.float32)}, st_, lr=lr)
         T.sgd_step(store, {"w": np.array([g2], np.float32)}, st_, lr=lr)
         assert store["w"][0] == pytest.approx(p2, rel=1e-5)
@@ -81,7 +80,7 @@ class TestSgdStep:
         bn = store.add_bn("x.bn", 2)
         bn.gamma[:] = 3.0
         store.add("conv.weight", np.full(2, 3.0, np.float32))
-        st_ = T.OptimizerState(momentum=0.0, weight_decay=0.5)
+        st_ = T.OptimizerState(T.TrainConfig(momentum=0.0, weight_decay=0.5))
         zeros = {n: np.zeros_like(a) for n, a in store.items()}
         T.sgd_step(store, zeros, st_, lr=1.0)
         np.testing.assert_array_equal(store["x.bn.gamma"], np.full(2, 3.0, np.float32))
@@ -173,36 +172,45 @@ class TestOhem:
         assert (np.abs(grad).sum(axis=1) > 0).sum() == kept_before.sum()
 
 
+def miou(pred, gt, num_classes):
+    return T.iou_from_confusion(T.confusion_matrix(pred, gt, num_classes, D.IGNORE_LABEL))
+
+
 class TestMiou:
     def test_perfect_prediction(self):
         gt = np.random.default_rng(0).integers(0, 3, (10, 10))
-        iou, mean = T.miou(gt, gt, 3)
+        iou, mean = miou(gt, gt, 3)
         assert mean == 1.0
 
     def test_disjoint_binary_masks(self):
         pred = np.array([1, 1, 0, 0])
         gt = np.array([0, 0, 1, 1])
-        _, mean = T.miou(pred, gt, 2)
+        _, mean = miou(pred, gt, 2)
         assert mean == 0.0
 
     def test_hand_confusion_matrix(self):
         pred = np.array([0, 1, 0, 1])
         gt = np.array([0, 0, 1, 1])
-        iou, mean = T.miou(pred, gt, 2)
+        iou, mean = miou(pred, gt, 2)
         np.testing.assert_allclose(iou, [1 / 3, 1 / 3])
         assert mean == pytest.approx(1 / 3)
 
     def test_absent_classes_excluded(self):
         pred = np.array([0, 0, 1, 1])
         gt = np.array([0, 0, 1, 1])
-        iou, mean = T.miou(pred, gt, 5)
+        iou, mean = miou(pred, gt, 5)
         assert np.isnan(iou[3]) and mean == 1.0
 
     def test_ignore_pixels_excluded(self):
         pred = np.array([0, 1])
         gt = np.array([0, 255])
-        _, mean = T.miou(pred, gt, 2, ignore_label=255)
+        _, mean = miou(pred, gt, 2)
         assert mean == 1.0
+
+    def test_label_out_of_range_named(self):
+        gt = np.array([0, 2, 255, -1, 7])
+        with pytest.raises(ValueError, match=r"^3 label\(s\) outside \[0, 2\)$"):
+            T.confusion_matrix(np.zeros(5, np.int64), gt, 2, 255)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -211,8 +219,8 @@ class TestMiou:
         pred = rng.integers(0, 4, 64)
         gt = rng.integers(0, 4, 64)
         perm = rng.permutation(64)
-        _, a = T.miou(pred, gt, 4)
-        _, b = T.miou(pred[perm], gt[perm], 4)
+        _, a = miou(pred, gt, 4)
+        _, b = miou(pred[perm], gt[perm], 4)
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -227,7 +235,7 @@ class TestAugment:
         cfg = T.AugmentConfig(scale_range=(1.0, 1.0), crop=sample.mask.shape,
                               hflip_prob=0.0, brightness=0.0, contrast=0.0,
                               saturation=0.0)
-        out = T.augment(sample, cfg, np.random.default_rng(0))
+        out = T.augment(sample, cfg, np.random.default_rng(0), 255)
         np.testing.assert_array_equal(out.image, sample.image)
         np.testing.assert_array_equal(out.mask, sample.mask)
 
@@ -235,34 +243,35 @@ class TestAugment:
         cfg = T.AugmentConfig(scale_range=(1.0, 1.0), crop=sample.mask.shape,
                               hflip_prob=1.0, brightness=0.0, contrast=0.0,
                               saturation=0.0)
-        once = T.augment(sample, cfg, np.random.default_rng(0))
-        twice = T.augment(once, cfg, np.random.default_rng(0))
+        once = T.augment(sample, cfg, np.random.default_rng(0), 255)
+        twice = T.augment(once, cfg, np.random.default_rng(0), 255)
         np.testing.assert_array_equal(twice.image, sample.image)
         np.testing.assert_array_equal(twice.mask, sample.mask)
 
     def test_seeded_reproducibility(self, sample):
         cfg = T.AugmentConfig(scale_range=(0.5, 1.5), crop=(32, 32), hflip_prob=0.5,
                               brightness=0.3, contrast=0.3, saturation=0.3)
-        a = T.augment(sample, cfg, np.random.default_rng([9, 1]))
-        b = T.augment(sample, cfg, np.random.default_rng([9, 1]))
+        a = T.augment(sample, cfg, np.random.default_rng([9, 1]), 255)
+        b = T.augment(sample, cfg, np.random.default_rng([9, 1]), 255)
         np.testing.assert_array_equal(a.image, b.image)
         np.testing.assert_array_equal(a.mask, b.mask)
 
-    def test_crop_and_pad_shapes(self, sample):
+    @pytest.mark.parametrize("pad_label", [255, 254])
+    def test_crop_and_pad_shapes(self, sample, pad_label):
         cfg = T.AugmentConfig(scale_range=(0.4, 0.4), crop=(40, 40), hflip_prob=0.0,
                               brightness=0.0, contrast=0.0, saturation=0.0)
-        out = T.augment(sample, cfg, np.random.default_rng(3))
+        out = T.augment(sample, cfg, np.random.default_rng(3), pad_label)
         assert out.image.shape == (1, 3, 40, 40)
         assert out.mask.shape == (40, 40)
-        # padded area carries the ignore label
-        assert (out.mask == 255).any()
+        # the padded area carries the label given, and only there
+        assert set(np.unique(out.mask)) - set(np.unique(sample.mask)) == {pad_label}
 
     def test_mask_stays_categorical(self, sample):
         cfg = T.AugmentConfig(scale_range=(0.3, 1.7), crop=(32, 32), hflip_prob=0.5,
                               brightness=0.3, contrast=0.3, saturation=0.3)
         classes = set(np.unique(sample.mask)) | {255}
         for s in range(10):
-            out = T.augment(sample, cfg, np.random.default_rng(s))
+            out = T.augment(sample, cfg, np.random.default_rng(s), 255)
             assert set(np.unique(out.mask)) <= classes
             assert out.image.min() >= 0.0 and out.image.max() <= 1.0
 
@@ -290,7 +299,7 @@ class TestAugment:
         rng = np.random.default_rng(11)
         h = hashlib.sha256()
         for s in D.make_dataset(spec, 8):
-            out = T.augment(s, cfg, rng)
+            out = T.augment(s, cfg, rng, 255)
             h.update(out.image.tobytes())
             h.update(out.mask.tobytes())
         assert h.hexdigest() == digest
@@ -321,9 +330,18 @@ class TestTrainLoop:
         before = {n: a.copy() for n, a in [*params.items(), *params.stat_items()]}
         log = T.train_loop(params, net_cfg, ds, T.TrainConfig(iters=0), val_dataset=ds)
         assert [(e["iter"], e["lr"], e["loss"]) for e in log] == [(0, 0.0, None)]
-        assert log[0]["eval"] == T.evaluate(params, net_cfg, ds)
+        assert log[0]["eval"] == T.evaluate(params, net_cfg, ds, 255)
         for n, a in [*params.items(), *params.stat_items()]:
             np.testing.assert_array_equal(a, before[n])
+
+    def test_augment_pads_with_the_ohem_ignore_label(self):
+        # a crop larger than the resampled canvas pads every mask, with 254
+        ds, net_cfg, params = self.make_setup(canvas=(64, 64))
+        cfg = T.TrainConfig(iters=3, batch_size=2, log_every=1,
+                            ohem=T.OhemConfig(ignore_label=254),
+                            augment=T.AugmentConfig(scale_range=(0.5, 0.5), crop=(64, 64)))
+        log = T.train_loop(params, net_cfg, ds, cfg)
+        assert len(log) == 3 and all(np.isfinite(e["loss"]) for e in log)
 
     def test_empty_dataset_rejected(self):
         _, net_cfg, params = self.make_setup()
@@ -351,7 +369,7 @@ class TestTrainLoop:
         losses = [e["loss"] for e in log if e["loss"] is not None]
         assert min(losses) < 0.05
         assert losses[-1] < losses[0]
-        rep = T.evaluate(params, net_cfg, ds)
+        rep = T.evaluate(params, net_cfg, ds, 255)
         assert rep["miou"] >= 0.95
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
