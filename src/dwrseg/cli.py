@@ -439,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Config defaults: see `dwrseg preset desk`. Exit codes: "
                "0 ok, 2 config error, 3 numeric failure.")
     p.add_argument("--threads", type=int, default=ops.DEFAULT_WORKERS,
-                   help="threads that run conv and upsample bands (default: the "
+                   help="threads that run the bands of each forward op (default: the "
                         f"{ops.DEFAULT_WORKERS} cores this process may use); BLAS runs "
                         "on one thread, and seeded runs repeat bitwise at any count")
     sub = p.add_subparsers(dest="command", required=True)

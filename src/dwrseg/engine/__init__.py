@@ -7,6 +7,7 @@ from .ops import (
     add,
     batchnorm_backward,
     batchnorm_forward,
+    check_finite,
     concat_channels,
     conv2d_backward,
     conv2d_forward,
@@ -24,7 +25,6 @@ from .tensor import (
     FormatError,
     NumericError,
     ShapeError,
-    check_finite,
     nt_bytes,
     nt_from_bytes,
     read_nt,

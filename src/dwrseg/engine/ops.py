@@ -8,10 +8,10 @@ its forward's map transposed, read off the same description:
   over im2col columns (n, groups, cg*k*k, oh*ow), rows ordered channel,
   kernel row, kernel column, gathered and multiplied in balanced bands of
   whole groups or, within one group of several output channels, of output
-  rows, each band's columns at most BAND_BYTES (a one-output-channel
-  group, a matrix-vector product, is never split); W[g]^T @ grad_out[:, g]
-  goes back onto the input as one strided-slice add per kernel offset
-  (col2im);
+  rows, each band's columns at most BAND_BYTES for one image (a
+  one-output-channel group, a matrix-vector product, is never split), then
+  of images; W[g]^T @ grad_out[:, g] goes back onto the input as one
+  strided-slice add per kernel offset (col2im);
 - max pooling: a running maximum over the k*k strided window views; each
   window's gradient goes back through the view of its first argmax;
 - bilinear upsampling: A_y @ x @ A_x^T with one interpolation matrix per
@@ -21,35 +21,44 @@ its forward's map transposed, read off the same description:
 
 Every output element is produced by one reduction in a fixed order, so
 repeated runs are bitwise identical at a fixed BLAS thread count (a matmul
-may round differently at another), and banding leaves every result as the
-unbanded computation gives it.  The bands of one conv or upsample write
-disjoint slices of one output and run on `workers()` threads (the caller
-and a pool); each band is the same numpy call whichever thread runs it, so results are
-bitwise identical at any worker count (the CLI keeps BLAS at one thread and
-sets the workers with --threads).  Convolution padding is zero padding;
-pooling padding behaves as -inf.  Bilinear upsampling uses half-pixel
-source coordinates clamped to the borders (src = (dst + 0.5) * in/out - 0.5).
+may round differently at another).  Every forward op splits its output
+into bands, which write disjoint slices of it and run on `workers()`
+threads (the caller and a pool): convolution and upsampling as above,
+batch norm, ReLU, add, concat and max pooling in bands of channels, and the
+tape's finiteness check (`check_finite`) in bands of a flat view.  Each
+band is the same numpy call whichever thread runs it, so results are
+bitwise identical at any worker count (the CLI keeps BLAS at one thread
+and sets the workers with --threads); a call whose output fits one band
+runs inline on the caller.  The backward ops run on the calling thread.
+Convolution padding is zero padding; pooling padding behaves as -inf.
+Bilinear upsampling uses half-pixel source coordinates clamped to the
+borders (src = (dst + 0.5) * in/out - 0.5).
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import BAND_BYTES, FLOAT, ShapeError, check_4d
+from .tensor import FLOAT, NumericError, ShapeError, check_4d
 
-# BAND_BYTES bounds the transient workspace of one conv or upsample band
-# (im2col columns, gathered rows), so a band's columns are still cached when
-# its matmul reads them back.  Balanced bands that split a conv hold more
-# than a third of it (about half where the units are small), which keeps
-# every product far above the sizes where OpenBLAS takes its small-matrix
-# path; a matrix-vector product, whose rounding OpenBLAS chooses by its
-# length, is never split.  So banding changes no result.  Bands are cut by
-# BAND_BYTES alone, never by the worker count, which would change the matmul
-# shapes and with them the rounding.
+# Transient workspace of one band: half of a 2 MiB per-core L2, so what a
+# band writes (im2col columns, a channel slice under its three BN passes) is
+# still cached when it is read back.  Conv bands are cut by one image's
+# bytes, so every matmul has the shape it has for that image alone and a
+# batch's results are each image's alone.  Balanced bands that split a conv
+# hold more than a third of it (about half where the units are small),
+# which keeps the network's products far above the sizes where OpenBLAS
+# takes its small-matrix path; a matrix-vector product, whose rounding
+# OpenBLAS chooses by its length, is never split.  A product of some other
+# shape may still round apart from the one unbanded matmul.  Bands are cut
+# by BAND_BYTES alone, never by the worker count, which would change the
+# matmul shapes and with them the rounding.
+BAND_BYTES = 1 << 20
 
 # ---------------------------------------------------------------------------
 # Band workers
@@ -60,10 +69,11 @@ DEFAULT_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinit
                    else os.cpu_count() or 1)
 _workers = DEFAULT_WORKERS
 _executor = None  # a ThreadPoolExecutor of workers - 1 threads, made on first use
+_in_band = threading.local()  # .active: this thread is running band tasks
 
 
 def workers() -> int:
-    """Threads that run the bands of one conv or upsample (the caller included)."""
+    """Threads that run the bands of one forward op (the caller included)."""
     return _workers
 
 
@@ -82,14 +92,15 @@ def _run_bands(task, bands) -> None:
     """task(*band) for every band, on the calling thread and the pool.
 
     Bands write disjoint slices of one output, so their order is free.  A
-    single band, or one worker, runs inline.  Every band has ended before
-    this returns or re-raises the first exception, so none still writes
-    into the output afterwards.  A task calls numpy and private helpers
-    only: the public functions here may be wrapped by code that is not
-    thread-safe.
+    single band, one worker, or a call from inside a band task runs inline
+    (a nested call's helpers would wait in the pool's queue behind the
+    tasks that wait for them).  Every band has ended before this returns or
+    re-raises the first exception, so none still writes into the output
+    afterwards.  A task calls numpy and private helpers only: the public
+    functions here may be wrapped by code that is not thread-safe.
     """
     global _executor
-    if _workers == 1 or len(bands) == 1:
+    if _workers == 1 or len(bands) == 1 or getattr(_in_band, "active", False):
         for band in bands:
             task(*band)
         return
@@ -102,12 +113,16 @@ def _run_bands(task, bands) -> None:
     lock = threading.Lock()
 
     def drain():
-        while True:
-            with lock:
-                band = next(todo, None)
-            if band is None:
-                return
-            task(*band)
+        _in_band.active = True
+        try:
+            while True:
+                with lock:
+                    band = next(todo, None)
+                if band is None:
+                    return
+                task(*band)
+        finally:
+            _in_band.active = False
 
     helpers = [_executor.submit(drain) for _ in range(min(_workers, len(bands)) - 1)]
     try:
@@ -117,6 +132,50 @@ def _run_bands(task, bands) -> None:
             helper.exception()  # waits for the helper to end; raises nothing
     for helper in helpers:
         helper.result()
+
+
+def _bands(count: int, unit_bytes: int):
+    """Balanced [i0, i1) bands of `count` units, each at most BAND_BYTES
+    where a unit fits: band sizes differ by at most one unit, so no band is
+    left short (OpenBLAS rounds a small enough product differently)."""
+    if count * unit_bytes <= BAND_BYTES:  # the common case, made cheap
+        return [(0, count)]
+    nb = max(1, min(count, -(-count // max(1, BAND_BYTES // max(1, unit_bytes)))))
+    cuts = [count * i // nb for i in range(nb + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _channel_bands(x: np.ndarray):
+    """Bands of the channels of x (n, c, h, w), each over all n images."""
+    return _bands(x.shape[1], x.nbytes // max(1, x.shape[1]))
+
+
+def check_finite(name: str, x: np.ndarray) -> np.ndarray:
+    """Raise NumericError if `x` contains NaN or Inf; return `x` unchanged.
+
+    Checked in bands of a flat view.  A call that fits one band checks a
+    mask of it; on several bands, each checks its minimum and maximum,
+    which are both finite exactly when all of the band's values are (NaN
+    propagates through both), so bands running at once make no masks.
+    Non-finite values are counted only once a check fails.
+    """
+    flat = np.reshape(x, -1)
+    if flat.nbytes <= BAND_BYTES:  # one band
+        finite = np.isfinite(flat).all()
+    else:
+        failed = []
+
+        def band(i0, i1):
+            part = flat[i0:i1]
+            if not (np.isfinite(part.min()) and np.isfinite(part.max())):
+                failed.append(i0)
+
+        _run_bands(band, _bands(flat.size, flat.itemsize))
+        finite = not failed
+    if not finite:
+        bad = int(flat.size - np.count_nonzero(np.isfinite(flat)))
+        raise NumericError(f"{name}: {bad} non-finite value(s) in tensor of shape {x.shape}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -204,26 +263,18 @@ def _check_conv_operands(x, weight, bias, spec: ConvSpec):
         raise ShapeError(f"conv bias shape {bias.shape} != ({spec.out_channels},)")
 
 
-def _bands(count: int, unit_bytes: int):
-    """Balanced [i0, i1) bands of `count` units, each at most BAND_BYTES
-    where a unit fits: band sizes differ by at most one unit, so no band is
-    left short (OpenBLAS rounds a small enough product differently)."""
-    nb = max(1, min(count, -(-count // max(1, BAND_BYTES // max(1, unit_bytes)))))
-    cuts = [count * i // nb for i in range(nb + 1)]
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
 def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias, spec: ConvSpec) -> np.ndarray:
     """out[:, g] = W[g] @ cols[:, g], one batched matmul per band of the output.
 
     The im2col columns of a band are gathered from the padded input and
     multiplied straight into that band of the output, so the workspace stays
-    within BAND_BYTES.  Bands hold whole groups, and split the output rows
-    only where one group's columns do not fit and the group has several
-    output channels: a one-output-channel group (depthwise) is a
-    matrix-vector product, whose rounding OpenBLAS chooses by its length,
-    so it runs whole, one group per band.  A conv whose columns fit runs one
-    matmul, and every output element is the same reduction either way.
+    within BAND_BYTES.  Bands are cut by one image's columns: they hold whole
+    groups, and split the output rows only where one group's columns do not
+    fit and the group has several output channels (a one-output-channel
+    group, depthwise, is a matrix-vector product, whose rounding OpenBLAS
+    chooses by its length, so it runs whole, one group per band); then they
+    hold as many images as fit.  Every matmul of a batch thus has the shape
+    it has for one image, and each image's output is what it is alone.
     """
     _check_conv_operands(x, weight, bias, spec)
     n, _, h, w = x.shape
@@ -232,17 +283,21 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias, spec: ConvSpec) -> n
     pat = _patches(_pad(x, spec.padding), spec.kernel, spec.stride, spec.dilation, oh, ow)
     wmat = weight.reshape(spec.groups, og, kk)
     out = np.empty((n, spec.groups, og, oh * ow), dtype=np.result_type(weight, x))
-    row_bytes = n * kk * ow * x.itemsize  # one output row of one group's columns
+    # one output row of one group's columns for one image (nothing without images)
+    row_bytes = min(n, 1) * kk * ow * x.itemsize
 
-    def band(g0, g1, r0, r1):
-        # (n, groups, cg*k*k, pixels): reduction axis ordered channel, kernel row,
-        # kernel col (named, not -1, which numpy cannot infer for zero images)
-        cols = pat[:, g0 * cg:g1 * cg, ..., r0:r1, :].reshape(n, g1 - g0, kk, (r1 - r0) * ow)
-        np.matmul(wmat[g0:g1], cols, out=out[:, g0:g1, :, r0 * ow:r1 * ow])
+    def band(i0, i1, g0, g1, r0, r1):
+        # (images, groups, cg*k*k, pixels): reduction axis ordered channel, kernel
+        # row, kernel col (named, not -1, which numpy cannot infer for zero images)
+        cols = pat[i0:i1, g0 * cg:g1 * cg, ..., r0:r1, :].reshape(
+            i1 - i0, g1 - g0, kk, (r1 - r0) * ow)
+        np.matmul(wmat[g0:g1], cols, out=out[i0:i1, g0:g1, :, r0 * ow:r1 * ow])
 
-    _run_bands(band, [(g0, g1, r0, r1) for g0, g1 in _bands(spec.groups, row_bytes * oh)
+    _run_bands(band, [(i0, i1, g0, g1, r0, r1)
+                      for g0, g1 in _bands(spec.groups, row_bytes * oh)
                       for r0, r1 in (_bands(oh, row_bytes * (g1 - g0)) if og > 1
-                                     else [(0, oh)])])
+                                     else [(0, oh)])
+                      for i0, i1 in _bands(n, row_bytes * (g1 - g0) * (r1 - r0))])
     out = out.reshape(n, spec.out_channels, oh, ow)
     if bias is not None:
         out += np.asarray(bias).reshape(1, -1, 1, 1)
@@ -349,10 +404,21 @@ def batchnorm_forward(x: np.ndarray, state: BatchNormState, mode: str) -> np.nda
     else:
         raise ValueError(f"batchnorm mode must be 'train' or 'eval', got {mode!r}")
 
-    inv = 1.0 / np.sqrt(var + state.eps)
-    out = x - mean.reshape(1, c, 1, 1)
-    out *= (state.gamma * inv).reshape(1, c, 1, 1)
-    out += state.beta.reshape(1, c, 1, 1)
+    scale = state.gamma * (1.0 / np.sqrt(var + state.eps))
+    if x.nbytes <= BAND_BYTES:  # one band
+        return _normalize(x, mean, scale, state.beta)
+    out = np.empty(x.shape, dtype=np.result_type(x, mean))
+    _run_bands(lambda c0, c1: _normalize(x[:, c0:c1], mean[c0:c1], scale[c0:c1],
+                                         state.beta[c0:c1], out[:, c0:c1]),
+               _channel_bands(x))
+    return out
+
+
+def _normalize(x, mean, scale, beta, out=None):
+    """(x - mean) * scale + beta per channel, in three passes."""
+    out = np.subtract(x, mean.reshape(1, -1, 1, 1), out=out)
+    out *= scale.reshape(1, -1, 1, 1)
+    out += beta.reshape(1, -1, 1, 1)
     return out
 
 
@@ -390,7 +456,12 @@ def batchnorm_backward(x: np.ndarray, state: BatchNormState, grad_out: np.ndarra
 # ---------------------------------------------------------------------------
 
 def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+    if x.nbytes <= BAND_BYTES:  # one band
+        return np.maximum(x, 0)
+    out = np.empty(x.shape, dtype=x.dtype)
+    _run_bands(lambda c0, c1: np.maximum(x[:, c0:c1], 0, out=out[:, c0:c1]),
+               _channel_bands(x))
+    return out
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
@@ -402,17 +473,35 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 def add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if x.shape != y.shape:
         raise ShapeError(f"add: shapes {x.shape} != {y.shape}")
-    return x + y
+    if x.nbytes <= BAND_BYTES:  # one band
+        return x + y
+    out = np.empty(x.shape, dtype=np.result_type(x, y))
+    _run_bands(lambda c0, c1: np.add(x[:, c0:c1], y[:, c0:c1], out=out[:, c0:c1]),
+               _channel_bands(x))
+    return out
 
 
 def concat_channels(xs) -> np.ndarray:
     if not xs:
         raise ShapeError("concat of zero tensors")
-    base = xs[0].shape
+    base, nbytes = xs[0].shape, xs[0].nbytes
     for x in xs[1:]:
         if x.shape[0] != base[0] or x.shape[2:] != base[2:]:
             raise ShapeError(f"concat: incompatible shapes {base} vs {x.shape}")
-    return np.concatenate(xs, axis=1)
+        nbytes += x.nbytes
+    if nbytes <= BAND_BYTES:  # one band
+        return np.concatenate(xs, axis=1)
+    starts = [0, *itertools.accumulate(x.shape[1] for x in xs)]
+    out = np.empty((base[0], starts[-1], *base[2:]), dtype=np.result_type(*xs))
+
+    def band(c0, c1):  # copies every input's channels that fall in [c0, c1)
+        for x, s in zip(xs, starts):
+            lo, hi = max(c0, s), min(c1, s + x.shape[1])
+            if lo < hi:
+                out[:, lo:hi] = x[:, lo - s:hi - s]
+
+    _run_bands(band, _channel_bands(out))
+    return out
 
 
 def split_channels(x: np.ndarray, widths) -> list[np.ndarray]:
@@ -427,9 +516,8 @@ def split_channels(x: np.ndarray, widths) -> list[np.ndarray]:
 # Max pooling (-inf padding; gradient to the first row-major argmax)
 # ---------------------------------------------------------------------------
 
-def _pool(x: np.ndarray, kernel: int, stride: int, padding: int):
-    """The k*k strided views (n, c, oh, ow) of the -inf-padded input, one
-    per window offset in row-major order, and their running maximum."""
+def _pool_hw(x: np.ndarray, kernel: int, stride: int, padding: int):
+    """The (oh, ow) of a max pool over x."""
     check_4d("maxpool input", x)
     if padding >= kernel:
         raise ShapeError(f"maxpool padding {padding} must be < kernel {kernel}")
@@ -438,16 +526,30 @@ def _pool(x: np.ndarray, kernel: int, stride: int, padding: int):
     ow = (w + 2 * padding - kernel) // stride + 1
     if oh < 1 or ow < 1:
         raise ShapeError(f"non-positive pool output for input {h}x{w}")
-    pat = _patches(_pad(x, padding, -np.inf), kernel, stride, 1, oh, ow)
+    return oh, ow
+
+
+def _pool(x: np.ndarray, kernel: int, stride: int, padding: int, top: np.ndarray):
+    """The k*k strided views (n, c, oh, ow) of the -inf-padded input, one
+    per window offset in row-major order; their running maximum goes into
+    `top`."""
+    pat = _patches(_pad(x, padding, -np.inf), kernel, stride, 1, *top.shape[2:])
     views = [pat[:, :, i, j] for i in range(kernel) for j in range(kernel)]
-    top = views[0].copy()
+    top[...] = views[0]
     for v in views[1:]:
         np.maximum(top, v, out=top)
-    return views, top
+    return views
 
 
 def maxpool_forward(x: np.ndarray, kernel: int, stride: int, padding: int = 0) -> np.ndarray:
-    return _pool(x, kernel, stride, padding)[1]
+    """In bands of channels, each padding only its own channels."""
+    oh, ow = _pool_hw(x, kernel, stride, padding)
+    n, c, h, w = x.shape
+    out = np.empty((n, c, oh, ow), dtype=x.dtype)
+    padded_bytes = n * (h + 2 * padding) * (w + 2 * padding) * x.itemsize  # one channel
+    _run_bands(lambda c0, c1: _pool(x[:, c0:c1], kernel, stride, padding, out[:, c0:c1]),
+               _bands(c, padded_bytes))
+    return out
 
 
 def maxpool_backward(x: np.ndarray, kernel: int, stride: int, padding: int,
@@ -455,9 +557,10 @@ def maxpool_backward(x: np.ndarray, kernel: int, stride: int, padding: int,
     """The forward's slices transposed: each window's gradient goes to the
     first offset holding its maximum, and the offsets are added back in
     reverse order, so every pixel sums its windows in row-major order."""
-    views, top = _pool(x, kernel, stride, padding)
-    n, c, oh, ow = top.shape
-    h, w = x.shape[2:]
+    oh, ow = _pool_hw(x, kernel, stride, padding)
+    n, c, h, w = x.shape
+    top = np.empty((n, c, oh, ow), dtype=x.dtype)
+    views = _pool(x, kernel, stride, padding, top)
     if grad_out.shape != (n, c, oh, ow):
         raise ShapeError(f"maxpool grad shape {grad_out.shape} != ({n},{c},{oh},{ow})")
     taken = np.zeros(top.shape, dtype=bool)
@@ -502,34 +605,35 @@ def _bilinear_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
 def resize_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Interpolate a 4-d array to out_h x out_w, up or down (no checks).
 
-    A_y @ x @ A_x^T as a two-pass blend: each row is blended along x once,
-    at input height, then pairs of those rows are blended along y, one band
-    of whole channel planes (or, within one plane, of output rows) at a time
-    into the result.  Every output element gets the same multiplies and
-    adds, in the same order, as a four-tap gather, which rounds differently
-    from the matrix product.  The result is C-contiguous whatever the
-    input's memory order.
+    A_y @ x @ A_x^T as a two-pass blend, one band of whole channel planes
+    (or, within one plane, of output rows) at a time: the input rows the
+    band reads are blended along x, then pairs of those rows along y into
+    the result.  Every output element gets the same multiplies and adds, in
+    the same order, as a four-tap gather, which rounds differently from the
+    matrix product.  The result is C-contiguous whatever the input's memory
+    order.
     """
     n, c, h, w = x.shape
     y0, y1, fy = _bilinear_axis(h, out_h)
     x0, x1, fx = _bilinear_axis(w, out_w)
     fy = fy.astype(x.dtype).reshape(out_h, 1)
     fx = fx.astype(x.dtype)
-    hx = x[..., x0]
-    hx *= 1 - fx
-    right = x[..., x1]
-    right *= fx
-    hx += right
-    del right
-    planes = hx.reshape(n * c, h, out_w)
-    out = np.empty((n * c, out_h, out_w), dtype=hx.dtype)
-    row_bytes = out_w * hx.itemsize
+    planes = x.reshape(n * c, h, w)
+    out = np.empty((n * c, out_h, out_w), dtype=x.dtype)
+    row_bytes = out_w * x.itemsize
 
     def band(p0, p1, r0, r1):
+        rows = planes[p0:p1, y0[r0]:y1[r1 - 1] + 1]  # y0 and y1 never decrease
+        hx = rows[..., x0]
+        hx *= 1 - fx
+        right = rows[..., x1]
+        right *= fx
+        hx += right
+        del right
         top = out[p0:p1, r0:r1]  # contiguous: rows split only within one plane
-        np.take(planes[p0:p1], y0[r0:r1], axis=1, out=top, mode="clip")
+        np.take(hx, y0[r0:r1] - y0[r0], axis=1, out=top, mode="clip")
         top *= 1 - fy[r0:r1]
-        bot = np.take(planes[p0:p1], y1[r0:r1], axis=1)
+        bot = np.take(hx, y1[r0:r1] - y0[r0], axis=1)
         bot *= fy[r0:r1]
         top += bot
 

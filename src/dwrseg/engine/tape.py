@@ -29,7 +29,8 @@ from typing import Callable
 import numpy as np
 
 from . import ops
-from .tensor import ShapeError, check_finite
+from .ops import check_finite
+from .tensor import ShapeError
 
 # The ops whose output can be non-finite where their inputs are finite (a
 # product, sum or blend can overflow).  The others only pass values on:

@@ -19,11 +19,6 @@ import numpy as np
 
 FLOAT = np.float32
 
-# Transient workspace of one chunk of work over a large array (a conv or
-# upsample band in ops, a slice of a finiteness check): half of a 2 MiB
-# per-core L2.
-BAND_BYTES = 1 << 20
-
 NT_MAGIC = b"NTSR"
 NT_VERSION = 1
 
@@ -48,21 +43,6 @@ def tensor(data, dtype=FLOAT) -> np.ndarray:
 def check_4d(name: str, x: np.ndarray) -> None:
     if x.ndim != 4:
         raise ShapeError(f"{name}: expected a (n, c, h, w) tensor, got shape {x.shape}")
-
-
-def check_finite(name: str, x: np.ndarray) -> np.ndarray:
-    """Raise NumericError if `x` contains NaN or Inf; return `x` unchanged.
-
-    Checked in BAND_BYTES slices of a flat view, so no mask as large as `x`
-    is made unless a check fails.
-    """
-    flat = np.reshape(x, -1)
-    step = max(1, BAND_BYTES // flat.itemsize)
-    for i in range(0, flat.size, step):
-        if not np.isfinite(flat[i:i + step]).all():
-            bad = int(flat.size - np.count_nonzero(np.isfinite(flat)))
-            raise NumericError(f"{name}: {bad} non-finite value(s) in tensor of shape {x.shape}")
-    return x
 
 
 # ---------------------------------------------------------------------------

@@ -173,15 +173,18 @@ class AugmentConfig:
     saturation: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.scale_range[0] <= self.scale_range[1]:
-            raise ValueError(f"scale_range {self.scale_range} must be (min, max) with min > 0")
+        if not 0 < self.scale_range[0] <= self.scale_range[1] < math.inf:
+            raise ValueError(f"scale_range {self.scale_range} must be (min, max) with "
+                             f"0 < min <= max < inf")
         if min(self.crop) < 1:
             raise ValueError(f"crop must be two sizes >= 1, got {self.crop}")
         if not 0.0 <= self.hflip_prob <= 1.0:
             raise ValueError(f"hflip_prob must be in [0, 1], got {self.hflip_prob}")
         for name in ("brightness", "contrast", "saturation"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            v = getattr(self, name)
+            # augment draws from uniform(1 - v, 1 + v), which needs a finite width
+            if not (v >= 0 and math.isfinite((1 + v) - (1 - v))):
+                raise ValueError(f"{name} must be >= 0 with 1 +- {name} a finite range, got {v}")
 
 
 def resize_image_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

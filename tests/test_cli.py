@@ -426,7 +426,11 @@ class TestExitCodes:
         ({"augment": {"hflip_prob": -0.5}}, "hflip_prob"),
         ({"augment": {"brightness": -0.5}}, "brightness"),
         ({"augment": {"contrast": -0.5}}, "contrast"),
-        ({"augment": {"saturation": -0.5}}, "saturation")])
+        ({"augment": {"saturation": -0.5}}, "saturation"),
+        # each of these used to overflow rng.uniform at step 0
+        ({"augment": {"brightness": float("inf")}}, "brightness"),
+        ({"augment": {"contrast": 1e308}}, "contrast"),
+        ({"augment": {"scale_range": [1.0, float("inf")]}}, "scale_range")])
     def test_out_of_range_data_config_exit_2(self, tmp_path, capsys, overrides, field):
         cfg_path, _ = write_config(tmp_path, **overrides)
         assert main(["train", "--config", str(cfg_path)]) == 2

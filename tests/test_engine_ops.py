@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -397,6 +398,106 @@ class TestBandWorkers:
         time.sleep(0.05)
         assert at_return == (len(started), len(ended))  # no band ran on after the call
         assert at_return[0] > 2 and at_return[1] == at_return[0] - 1  # every band ended
+
+    # (2, 16, 128, 256) float32 is 4 MiB: four bands of four channels
+    BANDED_SHAPE = (2, 16, 128, 256)
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_batchnorm_bitwise_at_any_worker_count(self, set_workers, mode):
+        x = rnd(self.BANDED_SHAPE, seed=21)
+        c = x.shape[1]
+        assert len(ops._channel_bands(x)) > 1
+        base = E.BatchNormState(rnd((c,), 1), rnd((c,), 2), rnd((c,), 3),
+                                np.abs(rnd((c,), 4)) + 0.5)
+
+        def run():
+            state = replace(base, running_mean=base.running_mean.copy(),
+                            running_var=base.running_var.copy())
+            out = E.batchnorm_forward(x, state, mode)
+            return np.concatenate([out.ravel(), state.running_mean, state.running_var])
+
+        one, *others = self.at_each_count(set_workers, run)
+        assert all(r == one for r in others)
+        # the three passes the unbanded forward made, in its order
+        mean, var = ((x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))) if mode == "train"
+                     else (base.running_mean, base.running_var))
+        ref = x - mean.reshape(1, c, 1, 1)
+        ref *= (base.gamma * (1.0 / np.sqrt(var + base.eps))).reshape(1, c, 1, 1)
+        ref += base.beta.reshape(1, c, 1, 1)
+        assert one[:ref.nbytes] == ref.tobytes()
+
+    def test_relu_add_concat_bitwise_at_any_worker_count(self, set_workers):
+        x, y = rnd(self.BANDED_SHAPE, seed=22), rnd(self.BANDED_SHAPE, seed=23)
+        pieces = [x[:, :5], y, x[:, 5:]]  # bands cross the pieces' boundaries
+        assert len(ops._channel_bands(x)) > 1
+        for fn, ref in [(lambda: E.relu_forward(x), np.maximum(x, 0)),
+                        (lambda: E.add(x, y), x + y),
+                        (lambda: E.concat_channels(pieces), np.concatenate(pieces, axis=1))]:
+            one, *others = self.at_each_count(set_workers, fn)
+            assert all(r == one for r in others) and one == ref.tobytes()
+
+    def test_b_stem_maxpool_bitwise_at_any_worker_count(self, set_workers):
+        x = rnd((1, 32, 256, 512), seed=24)
+        one, *others = self.at_each_count(set_workers, lambda: E.maxpool_forward(x, 3, 2, 1))
+        assert all(r == one for r in others)
+        padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), constant_values=-np.inf)
+        windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(2, 3))
+        assert one == windows[:, :, ::2, ::2].max(axis=(4, 5)).tobytes()
+
+    def test_check_finite_raises_alike_at_any_worker_count(self, set_workers):
+        x = np.zeros((2, 3, 256, 512), np.float32)  # 3 MiB: three bands
+        x[0, 0, 0, 0], x[1, 1, 5, 7], x[-1, -1, -1, -1] = np.nan, -np.inf, np.inf
+        messages = []
+        for n in (1, 2, 3):
+            set_workers(n)
+            E.check_finite("fine", x[:, :, 10:250])
+            with pytest.raises(E.NumericError) as err:
+                E.check_finite("x", x)
+            messages.append(str(err.value))
+        assert messages == ["x: 3 non-finite value(s) in tensor of shape (2, 3, 256, 512)"] * 3
+
+    def test_nested_band_call_runs_inline(self, set_workers, monkeypatch):
+        # a band task that bands again: its helpers would queue behind the
+        # very tasks that wait for them
+        set_workers(2)
+        monkeypatch.setattr(ops, "_executor", None)  # a pool of this test's own
+        out = np.zeros(8)
+
+        def inner(i, j):
+            out[i:j] += 1
+
+        def outer(i, j):
+            ops._run_bands(inner, [(k, k + 1) for k in range(i, j)])
+
+        thread = threading.Thread(target=ops._run_bands, args=(outer, [(0, 4), (4, 8)]),
+                                  daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        deadlocked = thread.is_alive()
+        if deadlocked:  # cancel the queued helpers, so the threads end
+            ops._executor.shutdown(wait=False, cancel_futures=True)
+        assert not deadlocked, "nested _run_bands deadlocked"
+        assert (out == 1).all()
+
+    def test_desk_shapes_submit_nothing(self, set_workers, monkeypatch):
+        # every forward op, backward and check of a desk step fits one band
+        set_workers(2)
+        submitted = []
+
+        class Pool:
+            def submit(self, fn):
+                submitted.append(fn)
+                raise AssertionError("a desk-shape call reached the pool")
+
+        monkeypatch.setattr(ops, "_executor", Pool())
+        cfg = N.preset("tiny", num_classes=4)
+        store = N.build(cfg, rng_seed=0)
+        x = rnd((4, 3, 64, 64))
+        tape = E.Tape()
+        logits, _ = N.forward(store, cfg, x, mode="train", tape=tape)
+        tape.backward(logits, np.ones(logits.shape, np.float32))
+        N.infer(store, cfg, x)
+        assert submitted == []
 
 
 # ---------------------------------------------------------------------------
