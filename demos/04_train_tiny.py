@@ -50,8 +50,7 @@ print("=== 4. export a prediction next to its ground truth ===")
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp)
     s = val_set[0]
-    logits, _ = N.infer(params, net_cfg, s.image)
-    pred = logits.argmax(axis=1)[0].astype(np.int32)
+    pred = N.predict_labels(params, net_cfg, s.image)[0]
     D.write_ppm(out / "image.ppm", s.image)
     D.write_pgm(out / "pred.pgm", pred)
     D.write_pgm(out / "truth.pgm", s.mask)

@@ -198,6 +198,19 @@ def _manifest_samples(directory):
     return data.load_manifest_samples(manifest)
 
 
+def _check_train_size(train_set, cfg: TrainConfig) -> None:
+    """The input size of every training step, checked as the forward checks it:
+    the crop with augment, else the one size all training images share."""
+    if cfg.augment is not None:
+        sizes = {cfg.augment.crop}
+    else:
+        sizes = {s.image.shape[2:] for s in train_set}
+    if len(sizes) > 1:
+        raise ConfigError(f"without augment every training image needs one size, "
+                          f"got {sorted(sizes)}")
+    network.check_input_size(*sizes.pop())
+
+
 def _load_datasets(cfg: RunConfig):
     if cfg.data.kind == "manifest":
         samples = _manifest_samples(cfg.data.dir)
@@ -218,6 +231,8 @@ def cmd_train(args) -> int:
     overrides = {"seed": args.seed, "iters": args.iters}
     cfg.train = replace(cfg.train, **{k: v for k, v in overrides.items() if v is not None})
     train_set, val_set = _load_datasets(cfg)
+    if cfg.train.iters > 0:
+        _check_train_size(train_set, cfg.train)
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -256,21 +271,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _pad_to_32(image: np.ndarray):
-    _, _, h, w = image.shape
-    ph = (32 - h % 32) % 32
-    pw = (32 - w % 32) % 32
-    if ph or pw:
-        image = np.pad(image, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="edge")
-    return image, h, w
-
-
 def cmd_predict(args) -> int:
     params, net_cfg = network.load_checkpoint(args.checkpoint)
-    image = data.read_ppm(args.image)
-    padded, h, w = _pad_to_32(image)
-    logits, _ = network.infer(params, net_cfg, padded, mode="eval")
-    pred = logits.argmax(axis=1)[0, :h, :w].astype(np.int32)
+    pred = network.predict_labels(params, net_cfg, data.read_ppm(args.image))[0]
+    h, w = pred.shape
     data.write_pgm(args.out, pred)
     print(json.dumps({"out": str(args.out), "height": h, "width": w,
                       "classes_present": sorted(int(c) for c in np.unique(pred))}))
@@ -332,7 +336,7 @@ def _analysis_image(args, net_cfg):
         image = data.read_ppm(args.image)
     else:
         image = data.generate(ShapesSpec(num_classes=net_cfg.num_classes, seed=args.seed), 0).image
-    return _pad_to_32(image)[0]
+    return network.pad_to_32(image)
 
 
 def cmd_analyze(args) -> int:

@@ -230,4 +230,14 @@ def dataset_manifest(directory) -> Manifest:
 
 
 def load_manifest_samples(manifest: Manifest) -> list[Sample]:
-    return [Sample(image=read_ppm(i), mask=read_pgm(m)) for i, m in manifest.pairs]
+    """The samples of every pair; a mask whose size is not its image's is a
+    FormatError naming the mask."""
+    samples = []
+    for image_path, mask_path in manifest.pairs:
+        sample = Sample(image=read_ppm(image_path), mask=read_pgm(mask_path))
+        if sample.mask.shape != sample.image.shape[2:]:
+            h, w = sample.image.shape[2:]
+            raise FormatError(f"{mask_path}: mask is {sample.mask.shape[0]}x"
+                              f"{sample.mask.shape[1]}, its image {image_path} is {h}x{w}")
+        samples.append(sample)
+    return samples

@@ -138,10 +138,15 @@ def forward(params: ParamStore, config: NetworkConfig, x, mode: str = "eval",
     return _forward(ParamVars(tape, params, mode, capture), config, x)
 
 
-def _forward(pv: ParamVars, config: NetworkConfig, x: Var):
-    n, c, h, w = x.data.shape
+def check_input_size(h: int, w: int) -> None:
+    """ShapeError unless an h x w input reaches 1/32 scale in whole pixels."""
     if h % 32 or w % 32:
         raise ShapeError(f"input size {h}x{w} must be divisible by 32")
+
+
+def _forward(pv: ParamVars, config: NetworkConfig, x: Var):
+    n, c, h, w = x.data.shape
+    check_input_size(h, w)
     t = blocks.stem_forward(pv, "stem", x, config.stem_channels)
     taps: dict[str, Var] = {}
     for name, stage in zip(config.stage_names, config.stages):
@@ -172,6 +177,20 @@ def infer(params: ParamStore, config: NetworkConfig, x, mode: str = "eval"):
     """Array-level forward: (logits ndarray, {stage: ndarray})."""
     logits, taps = forward(params, config, x, mode=mode)
     return logits.data, {k: v.data for k, v in taps.items()}
+
+
+def pad_to_32(images: np.ndarray) -> np.ndarray:
+    """(n, c, h, w) images edge-padded at the bottom and right to multiples of 32."""
+    _, _, h, w = images.shape
+    return np.pad(images, ((0, 0), (0, 0), (0, -h % 32), (0, -w % 32)), mode="edge")
+
+
+def predict_labels(params: ParamStore, config: NetworkConfig, images: np.ndarray) -> np.ndarray:
+    """Eval-mode class labels (n, h, w) of (n, 3, h, w) images of any size: the
+    argmax over classes of `infer` on `pad_to_32(images)`, cropped to h x w."""
+    _, _, h, w = images.shape
+    logits, _ = infer(params, config, pad_to_32(images), mode="eval")
+    return logits.argmax(axis=1)[:, :h, :w]
 
 
 def grads_from_backward(tape: Tape, params: ParamStore, root: Var,
@@ -349,6 +368,8 @@ def benchmark_forward(params: ParamStore, config: NetworkConfig, input_shape,
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
     rng = np.random.default_rng(0)
     x = rng.random(input_shape, dtype=np.float32)
     for _ in range(warmup):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import IGNORE_LABEL, Sample
 from .engine import NumericError, ShapeError, Tape, ops
-from .network import NetworkConfig, forward, grads_from_backward, infer
+from .network import NetworkConfig, forward, grads_from_backward, predict_labels
 from .params import ParamStore
 
 
@@ -220,6 +220,8 @@ def augment(sample: Sample, cfg: AugmentConfig, rng: np.random.Generator,
     scale = float(rng.uniform(lo, hi)) if hi > lo else float(lo)
     if scale != 1.0:
         h, w = mask.shape
+        if not math.isfinite(max(h, w) * scale):
+            raise ValueError(f"scale {scale} resamples a {h}x{w} image to an unbounded size")
         nh, nw = max(1, round(h * scale)), max(1, round(w * scale))
         img = resize_image_bilinear(img, nh, nw)
         mask = resize_mask_nearest(mask, nh, nw)
@@ -303,14 +305,13 @@ def _assemble_batch(dataset, indices, cfg: TrainConfig, iteration):
 
 def evaluate(params: ParamStore, net_cfg: NetworkConfig, dataset,
              ignore_label: int) -> dict:
-    """Eval-mode mIoU / pixel accuracy over a dataset of samples."""
+    """Eval-mode mIoU / pixel accuracy over a dataset of samples of any size."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     n_classes = net_cfg.num_classes
     cm = np.zeros((n_classes, n_classes), dtype=np.int64)
     for s in dataset:
-        logits, _ = infer(params, net_cfg, s.image, mode="eval")
-        pred = logits.argmax(axis=1)[0]
+        pred = predict_labels(params, net_cfg, s.image)[0]
         cm += confusion_matrix(pred, s.mask, n_classes, ignore_label)
     iou, mean = iou_from_confusion(cm)
     total = cm.sum()

@@ -236,6 +236,43 @@ class TestTrainEvalPredict:
                      "--config", str(cfg_path), "--out", str(out)]) == 0
         assert out.read_bytes() == (tmp_path / "run" / "eval.json").read_bytes()
 
+    def test_eval_data_of_any_size_counts_what_predict_labels(self, tmp_path, capsys):
+        # sizes off the stride of 32: eval and predict share one labels path
+        net_cfg = network.preset("tiny", num_classes=4)
+        ckpt = tmp_path / "c.dwck"
+        network.save_checkpoint(network.build(net_cfg, rng_seed=1), net_cfg, ckpt)
+        ddir = tmp_path / "ds"
+        ddir.mkdir()
+        masks = {}
+        for stem, canvas in (("a", (40, 40)), ("b", (40, 44))):
+            s = D.generate(D.ShapesSpec(canvas=canvas, num_classes=4, seed=2), 0)
+            D.write_ppm(ddir / f"{stem}.ppm", s.image)
+            D.write_pgm(ddir / f"{stem}_mask.pgm", s.mask)
+            masks[stem] = s.mask
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(ddir)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        cm = np.zeros((4, 4), np.int64)
+        for stem, mask in masks.items():
+            out = tmp_path / f"{stem}.pgm"
+            assert main(["predict", "--checkpoint", str(ckpt), "--image",
+                         str(ddir / f"{stem}.ppm"), "--out", str(out)]) == 0
+            cm += training.confusion_matrix(D.read_pgm(out), mask, 4, D.IGNORE_LABEL)
+        assert report["num_samples"] == 2
+        assert report["confusion_matrix"] == cm.tolist()
+
+    def test_train_crops_a_canvas_off_the_stride(self, tmp_path, capsys):
+        # 40x40 images train through a 64x64 crop and validate at 40x40
+        doc = json.loads(json.dumps(DESK_PRESET))
+        doc["data"]["canvas"] = [40, 40]
+        doc["augment"]["crop"] = [64, 64]
+        config = tmp_path / "desk.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["--threads", "1", "train", "--config", str(config), "--iters", "2",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run" / "checkpoint.dwck").exists()
+        report = json.loads((tmp_path / "run" / "eval.json").read_text())
+        assert report["num_samples"] == 64
+
     def test_predict_round_trip(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)
         main(["train", "--config", str(cfg_path)])
@@ -382,6 +419,55 @@ class TestExitCodes:
         assert f"no image/mask pairs found in {data_dir}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({"augment": {"crop": [40, 40]}}, id="crop"),
+        pytest.param({"data": {"canvas": [48, 48]}}, id="canvas")])
+    def test_train_input_off_the_stride_exit_2_before_out_dir(self, tmp_path, capsys, overrides):
+        cfg_path, _ = write_config(tmp_path, **overrides)
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert "must be divisible by 32" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_train_images_of_two_sizes_without_augment_exit_2_before_out_dir(
+            self, tmp_path, capsys):
+        ddir = tmp_path / "ds"
+        ddir.mkdir()
+        for i, canvas in enumerate([(64, 64), (64, 96), (64, 64), (64, 64), (64, 64)]):
+            s = D.generate(D.ShapesSpec(canvas=canvas, num_classes=3, seed=4), i)
+            D.write_ppm(ddir / f"s{i}.ppm", s.image)
+            D.write_pgm(ddir / f"s{i}_mask.pgm", s.mask)
+        cfg_path, _ = write_config(tmp_path, data={"kind": "manifest", "dir": str(ddir)})
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "every training image needs one size" in err and "(64, 96)" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_scale_resampling_to_unbounded_size_exit_2(self, tmp_path, capsys):
+        # uniform(1, 1e308) draws fine, but 32 times the draw is no float
+        cfg_path, _ = write_config(tmp_path, augment={"scale_range": [1.0, 1e308]})
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert "resamples a 32x32 image to an unbounded size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_mask_of_another_size_exit_2(self, tmp_path, capsys, command):
+        ddir = tmp_path / "ds"
+        ddir.mkdir()
+        s = D.generate(D.ShapesSpec(canvas=(64, 64), num_classes=3, seed=4), 0)
+        D.write_ppm(ddir / "a.ppm", s.image)
+        D.write_pgm(ddir / "a_mask.pgm", s.mask[:32, :32])
+        if command == "eval":
+            net_cfg = network.preset("tiny", num_classes=3)
+            ckpt = tmp_path / "c.dwck"
+            network.save_checkpoint(network.build(net_cfg, rng_seed=0), net_cfg, ckpt)
+            argv = ["eval", "--checkpoint", str(ckpt), "--data", str(ddir)]
+        else:
+            cfg_path, _ = write_config(tmp_path, data={"kind": "manifest", "dir": str(ddir)})
+            argv = ["train", "--config", str(cfg_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ddir / 'a_mask.pgm'}: mask is 32x32, its image ")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_diverged_training_exit_3(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path, train={"iters": 60, "batch": 2,
@@ -440,7 +526,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--checkpoint", "{ckpt}"], ["analyze", "erf"], ["analyze", "weights"],
-        ["analyze", "heatmaps"], ["bench", "tiny", "64", "64", "--iters", "0"]])
+        ["analyze", "heatmaps"], ["bench", "tiny", "64", "64", "--iters", "0"],
+        ["bench", "tiny", "64", "64", "--warmup", "-1"]])
     def test_missing_input_exit_2(self, tmp_path, capsys, argv):
         from dwrseg import network as N
         cfg = N.preset("tiny", num_classes=4)

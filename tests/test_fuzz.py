@@ -1,9 +1,16 @@
 """Malformed inputs: every reader of outside bytes or JSON fails with a
-FormatError or a ConfigError (exit code 2), never with another exception."""
+FormatError or a ConfigError (exit code 2), never with another exception,
+and every command run on drawn configs and images ends in exit code 0, 2
+or 3."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +19,14 @@ from hypothesis import strategies as st
 
 from dwrseg import data as D
 from dwrseg import network as N
-from dwrseg.cli import DESK_PRESET, ConfigError, DataSection, RunConfig, parse_run_config
+from dwrseg.cli import (
+    DESK_PRESET,
+    ConfigError,
+    DataSection,
+    RunConfig,
+    main,
+    parse_run_config,
+)
 from dwrseg.engine import FormatError, nt_bytes, nt_from_bytes, read_nt
 from dwrseg.training import AugmentConfig, OhemConfig, TrainConfig
 
@@ -141,3 +155,70 @@ JSON = st.recursive(
 @example(doc={**DESK_PRESET, "data": {**DESK_PRESET["data"], "noise": -10 ** 400}})
 def test_run_config_json(doc):
     only_typed_errors(parse_run_config, doc)
+
+
+# Run configs near the desk preset, small enough that one train, eval and
+# predict take a fraction of a second.  Colour jitter and scale maxima include
+# values too large to draw from or to resample with, and crops include sizes
+# off the stride of 32.
+LARGE = st.sampled_from([0.0, 0.15, 1.0, 1e308, math.inf])
+AUGMENT = st.none() | st.fixed_dictionaries({}, optional={
+    "scale_range": st.tuples(st.sampled_from([0.5, 1.0]),
+                             st.sampled_from([1.0, 1.5, 1e308, math.inf])).map(list),
+    "crop": st.lists(st.sampled_from([16, 32, 40, 64]), min_size=2, max_size=2),
+    "hflip_prob": st.sampled_from([0.0, 0.5, 1.0]),
+    "brightness": LARGE, "contrast": LARGE, "saturation": LARGE})
+RUN = st.fixed_dictionaries({
+    "variant": st.just("tiny"),
+    "num_classes": st.integers(2, 5),
+    "seed": st.integers(0, 3),
+    "data": st.fixed_dictionaries({
+        "canvas": st.just([32, 32]), "train_count": st.integers(1, 4),
+        "val_count": st.integers(1, 2), "seed": st.integers(0, 3)}),
+    "train": st.fixed_dictionaries({
+        "iters": st.integers(0, 2), "batch": st.integers(1, 2),
+        "log_every": st.integers(0, 2), "eval_every": st.integers(0, 1)}),
+    "ohem": st.fixed_dictionaries({}, optional={
+        "ignore_label": st.sampled_from([-1, 0, 254, 255])}),
+    "augment": AUGMENT})
+# image and mask sizes drawn apart, so masks of another size occur
+SIZE = st.tuples(st.integers(1, 48), st.integers(1, 48))
+PAIR = st.tuples(SIZE, SIZE | st.none(), st.sampled_from([0, 1, 4, 255]), st.integers(0, 9))
+
+
+def run_command(argv) -> int:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    return code
+
+
+@FUZZ
+@given(doc=RUN, pairs=st.lists(PAIR, min_size=1, max_size=2), with_config=st.booleans())
+@example(doc={**DESK_PRESET, "data": {**DESK_PRESET["data"], "canvas": [32, 32],
+                                      "train_count": 2, "val_count": 1},
+              "train": {"iters": 1, "batch": 2}, "augment": {"scale_range": [1.0, 1e308]}},
+         pairs=[((40, 44), None, 1, 0)], with_config=False)
+def test_commands_exit_0_2_or_3(checkpoint, doc, pairs, with_config):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config, ckpt, ddir = tmp / "run.json", tmp / "run" / "checkpoint.dwck", tmp / "ds"
+        config.write_text(json.dumps({**doc, "out_dir": str(tmp / "run")}), encoding="utf-8")
+        trained = run_command(["train", "--config", str(config)])
+        assert (trained == 0) == ckpt.exists()
+        if trained:  # no run: eval and predict an untrained 4-class network
+            ckpt = tmp / "untrained.dwck"
+            ckpt.write_bytes(checkpoint)
+        ddir.mkdir()
+        for i, ((h, w), mask_size, label, seed) in enumerate(pairs):
+            rng = np.random.default_rng(seed)
+            D.write_ppm(ddir / f"s{i}.ppm", rng.random((1, 3, h, w), dtype=np.float32))
+            mask = rng.integers(0, 2, size=mask_size or (h, w)) * label
+            D.write_pgm(ddir / f"s{i}_mask.pgm", mask)
+        run_command(["eval", "--checkpoint", str(ckpt), "--data", str(ddir)]
+                    + ["--config", str(config)] * with_config)
+        out = tmp / "pred.pgm"
+        if run_command(["predict", "--checkpoint", str(ckpt), "--image", str(ddir / "s0.ppm"),
+                        "--out", str(out)]) == 0:
+            assert D.read_pgm(out).shape == pairs[0][0]

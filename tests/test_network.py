@@ -134,6 +134,26 @@ class TestForward:
         with pytest.raises(ShapeError):
             N.infer(store, cfg, np.zeros((1, 3, 48, 64), np.float32))
 
+    def test_predict_labels_is_the_argmax_of_infer(self, tiny):
+        cfg, store = tiny
+        x = np.random.default_rng(2).random((2, 3, 64, 32), dtype=np.float32)
+        np.testing.assert_array_equal(N.predict_labels(store, cfg, x),
+                                      N.infer(store, cfg, x)[0].argmax(axis=1))
+
+    @pytest.mark.parametrize("h, w", [(40, 44), (1, 33), (32, 7)])
+    def test_predict_labels_of_any_size_crop_the_edge_padded_labels(self, tiny, h, w):
+        cfg, store = tiny
+        x = np.random.default_rng(3).random((1, 3, h, w), dtype=np.float32)
+        padded = N.pad_to_32(x)
+        assert padded.shape[2] % 32 == 0 and padded.shape[3] % 32 == 0
+        np.testing.assert_array_equal(padded[:, :, :h, :w], x)
+        np.testing.assert_array_equal(padded[:, :, h:], padded[:, :, h - 1:h].repeat(
+            padded.shape[2] - h, axis=2))
+        labels = N.predict_labels(store, cfg, x)
+        assert labels.shape == (1, h, w)
+        np.testing.assert_array_equal(
+            labels, N.infer(store, cfg, padded)[0].argmax(axis=1)[:, :h, :w])
+
 
 class TestCounts:
     def test_conv_param_closed_form(self):
