@@ -200,7 +200,9 @@ def _manifest_samples(directory):
 
 def _check_train_size(train_set, cfg: TrainConfig) -> None:
     """The input size of every training step, checked as the forward checks it:
-    the crop with augment, else the one size all training images share."""
+    the crop with augment, else the one size all training images share.  A
+    batch must also give train-mode batch norm two values per channel at the
+    network's 1/32 scale."""
     if cfg.augment is not None:
         sizes = {cfg.augment.crop}
     else:
@@ -208,7 +210,9 @@ def _check_train_size(train_set, cfg: TrainConfig) -> None:
     if len(sizes) > 1:
         raise ConfigError(f"without augment every training image needs one size, "
                           f"got {sorted(sizes)}")
-    network.check_input_size(*sizes.pop())
+    h, w = sizes.pop()
+    network.check_input_size(h, w)
+    ops.check_bn_count(cfg.batch_size * (h // 32) * (w // 32))
 
 
 def _load_datasets(cfg: RunConfig):

@@ -10,8 +10,15 @@ its forward's map transposed, read off the same description:
   whole groups or, within one group of several output channels, of output
   rows, each band's columns at most BAND_BYTES for one image (a
   one-output-channel group, a matrix-vector product, is never split), then
-  of images; W[g]^T @ grad_out[:, g] goes back onto the input as one
-  strided-slice add per kernel offset (col2im);
+  of images; W[g]^T @ grad_out[:, g] goes back onto the input (col2im) as
+  one slice add per kernel offset, at stride 1 a contiguous slice of the
+  row-flattened padded plane (grad_out laid out at the padded row pitch;
+  the zero tail of each row adds +-0, which changes no sum while the
+  weights are finite), at a larger stride a 2-d strided slice;
+- batch norm: train mode's backward reuses the batch mean and variance its
+  forward saved on the per-call BatchNormState;
+- split: read-only views of the input's channels, so a kernel that wrote
+  into its input would fail rather than change another op's value;
 - max pooling: a running maximum over the k*k strided window views; each
   window's gradient goes back through the view of its first argmax;
 - bilinear upsampling: A_y @ x @ A_x^T with one interpolation matrix per
@@ -40,7 +47,7 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -312,9 +319,19 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec,
     scattered back onto the input (col2im), and grad_w[g] =
     sum_n grad_out[n, g] @ cols[n, g]^T, one matmul per image summed over
     images; grad_b likewise sums each image's pixels, then the images.
+
+    At stride 1, col2im runs along whole rows: grad_out is copied into rows
+    of the padded input's pitch wp = w + 2p, zero past column ow, so the
+    grad_cols of one kernel offset are one contiguous slice of the flattened
+    padded plane, added offset by offset in row-major order.  The zero tail
+    of each row adds W^T @ 0 = +-0 to pixels whose sum it leaves as it is
+    (the sum starts at +0, so it is never -0).  That needs finite weights,
+    as every conv the tape backpropagates has (a non-finite weight makes its
+    checked forward output non-finite).  A strided conv would spend more on
+    the tail than it saves, so it adds each offset as one 2-d strided slice.
     """
     _check_conv_operands(x, weight, None, spec)
-    n, _, h, w = x.shape
+    n, c, h, w = x.shape
     oh, ow = spec.out_hw(h, w)
     if grad_out.shape != (n, spec.out_channels, oh, ow):
         raise ShapeError(
@@ -322,26 +339,40 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec,
 
     xp = _pad(x, spec.padding)
     k, s, d, p = spec.kernel, spec.stride, spec.dilation, spec.padding
+    hp, wp = xp.shape[2:]
+    og = spec.out_channels // spec.groups
     cols = _patches(xp, k, s, d, oh, ow).reshape(n, spec.groups, weight[0].size, oh * ow)
-    wmat = weight.reshape(spec.groups, spec.out_channels // spec.groups, -1)
-    go = grad_out.reshape(n, spec.groups, spec.out_channels // spec.groups, oh * ow)
+    wmat = weight.reshape(spec.groups, og, -1)
+    go = grad_out.reshape(n, spec.groups, og, oh * ow)
 
     # pixels, then images: sum(axis=(0, 2, 3)) fuses both for a single channel,
     # which would round a one-channel group differently from a dense conv
     grad_b = grad_out.sum(axis=(2, 3)).sum(axis=0) if spec.has_bias else None
     grad_w = np.matmul(go, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(weight.shape)
+    pitch = wp if s == 1 else ow
+    if pitch != ow:
+        rows = np.zeros((n, spec.out_channels, oh, pitch), dtype=grad_out.dtype)
+        rows[..., :ow] = grad_out
+        go = rows.reshape(n, spec.groups, og, oh * pitch)
     # one output channel per group (depthwise) makes W[g]^T @ grad_out[:, g] an
     # outer product: numpy has no BLAS call for inner dimension 1, and the
     # broadcast multiply gives the same single products
-    grad_cols = (wmat.transpose(0, 2, 1) * go if wmat.shape[1] == 1
+    grad_cols = (wmat.transpose(0, 2, 1) * go if og == 1
                  else np.matmul(wmat.transpose(0, 2, 1), go))
-    grad_cols = grad_cols.reshape(n, x.shape[1], k, k, oh, ow)
-    gx_pad = np.zeros(xp.shape, dtype=grad_cols.dtype)
+    grad_cols = grad_cols.reshape(n * c, k, k, oh * pitch)
+    gx_pad = np.zeros((n * c, hp, wp), dtype=grad_cols.dtype)
+    flat = gx_pad.reshape(n * c, hp * wp)
+    span = (oh - 1) * wp + ow  # through the last output pixel, inside the plane
     for i in range(k):
         for j in range(k):
-            gx_pad[:, :, i * d:i * d + s * oh:s, j * d:j * d + s * ow:s] += grad_cols[:, :, i, j]
+            if s == 1:
+                start = i * d * wp + j * d
+                flat[:, start:start + span] += grad_cols[:, i, j, :span]
+            else:
+                gx_pad[:, i * d:i * d + s * oh:s, j * d:j * d + s * ow:s] += \
+                    grad_cols[:, i, j].reshape(n * c, oh, ow)
 
-    grad_x = gx_pad[:, :, p:p + h, p:p + w] if p else gx_pad
+    grad_x = gx_pad.reshape(n, c, hp, wp)[:, :, p:p + h, p:p + w]
     return np.ascontiguousarray(grad_x), grad_w, grad_b
 
 
@@ -351,7 +382,11 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec,
 
 @dataclass
 class BatchNormState:
-    """Per-channel affine parameters plus running statistics."""
+    """Per-channel affine parameters plus running statistics: a view over
+    arrays its caller owns, made for one call (the tape shares one between a
+    node's forward and backward).  `batch_stats` is (x, mean, var) of the
+    last train-mode forward through this view, which the backward reuses
+    for that same x instead of computing the statistics again."""
 
     gamma: np.ndarray
     beta: np.ndarray
@@ -359,6 +394,7 @@ class BatchNormState:
     running_var: np.ndarray
     eps: float = 1e-5
     momentum: float = 0.1
+    batch_stats: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def create(cls, channels: int, eps: float = 1e-5, momentum: float = 0.1):
@@ -382,20 +418,32 @@ def _bn_check(x: np.ndarray, state: BatchNormState):
         raise ShapeError(f"batchnorm: input has {x.shape[1]} channels, state has {state.channels}")
 
 
+def check_bn_count(count: int) -> None:
+    """ShapeError unless train-mode batch norm has at least two values per
+    channel (count = n*h*w) to take a variance over."""
+    if count < 2:
+        raise ShapeError(f"batchnorm train mode needs n*h*w >= 2, got {count}")
+
+
+def _batch_stats(x: np.ndarray):
+    """Per-channel batch mean and biased variance, as train mode normalizes."""
+    return x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+
+
 def batchnorm_forward(x: np.ndarray, state: BatchNormState, mode: str) -> np.ndarray:
     """Normalize per channel; train mode uses (and records) batch statistics.
 
-    Train mode normalizes with the biased batch variance and updates the
-    running statistics in place: running <- (1-momentum)*running +
-    momentum*batch.  Eval mode reads the running statistics only.
+    Train mode normalizes with the biased batch variance, saves both
+    statistics on `state` for the backward, and updates the running
+    statistics in place: running <- (1-momentum)*running + momentum*batch.
+    Eval mode reads the running statistics only.
     """
     _bn_check(x, state)
     n, c, h, w = x.shape
     if mode == "train":
-        if n * h * w < 2:
-            raise ShapeError(f"batchnorm train mode needs n*h*w >= 2, got {n * h * w}")
-        mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
+        check_bn_count(n * h * w)
+        mean, var = _batch_stats(x)
+        state.batch_stats = (x, mean, var)
         m = state.momentum
         state.running_mean[:] = ((1.0 - m) * state.running_mean + m * mean).astype(FLOAT)
         state.running_var[:] = ((1.0 - m) * state.running_var + m * var).astype(FLOAT)
@@ -424,21 +472,29 @@ def _normalize(x, mean, scale, beta, out=None):
 
 def batchnorm_backward(x: np.ndarray, state: BatchNormState, grad_out: np.ndarray,
                        mode: str = "train"):
-    """Gradients for (x, gamma, beta); train mode includes the mean/var terms."""
+    """Gradients for (x, gamma, beta); train mode includes the mean/var terms,
+    with the batch statistics the forward saved on `state` for this x."""
     _bn_check(x, state)
     if grad_out.shape != x.shape:
         raise ShapeError(f"batchnorm grad shape {grad_out.shape} != input {x.shape}")
     n, c, h, w = x.shape
     if mode == "train":
         m = n * h * w
-        mean = x.mean(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-        var = x.var(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-        inv = 1.0 / np.sqrt(var + state.eps)
-        xhat = (x - mean) * inv
+        saved = state.batch_stats
+        mean, var = saved[1:] if saved is not None and saved[0] is x else _batch_stats(x)
+        inv = 1.0 / np.sqrt(var.reshape(1, c, 1, 1) + state.eps)
+        xhat = np.subtract(x, mean.reshape(1, c, 1, 1))
+        xhat *= inv
         dxhat = grad_out * state.gamma.reshape(1, c, 1, 1)
         sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-        sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-        grad_x = (dxhat - (sum_dxhat + xhat * sum_dxhat_xhat) / m) * inv
+        grad_x = dxhat * xhat
+        sum_dxhat_xhat = grad_x.sum(axis=(0, 2, 3), keepdims=True)
+        # dxhat - (sum_dxhat + xhat * sum_dxhat_xhat) / m, then * inv, in place
+        np.multiply(xhat, sum_dxhat_xhat, out=grad_x)
+        grad_x += sum_dxhat
+        grad_x /= m
+        np.subtract(dxhat, grad_x, out=grad_x)
+        grad_x *= inv
     elif mode == "eval":
         inv = (1.0 / np.sqrt(state.running_var + state.eps)).reshape(1, c, 1, 1)
         xhat = (x - state.running_mean.reshape(1, c, 1, 1)) * inv
@@ -505,11 +561,17 @@ def concat_channels(xs) -> np.ndarray:
 
 
 def split_channels(x: np.ndarray, widths) -> list[np.ndarray]:
-    """Inverse of concat_channels; widths must sum to the channel count."""
+    """Inverse of concat_channels; widths must sum to the channel count.
+
+    The pieces are read-only views of x: no kernel writes into its inputs,
+    and a write that tried would fail instead of changing x.
+    """
     if sum(widths) != x.shape[1]:
         raise ShapeError(f"split widths {widths} do not sum to {x.shape[1]} channels")
-    offsets = np.cumsum(widths)[:-1]
-    return [np.ascontiguousarray(p) for p in np.split(x, offsets, axis=1)]
+    pieces = np.split(x, np.cumsum(widths)[:-1], axis=1)
+    for piece in pieces:
+        piece.flags.writeable = False
+    return pieces
 
 
 # ---------------------------------------------------------------------------

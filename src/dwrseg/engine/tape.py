@@ -5,7 +5,9 @@ it belongs to (taken from its first named input), the var indices of all
 its inputs, its output var and shape, the conv spec or pooling window, and
 a closure over the values its backward needs.  `Tape.backward` walks the
 nodes in reverse, accumulating gradients per var index in a fixed order,
-so repeated backward passes are bitwise identical.
+so repeated backward passes are bitwise identical.  It drops each op
+output's gradient once that node's backward has read it, so what it
+returns are the leaves' gradients (the parameters' and the inputs').
 
 The tape checks for NaN and Inf once, where one can first appear: in the
 output of each conv, batch norm, add and upsample, as it takes it.  ReLU,
@@ -70,6 +72,13 @@ class Node:
 
 
 class Tape:
+    """The recorded op graph of one forward pass, and its reverse walk.
+
+    Leaves (`leaf`) are the values gradients are asked for; every op method
+    returns a new var and, when recording, appends its Node.  `backward`
+    returns gradients for the leaves only.
+    """
+
     def __init__(self, record: bool = True):
         self.record = record
         self.nodes: list[Node] = []
@@ -182,7 +191,14 @@ class Tape:
     # -- reverse pass -------------------------------------------------------
 
     def backward(self, root: Var, seed_grad: np.ndarray) -> list:
-        """Return per-var gradients (index-aligned; None where unreached)."""
+        """Return the leaves' gradients, index-aligned by var (None where
+        unreached, and at every op output).
+
+        Each op output's gradient is dropped as soon as its node's backward
+        has read it: no later node adds to it, since nodes run in reverse
+        order of creation.  The tape keeps its nodes, so it can be walked
+        again with another seed.
+        """
         if not self.record:
             raise RuntimeError("cannot backpropagate through a non-recording tape")
         if seed_grad.shape != root.data.shape:
@@ -194,6 +210,7 @@ class Tape:
             g = grads[node.out]
             if g is None:
                 continue
+            grads[node.out] = None
             for pidx, pg in zip(node.parents, node.backward(g)):
                 if pg is None:
                     continue

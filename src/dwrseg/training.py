@@ -112,11 +112,13 @@ def ohem_ce_loss(logits: np.ndarray, labels: np.ndarray, cfg: OhemConfig):
     kept = valid & (p_true < cfg.prob_threshold)
     min_kept = min(math.ceil(cfg.min_kept_fraction * n_valid), n_valid)
     if int(kept.sum()) < min_kept:
-        # hardest = lowest true-class probability; ties by flat pixel index
+        # hardest = lowest true-class probability, ties by flat pixel index as
+        # a stable argsort takes them: every pixel below the min_kept-th
+        # lowest probability, then the first ones at it
         flat_p = np.where(valid, p_true, np.inf).reshape(-1)
-        order = np.argsort(flat_p, kind="stable")
-        kept = np.zeros(flat_p.shape, dtype=bool)
-        kept[order[:min_kept]] = True
+        floor = np.partition(flat_p, min_kept - 1)[min_kept - 1]
+        kept = flat_p < floor
+        kept[np.flatnonzero(flat_p == floor)[:min_kept - int(kept.sum())]] = True
         kept = kept.reshape(valid.shape)
 
     k = int(kept.sum())

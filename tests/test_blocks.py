@@ -290,6 +290,20 @@ class TestShapePreservation:
         out, _ = run_block(B.sir_forward, sir, x, seed=22)
         assert out.shape == shape
 
+    @pytest.mark.parametrize("branch_count,channels", [(2, 8), (3, 32)])
+    def test_train_forward_and_backward_leave_rr_unchanged(self, branch_count, channels):
+        # the branches read read-only views of the rr output, at batch > 1 too
+        cfg = B.StageSpec("dwr", 1, channels, branch_count=branch_count)
+        store = declare(B.dwr_forward, (2, channels, 8, 8), cfg, 1, seed=25)
+        cap = {}
+        pv = ParamVars(E.Tape(), store, "train", capture=cap)
+        out = B.dwr_forward(pv, "blk", pv.tape.leaf(rnd((2, channels, 8, 8), seed=26)), cfg, 1)
+        rr = cap["blk.rr"]
+        before = rr.copy()
+        assert sum(n.kind == "split" for n in pv.tape.nodes) == branch_count
+        pv.tape.backward(out, rnd(out.data.shape, seed=27))
+        assert rr.flags.writeable and rr.tobytes() == before.tobytes()
+
     def test_capture_exposes_rr_and_sr(self):
         cfg = B.StageSpec("dwr", 1, 8, branch_count=2)
         store = declare(B.dwr_forward, (1, 8, 8, 8), cfg, 1, seed=23)

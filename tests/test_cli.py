@@ -428,6 +428,19 @@ class TestExitCodes:
         assert "must be divisible by 32" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({}, id="canvas"),
+        pytest.param({"data": {"kind": "shapes", "canvas": [64, 64], "train_count": 8,
+                               "val_count": 4},
+                      "augment": {"crop": [32, 32]}}, id="crop")])
+    def test_batch_1_of_32x32_exit_2_before_out_dir(self, tmp_path, capsys, overrides):
+        # the 1/32-scale maps are 1x1: one value per channel for train-mode BN
+        cfg_path, _ = write_config(tmp_path, **overrides,
+                                   train={"iters": 2, "batch": 1, "log_every": 1})
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert "batchnorm train mode needs n*h*w >= 2, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_train_images_of_two_sizes_without_augment_exit_2_before_out_dir(
             self, tmp_path, capsys):
         ddir = tmp_path / "ds"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dwrseg import engine as E
+from dwrseg import network as N
 from dwrseg.engine import ops
 from dwrseg.engine.gradcheck import finite_diff_check
 
@@ -239,6 +240,38 @@ class TestTape:
         go = rnd(x.shape, 40).astype(np.float32)
         grads = t.backward(r, go)
         np.testing.assert_array_equal(grads[a.idx], 2 * E.relu_backward(h_in, go))
+
+    @staticmethod
+    def backward_keeping_every_grad(tape, root, seed_grad, num_vars):
+        """Tape.backward's walk without dropping any gradient."""
+        grads = [None] * num_vars
+        grads[root.idx] = seed_grad
+        for node in reversed(tape.nodes):
+            if grads[node.out] is None:
+                continue
+            for pidx, pg in zip(node.parents, node.backward(grads[node.out])):
+                if pg is not None:
+                    grads[pidx] = pg if grads[pidx] is None else grads[pidx] + pg
+        return grads
+
+    def test_backward_returns_leaf_grads_only_bitwise(self):
+        # every op output's gradient is dropped once used; the leaves' are
+        # those of the walk that keeps them all, and a second walk repeats them
+        cfg = N.preset("tiny", num_classes=4)
+        params = N.build(cfg, rng_seed=3)
+        tape = E.Tape()
+        x = tape.leaf(rnd((2, 3, 64, 64), 50).astype(np.float32))
+        logits, _ = N.forward(params, cfg, x, mode="train", tape=tape)
+        seed_grad = rnd(logits.shape, 51).astype(np.float32)
+        first = tape.backward(logits, seed_grad)
+        second = tape.backward(logits, seed_grad)
+        kept = self.backward_keeping_every_grad(tape, logits, seed_grad, len(first))
+        outs = {node.out for node in tape.nodes}
+        assert all(first[i] is None and second[i] is None for i in outs)
+        leaves = [i for i in range(len(first)) if i not in outs]
+        assert len(leaves) == 1 + len(list(params.items()))  # the input and every parameter
+        for i in leaves:
+            assert first[i].tobytes() == kept[i].tobytes() == second[i].tobytes()
 
     def test_check_finite_in_bands(self):
         # checked in BAND_BYTES bands of a flat view: a finite array of

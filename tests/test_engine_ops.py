@@ -222,6 +222,47 @@ class TestConvBackward:
         gx = E.conv2d_backward(x, w, spec, go)[0]
         assert gx.tobytes() == self.matmul_grad_x(x, w, spec, go).tobytes()
 
+    def assert_grad_x_bytes_equal_to_matmul_form(self, spec, x_shape, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(x_shape).astype(np.float32)
+        w = rng.standard_normal(spec.weight_shape).astype(np.float32)  # signs of both
+        go = rng.standard_normal((x_shape[0], spec.out_channels,
+                                  *spec.out_hw(*x_shape[2:]))).astype(np.float32)
+        go[go > 0.8] = 0.0  # exact zeros, whose products are +-0
+        gx = E.conv2d_backward(x, w, spec, go)[0]
+        want = self.matmul_grad_x(x, w, spec, go)
+        assert gx.shape == want.shape and gx.tobytes() == want.tobytes(), (spec, x_shape)
+
+    @pytest.mark.parametrize("variant,x_shape", [
+        ("tiny", (4, 3, 64, 64)), ("B", (2, 3, 256, 512)), ("L", (2, 3, 256, 512))])
+    def test_every_network_conv_grad_x_equals_matmul_form(self, variant, x_shape):
+        # every distinct conv of the traced network, at its training shape:
+        # the row-flat col2im adds each offset as the per-offset 2-d form does
+        tape, _ = N.trace(N.preset(variant, num_classes=4), *x_shape[2:])
+        shapes = {0: x_shape}
+        convs = {}
+        for node in tape.nodes:
+            shapes[node.out] = (x_shape[0], *node.shape[1:])
+            if node.kind == "conv2d":
+                convs[(node.spec, shapes[node.parents[0]])] = None
+        for i, (spec, shape) in enumerate(convs):
+            self.assert_grad_x_bytes_equal_to_matmul_form(spec, shape, seed=i)
+
+    @pytest.mark.parametrize("spec", [
+        E.ConvSpec(8, 16, 3, stride=2, padding=1),
+        E.ConvSpec(6, 12, 3, stride=2, groups=3),
+        E.ConvSpec(4, 4, 5, stride=3, padding=2),
+        E.ConvSpec(8, 8, 3, padding=3, dilation=3, groups=8),
+        E.ConvSpec(8, 8, 3, padding=5, dilation=5, groups=8),
+        E.ConvSpec(8, 10, 3, padding=2, dilation=2),
+        E.ConvSpec(8, 12, 1, has_bias=True),
+        E.ConvSpec(8, 8, 1, groups=8, has_bias=True),
+    ], ids=["stride2", "stride2_grouped", "k5_stride3", "depthwise_d3", "depthwise_d5",
+            "dense_d2", "pointwise_bias", "depthwise_pointwise_bias"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_grad_x_equals_matmul_form(self, spec, n):
+        self.assert_grad_x_bytes_equal_to_matmul_form(spec, (n, spec.in_channels, 17, 23), seed=n)
+
 
 # conv shapes that run in several bands
 BANDED_CONVS = [
@@ -557,6 +598,44 @@ class TestBatchNorm:
         with pytest.raises(ValueError):
             E.batchnorm_forward(rnd((1, 2, 2, 2)), st_, "inference")
 
+    @pytest.mark.parametrize("shape", [(4, 3, 8, 8), (2, 5, 1, 1), (1, 6, 3, 5)])
+    def test_backward_with_saved_statistics_equals_cold(self, shape):
+        # the forward saves its batch statistics on the view, and a backward
+        # on the same x reads them: bytes-equal to one that computes its own
+        x, go = rnd(shape, seed=10), rnd(shape, seed=11)
+        st_ = E.BatchNormState.create(shape[1])
+        st_.gamma[:] = rnd((shape[1],), seed=12)
+        E.batchnorm_forward(x, st_, "train")
+        saved_x, mean, var = st_.batch_stats
+        assert saved_x is x
+        np.testing.assert_array_equal(mean, x.mean(axis=(0, 2, 3)))
+        np.testing.assert_array_equal(var, x.var(axis=(0, 2, 3)))
+        warm = E.batchnorm_backward(x, st_, go)
+        cold = E.batchnorm_backward(x, replace(st_, batch_stats=None), go)
+        for a, b in zip(warm, cold):
+            assert a.tobytes() == b.tobytes()
+
+    def test_saved_statistics_are_used_for_their_input_only(self):
+        x, other, go = rnd((2, 3, 4, 4), seed=13), rnd((2, 3, 4, 4), seed=14), \
+            rnd((2, 3, 4, 4), seed=15)
+        st_ = E.BatchNormState.create(3)
+        E.batchnorm_forward(x, st_, "train")
+        got = E.batchnorm_backward(other, st_, go)
+        want = E.batchnorm_backward(other, E.BatchNormState.create(3), go)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_eval_saves_no_statistics(self):
+        st_ = E.BatchNormState.create(2)
+        E.batchnorm_forward(rnd((2, 2, 3, 3)), st_, "eval")
+        assert st_.batch_stats is None
+
+    def test_count_rule(self):
+        ops.check_bn_count(2)
+        for count in (1, 0):
+            with pytest.raises(E.ShapeError, match=f"n\\*h\\*w >= 2, got {count}$"):
+                ops.check_bn_count(count)
+
     def test_backward_zero_grad(self):
         st_ = E.BatchNormState.create(3)
         x = rnd((2, 3, 2, 2), seed=7)
@@ -621,6 +700,16 @@ class TestPointwise:
             E.concat_channels([a, rnd((2, 3, 1, 1))])
         with pytest.raises(E.ShapeError):
             E.split_channels(cat, [2, 2])
+
+    def test_split_pieces_are_read_only_views(self):
+        x = rnd((3, 5, 2, 4), seed=4)
+        before = x.copy()
+        pieces = E.split_channels(x, [2, 3])
+        for piece in pieces:
+            assert np.shares_memory(piece, x) and not piece.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                piece += 1
+        assert x.flags.writeable and x.tobytes() == before.tobytes()
 
 
 # ---------------------------------------------------------------------------

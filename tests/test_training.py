@@ -1,6 +1,7 @@
 """Training recipe: schedule, optimizer, OHEM loss, mIoU, augmentation, loop."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -144,6 +145,38 @@ class TestOhem:
         _, grad = T.ohem_ce_loss(logits, labels, cfg)
         support = np.abs(grad).sum(axis=1).ravel() > 0
         np.testing.assert_array_equal(support, [False, True])
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_kept_set_is_the_stable_argsort_one(self, data):
+        # the true-class logit takes one of five values, so probabilities tie
+        # exactly, on both sides of the floor; every other logit is 0
+        n, h, w = data.draw(st.tuples(st.integers(1, 2), st.integers(1, 4), st.integers(1, 6)))
+        size = n * h * w
+        a = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size)))
+        labels = np.array(data.draw(st.lists(st.sampled_from([0, 1, 2, 255]),
+                                             min_size=size, max_size=size)))
+        a, labels = a.reshape(n, h, w), labels.reshape(n, h, w)
+        # p_true = e^a / (e^a + 2) is 0.063, 0.155, 0.333, 0.576 or 0.787: every
+        # threshold lies between two of them
+        cfg = T.OhemConfig(prob_threshold=data.draw(st.sampled_from([0.1, 0.25, 0.5, 0.7])),
+                           min_kept_fraction=data.draw(st.one_of(
+                               st.sampled_from([1.0, 1.0 / 16.0]), st.floats(1e-3, 1.0))))
+        at = np.where(labels == 255, 0, labels)[:, None]
+        logits = np.zeros((n, 3, h, w), np.float32)
+        np.put_along_axis(logits, at, a[:, None].astype(np.float32), axis=1)
+        _, grad = T.ohem_ce_loss(logits, labels, cfg)
+        kept = np.take_along_axis(grad, at, axis=1)[:, 0] != 0  # p_true - 1 where kept
+
+        valid = labels != 255
+        want = valid & (np.exp(a) / (np.exp(a) + 2) < cfg.prob_threshold)
+        n_valid = int(valid.sum())
+        min_kept = min(math.ceil(cfg.min_kept_fraction * n_valid), n_valid)
+        if want.sum() < min_kept:
+            order = np.argsort(np.where(valid, a, np.inf).reshape(-1), kind="stable")
+            want = np.zeros(size, bool)
+            want[order[:min_kept]] = True
+        np.testing.assert_array_equal(kept.reshape(-1), want.reshape(-1))
 
     def test_label_out_of_range(self):
         logits = np.zeros((1, 2, 1, 1), np.float32)
