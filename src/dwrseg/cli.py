@@ -184,20 +184,6 @@ def load_run_config(path) -> RunConfig:
     return parse_run_config(doc)
 
 
-def _manifest_samples(directory):
-    """Every image/mask pair of a manifest directory; any unpaired file, or
-    no pair at all, is a ConfigError naming the directory."""
-    manifest = data.dataset_manifest(directory)
-    if not manifest.ok:
-        raise ConfigError(
-            f"unpaired files in {directory}: "
-            f"images={[str(p) for p in manifest.unpaired_images]} "
-            f"masks={[str(p) for p in manifest.unpaired_masks]}")
-    if not manifest.pairs:
-        raise ConfigError(f"no image/mask pairs found in {directory}")
-    return data.load_manifest_samples(manifest)
-
-
 def _check_train_size(train_set, cfg: TrainConfig) -> None:
     """The input size of every training step, checked as the forward checks it:
     the crop with augment, else the one size all training images share.  A
@@ -217,7 +203,7 @@ def _check_train_size(train_set, cfg: TrainConfig) -> None:
 
 def _load_datasets(cfg: RunConfig):
     if cfg.data.kind == "manifest":
-        samples = _manifest_samples(cfg.data.dir)
+        samples = data.load_manifest(cfg.data.dir)
         split = max(1, int(0.8 * len(samples)))
         return samples[:split], samples[split:] or samples[:1]
     spec = cfg.data.spec(cfg.num_classes)
@@ -265,7 +251,7 @@ def cmd_eval(args) -> int:
         raise ConfigError("eval needs --config or --data for its validation samples")
     params, net_cfg = network.load_checkpoint(args.checkpoint)
     cfg = load_run_config(args.config) if args.config else None
-    samples = _manifest_samples(args.data) if args.data else _load_datasets(cfg)[1]
+    samples = data.load_manifest(args.data) if args.data else _load_datasets(cfg)[1]
     ignore_label = cfg.train.ohem.ignore_label if cfg else data.IGNORE_LABEL
     report = training.evaluate(params, net_cfg, samples, ignore_label)
     text = json.dumps(report, indent=2)
@@ -563,7 +549,7 @@ def main(argv=None) -> int:
     try:
         ops.set_workers(args.threads)
         return args.fn(args)
-    except (ConfigError, FormatError, ShapeError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, FormatError, ShapeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # sizes too large to allocate

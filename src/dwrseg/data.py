@@ -205,39 +205,29 @@ def read_pgm(path) -> np.ndarray:
 # Directory manifests
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Manifest:
-    pairs: list[tuple[Path, Path]]
-    unpaired_images: list[Path]
-    unpaired_masks: list[Path]
+def load_manifest(directory) -> list[Sample]:
+    """The samples of a directory that pairs every "<stem>.ppm" with a
+    "<stem>_mask.pgm", sorted by stem.
 
-    @property
-    def ok(self) -> bool:
-        return not self.unpaired_images and not self.unpaired_masks
-
-
-def dataset_manifest(directory) -> Manifest:
-    """Pair "<stem>.ppm" with "<stem>_mask.pgm", sorted lexicographically."""
+    An unpaired file, no pair at all, or a mask whose size is not its
+    image's is a FormatError naming the directory or the mask.
+    """
     d = Path(directory)
     images = {p.stem: p for p in d.glob("*.ppm")}
     masks = {p.stem[:-5]: p for p in d.glob("*_mask.pgm")}
-    pairs = [(images[s], masks[s]) for s in sorted(images.keys() & masks.keys())]
-    return Manifest(
-        pairs=pairs,
-        unpaired_images=[images[s] for s in sorted(images.keys() - masks.keys())],
-        unpaired_masks=[masks[s] for s in sorted(masks.keys() - images.keys())],
-    )
-
-
-def load_manifest_samples(manifest: Manifest) -> list[Sample]:
-    """The samples of every pair; a mask whose size is not its image's is a
-    FormatError naming the mask."""
+    if images.keys() != masks.keys():
+        raise FormatError(
+            f"unpaired files in {directory}: "
+            f"images={[str(images[s]) for s in sorted(images.keys() - masks.keys())]} "
+            f"masks={[str(masks[s]) for s in sorted(masks.keys() - images.keys())]}")
+    if not images:
+        raise FormatError(f"no image/mask pairs found in {directory}")
     samples = []
-    for image_path, mask_path in manifest.pairs:
-        sample = Sample(image=read_ppm(image_path), mask=read_pgm(mask_path))
+    for stem in sorted(images):
+        sample = Sample(image=read_ppm(images[stem]), mask=read_pgm(masks[stem]))
         if sample.mask.shape != sample.image.shape[2:]:
             h, w = sample.image.shape[2:]
-            raise FormatError(f"{mask_path}: mask is {sample.mask.shape[0]}x"
-                              f"{sample.mask.shape[1]}, its image {image_path} is {h}x{w}")
+            raise FormatError(f"{masks[stem]}: mask is {sample.mask.shape[0]}x"
+                              f"{sample.mask.shape[1]}, its image {images[stem]} is {h}x{w}")
         samples.append(sample)
     return samples

@@ -28,15 +28,15 @@ its forward's map transposed, read off the same description:
 
 Every output element is produced by one reduction in a fixed order, so
 repeated runs are bitwise identical at a fixed BLAS thread count (a matmul
-may round differently at another).  Every forward op splits its output
-into bands, which write disjoint slices of it and run on `workers()`
-threads (the caller and a pool): convolution and upsampling as above,
-batch norm, ReLU, add, concat and max pooling in bands of channels, and the
-tape's finiteness check (`check_finite`) in bands of a flat view.  Each
-band is the same numpy call whichever thread runs it, so results are
-bitwise identical at any worker count (the CLI keeps BLAS at one thread
-and sets the workers with --threads); a call whose output fits one band
-runs inline on the caller.  The backward ops run on the calling thread.
+may round differently at another).  Every forward op allocates one
+C-contiguous output and splits it into bands, which write disjoint slices
+of it and run on `workers()` threads (the caller and a pool): convolution
+and upsampling as above, batch norm, ReLU, add, concat and max pooling in
+bands of channels, and the tape's finiteness check (`check_finite`) in
+bands of a flat view.  Each band is the same numpy call whichever thread
+runs it, so results are bitwise identical at any worker count (the CLI
+keeps BLAS at one thread and sets the workers with --threads); a call
+whose output fits one band runs inline on the caller.  The backward ops run on the calling thread.
 Convolution padding is zero padding; pooling padding behaves as -inf.
 Bilinear upsampling uses half-pixel source coordinates clamped to the
 borders (src = (dst + 0.5) * in/out - 0.5).
@@ -453,8 +453,6 @@ def batchnorm_forward(x: np.ndarray, state: BatchNormState, mode: str) -> np.nda
         raise ValueError(f"batchnorm mode must be 'train' or 'eval', got {mode!r}")
 
     scale = state.gamma * (1.0 / np.sqrt(var + state.eps))
-    if x.nbytes <= BAND_BYTES:  # one band
-        return _normalize(x, mean, scale, state.beta)
     out = np.empty(x.shape, dtype=np.result_type(x, mean))
     _run_bands(lambda c0, c1: _normalize(x[:, c0:c1], mean[c0:c1], scale[c0:c1],
                                          state.beta[c0:c1], out[:, c0:c1]),
@@ -462,12 +460,11 @@ def batchnorm_forward(x: np.ndarray, state: BatchNormState, mode: str) -> np.nda
     return out
 
 
-def _normalize(x, mean, scale, beta, out=None):
-    """(x - mean) * scale + beta per channel, in three passes."""
-    out = np.subtract(x, mean.reshape(1, -1, 1, 1), out=out)
+def _normalize(x, mean, scale, beta, out):
+    """out = (x - mean) * scale + beta per channel, in three passes."""
+    np.subtract(x, mean.reshape(1, -1, 1, 1), out=out)
     out *= scale.reshape(1, -1, 1, 1)
     out += beta.reshape(1, -1, 1, 1)
-    return out
 
 
 def batchnorm_backward(x: np.ndarray, state: BatchNormState, grad_out: np.ndarray,
@@ -512,8 +509,6 @@ def batchnorm_backward(x: np.ndarray, state: BatchNormState, grad_out: np.ndarra
 # ---------------------------------------------------------------------------
 
 def relu_forward(x: np.ndarray) -> np.ndarray:
-    if x.nbytes <= BAND_BYTES:  # one band
-        return np.maximum(x, 0)
     out = np.empty(x.shape, dtype=x.dtype)
     _run_bands(lambda c0, c1: np.maximum(x[:, c0:c1], 0, out=out[:, c0:c1]),
                _channel_bands(x))
@@ -529,8 +524,6 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 def add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if x.shape != y.shape:
         raise ShapeError(f"add: shapes {x.shape} != {y.shape}")
-    if x.nbytes <= BAND_BYTES:  # one band
-        return x + y
     out = np.empty(x.shape, dtype=np.result_type(x, y))
     _run_bands(lambda c0, c1: np.add(x[:, c0:c1], y[:, c0:c1], out=out[:, c0:c1]),
                _channel_bands(x))
@@ -540,13 +533,10 @@ def add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def concat_channels(xs) -> np.ndarray:
     if not xs:
         raise ShapeError("concat of zero tensors")
-    base, nbytes = xs[0].shape, xs[0].nbytes
+    base = xs[0].shape
     for x in xs[1:]:
         if x.shape[0] != base[0] or x.shape[2:] != base[2:]:
             raise ShapeError(f"concat: incompatible shapes {base} vs {x.shape}")
-        nbytes += x.nbytes
-    if nbytes <= BAND_BYTES:  # one band
-        return np.concatenate(xs, axis=1)
     starts = [0, *itertools.accumulate(x.shape[1] for x in xs)]
     out = np.empty((base[0], starts[-1], *base[2:]), dtype=np.result_type(*xs))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import FLOAT, BatchNormState, ShapeError, Tape, Var
+from .engine import FLOAT, ShapeError, Tape, Var
 
 
 def he_normal(rng: np.random.Generator):
@@ -43,7 +43,7 @@ class ParamStore:
     The parameters are what SGD updates: conv weights and biases and BN
     `<layer>.gamma`, `<layer>.beta`.  The statistics are the BN running
     `<layer>.running_mean`, `<layer>.running_var`, in the order the layers
-    were declared.  A BatchNormState is only ever a view over these arrays.
+    were declared.
     """
 
     def __init__(self):
@@ -59,13 +59,12 @@ class ParamStore:
         self._params[name] = arr
         return arr
 
-    def add_bn(self, prefix: str, channels: int) -> BatchNormState:
+    def add_bn(self, prefix: str, channels: int) -> None:
         """Declare an identity BN layer: gamma 1, beta 0, running mean 0, var 1."""
         self.add(f"{prefix}.gamma", np.ones(channels, FLOAT))
         self.add(f"{prefix}.beta", np.zeros(channels, FLOAT))
         self._stats[f"{prefix}.running_mean"] = np.zeros(channels, FLOAT)
         self._stats[f"{prefix}.running_var"] = np.ones(channels, FLOAT)
-        return self.bn(prefix)
 
     # -- access --------------------------------------------------------------
 
@@ -78,18 +77,16 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self._params)
 
-    def bn(self, prefix: str) -> BatchNormState:
-        """View of BN layer `prefix` over the stored arrays."""
-        return BatchNormState(self[f"{prefix}.gamma"], self[f"{prefix}.beta"],
-                              self._stats[f"{prefix}.running_mean"],
-                              self._stats[f"{prefix}.running_var"])
-
     def set_(self, name: str, value: np.ndarray) -> None:
         """Overwrite a parameter in place (views and tape leaves see it)."""
         _assign(self._params, name, value)
 
     def items(self):
         return self._params.items()
+
+    def stat(self, name: str) -> np.ndarray:
+        """The running statistic `name`, as __getitem__ gives a parameter."""
+        return self._stats[name]
 
     def stat_items(self):
         """(name, array) pairs for BN running statistics, in order."""
@@ -144,9 +141,9 @@ class ParamVars:
         store = self.store
         if self.init is not None and f"{prefix}.gamma" not in store:
             store.add_bn(prefix, x.shape[1])
-        st = store.bn(prefix)
         return self.tape.batchnorm(x, self(f"{prefix}.gamma"), self(f"{prefix}.beta"),
-                                   st.running_mean, st.running_var, self.mode)
+                                   store.stat(f"{prefix}.running_mean"),
+                                   store.stat(f"{prefix}.running_var"), self.mode)
 
     def keep(self, key: str, t: Var) -> None:
         """Store `t`'s data under `key` when the pass captures."""

@@ -27,6 +27,13 @@ def run_block(forward_fn, stage, x, stride=1, mode="eval", seed=0, zero=False, p
     return out.data, store
 
 
+def bn_view(store, prefix):
+    """The BN state of layer `prefix`, over the store's named arrays."""
+    return E.BatchNormState(store[f"{prefix}.gamma"], store[f"{prefix}.beta"],
+                            store.stat(f"{prefix}.running_mean"),
+                            store.stat(f"{prefix}.running_var"))
+
+
 class TestChannelAccounting:
     def test_three_branch_widths(self):
         cfg = B.StageSpec("dwr", 1, 128, branch_count=3)
@@ -126,8 +133,8 @@ class TestResidualIdentity:
         # BN gamma scales a zero residual; identity must be unaffected
         cfg = B.StageSpec("dwr", 1, 8, branch_count=2)
         store = declare(B.dwr_forward, (1, 8, 6, 6), cfg, 1, zero=True)
-        store.bn("blk.rr.bn").gamma[:] = 1.7
-        store.bn("blk.sr.bn").gamma[:] = 0.3
+        store["blk.rr.bn.gamma"][:] = 1.7
+        store["blk.sr.bn.gamma"][:] = 0.3
         x = rnd((1, 8, 6, 6), seed=4)
         pv = ParamVars(E.Tape(record=False), store)
         out = B.dwr_forward(pv, "blk", pv.tape.leaf(x), cfg, 1)
@@ -149,7 +156,7 @@ class TestOpCompositionOracle:
 
         t = E.conv2d_forward(x, store["blk.rr.conv.weight"], None,
                              E.ConvSpec(16, cfg.rr_width, 3, padding=1))
-        t = E.batchnorm_forward(t, store.bn("blk.rr.bn"), "eval")
+        t = E.batchnorm_forward(t, bn_view(store, "blk.rr.bn"), "eval")
         t = E.relu_forward(t)
         parts = E.split_channels(t, list(cfg.group_widths))
         outs = []
@@ -158,7 +165,7 @@ class TestOpCompositionOracle:
                 p, store[f"blk.sr.b{i}.weight"], None,
                 E.ConvSpec(g, g, 3, padding=d, dilation=d, groups=g)))
         t = E.concat_channels(outs)
-        t = E.batchnorm_forward(t, store.bn("blk.sr.bn"), "eval")
+        t = E.batchnorm_forward(t, bn_view(store, "blk.sr.bn"), "eval")
         t = E.conv2d_forward(t, store["blk.merge.weight"], store["blk.merge.bias"],
                              E.ConvSpec(cfg.rr_width, 16, 1, has_bias=True))
         ref = E.add(x, t)
@@ -170,7 +177,7 @@ class TestOpCompositionOracle:
         out, store = run_block(B.sir_forward, cfg, x, seed=9)
         t = E.conv2d_forward(x, store["blk.rr.conv.weight"], None,
                              E.ConvSpec(10, 30, 3, padding=1))
-        t = E.batchnorm_forward(t, store.bn("blk.rr.bn"), "eval")
+        t = E.batchnorm_forward(t, bn_view(store, "blk.rr.bn"), "eval")
         t = E.relu_forward(t)
         t = E.conv2d_forward(t, store["blk.proj.weight"], store["blk.proj.bias"],
                              E.ConvSpec(30, 10, 1, has_bias=True))
@@ -183,13 +190,13 @@ class TestOpCompositionOracle:
         w = cfg.rr_width
         t = E.conv2d_forward(x, store["blk.rr.conv.weight"], None,
                              E.ConvSpec(8, w, 3, padding=1))
-        t = E.batchnorm_forward(t, store.bn("blk.rr.bn"), "eval")
+        t = E.batchnorm_forward(t, bn_view(store, "blk.rr.bn"), "eval")
         t = E.relu_forward(t)
         outs = [E.conv2d_forward(t, store[f"blk.sr.b{i}.weight"], None,
                                  E.ConvSpec(w, w, 3, padding=d, dilation=d, groups=w))
                 for i, d in enumerate(cfg.dilations)]
         t = E.concat_channels(outs)
-        t = E.batchnorm_forward(t, store.bn("blk.sr.bn"), "eval")
+        t = E.batchnorm_forward(t, bn_view(store, "blk.sr.bn"), "eval")
         t = E.conv2d_forward(t, store["blk.merge.weight"], store["blk.merge.bias"],
                              E.ConvSpec(3 * w, 8, 1, has_bias=True))
         np.testing.assert_array_equal(out, E.add(x, t))
@@ -203,16 +210,16 @@ class TestOpCompositionOracle:
 
         t = E.conv2d_forward(x, store["stem.conv1.weight"], None,
                              E.ConvSpec(3, s // 2, 3, stride=2, padding=1))
-        t = E.batchnorm_forward(t, store.bn("stem.conv1.bn"), "eval")
+        t = E.batchnorm_forward(t, bn_view(store, "stem.conv1.bn"), "eval")
         a = E.conv2d_forward(t, store["stem.a1.weight"], None, E.ConvSpec(s // 2, s // 4, 1))
-        a = E.relu_forward(E.batchnorm_forward(a, store.bn("stem.a1.bn"), "eval"))
+        a = E.relu_forward(E.batchnorm_forward(a, bn_view(store, "stem.a1.bn"), "eval"))
         a = E.conv2d_forward(a, store["stem.a2.weight"], None,
                              E.ConvSpec(s // 4, s // 2, 3, stride=2, padding=1))
-        a = E.relu_forward(E.batchnorm_forward(a, store.bn("stem.a2.bn"), "eval"))
+        a = E.relu_forward(E.batchnorm_forward(a, bn_view(store, "stem.a2.bn"), "eval"))
         b = E.maxpool_forward(t, 3, 2, 1)
         t = E.concat_channels([a, b])
         t = E.conv2d_forward(t, store["stem.fuse.weight"], None, E.ConvSpec(s, s, 3, padding=1))
-        ref = E.relu_forward(E.batchnorm_forward(t, store.bn("stem.fuse.bn"), "eval"))
+        ref = E.relu_forward(E.batchnorm_forward(t, bn_view(store, "stem.fuse.bn"), "eval"))
         np.testing.assert_array_equal(out.data, ref)
 
 

@@ -575,6 +575,28 @@ class TestExitCodes:
         bad.write_bytes(b"garbage")
         assert main(["eval", "--checkpoint", str(bad), "--data", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["eval", "--checkpoint", "{dir}", "--data", "{dir}"],
+                     id="eval-checkpoint-dir"),
+        pytest.param(["predict", "--checkpoint", "{ckpt}", "--image", "{dir}",
+                      "--out", "{dir}/p.pgm"], id="predict-image-dir"),
+        pytest.param(["predict", "--checkpoint", "{ckpt}", "--image", "{image}",
+                      "--out", "{dir}"], id="predict-out-dir"),
+        pytest.param(["analyze", "erf", "--checkpoint", "{ckpt}", "--image", "{dir}"],
+                     id="erf-image-dir"),
+        pytest.param(["train", "--config", "{config}", "--out", "{config}"],
+                     id="train-out-file")])
+    def test_directory_or_file_where_a_path_goes_exit_2(self, tmp_path, capsys, argv):
+        net_cfg = network.preset("tiny", num_classes=3)
+        ckpt, image = tmp_path / "c.dwck", tmp_path / "a.ppm"
+        network.save_checkpoint(network.build(net_cfg, rng_seed=0), net_cfg, ckpt)
+        D.write_ppm(image, D.generate(D.ShapesSpec(canvas=(32, 32), num_classes=3), 0).image)
+        config, _ = write_config(tmp_path)
+        paths = {"dir": tmp_path, "ckpt": ckpt, "image": image, "config": config}
+        assert main([a.format(**paths) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
     def test_short_checkpoint_predict_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "short.dwck"
         bad.write_bytes(b"DWCK\x01\x00")

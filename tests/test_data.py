@@ -136,28 +136,29 @@ class TestPpmPgm:
 
 class TestManifest:
     def test_empty_dir(self, tmp_path):
-        m = D.dataset_manifest(tmp_path)
-        assert m.pairs == [] and m.ok
+        with pytest.raises(FormatError) as err:
+            D.load_manifest(tmp_path)
+        assert str(err.value) == f"no image/mask pairs found in {tmp_path}"
 
     def test_one_pair(self, tmp_path):
         D.write_ppm(tmp_path / "s0.ppm", np.zeros((1, 3, 2, 2), np.float32))
         D.write_pgm(tmp_path / "s0_mask.pgm", np.zeros((2, 2), np.int32))
-        m = D.dataset_manifest(tmp_path)
-        assert len(m.pairs) == 1 and m.ok
-        samples = D.load_manifest_samples(m)
-        assert samples[0].image.shape == (1, 3, 2, 2)
+        samples = D.load_manifest(tmp_path)
+        assert len(samples) == 1
+        assert samples[0].image.shape == (1, 3, 2, 2) and samples[0].mask.shape == (2, 2)
 
     def test_unpaired_reported(self, tmp_path):
         D.write_ppm(tmp_path / "a.ppm", np.zeros((1, 3, 2, 2), np.float32))
         D.write_pgm(tmp_path / "b_mask.pgm", np.zeros((2, 2), np.int32))
-        m = D.dataset_manifest(tmp_path)
-        assert not m.ok
-        assert [p.name for p in m.unpaired_images] == ["a.ppm"]
-        assert [p.name for p in m.unpaired_masks] == ["b_mask.pgm"]
+        with pytest.raises(FormatError) as err:
+            D.load_manifest(tmp_path)
+        assert str(err.value) == (f"unpaired files in {tmp_path}: "
+                                  f"images={[str(tmp_path / 'a.ppm')]} "
+                                  f"masks={[str(tmp_path / 'b_mask.pgm')]}")
 
     def test_sorted_lexicographically(self, tmp_path):
-        for stem in ("b", "a", "c"):
-            D.write_ppm(tmp_path / f"{stem}.ppm", np.zeros((1, 3, 2, 2), np.float32))
-            D.write_pgm(tmp_path / f"{stem}_mask.pgm", np.zeros((2, 2), np.int32))
-        m = D.dataset_manifest(tmp_path)
-        assert [p.stem for p, _ in m.pairs] == ["a", "b", "c"]
+        for i, stem in enumerate(("b", "a", "c")):
+            D.write_ppm(tmp_path / f"{stem}.ppm", np.full((1, 3, 2, 2), i / 4, np.float32))
+            D.write_pgm(tmp_path / f"{stem}_mask.pgm", np.full((2, 2), i, np.int32))
+        samples = D.load_manifest(tmp_path)
+        assert [int(s.mask[0, 0]) for s in samples] == [1, 0, 2]  # a, b, c

@@ -440,14 +440,19 @@ class TestBandWorkers:
         assert at_return == (len(started), len(ended))  # no band ran on after the call
         assert at_return[0] > 2 and at_return[1] == at_return[0] - 1  # every band ended
 
-    # (2, 16, 128, 256) float32 is 4 MiB: four bands of four channels
-    BANDED_SHAPE = (2, 16, 128, 256)
-
-    @pytest.mark.parametrize("mode", ["eval", "train"])
-    def test_batchnorm_bitwise_at_any_worker_count(self, set_workers, mode):
-        x = rnd(self.BANDED_SHAPE, seed=21)
+    # (2, 16, 128, 256) float32 is 4 MiB: four bands of four channels; the
+    # desk shapes (4, 16, 32, 32) and (4, 48, 4, 4) fit one band
+    @pytest.mark.parametrize("mode,shape,bands", [
+        pytest.param("eval", (2, 16, 128, 256), 4, id="eval"),
+        pytest.param("train", (2, 16, 128, 256), 4, id="train"),
+        pytest.param("eval", (4, 16, 32, 32), 1, id="eval-desk-4x16x32x32"),
+        pytest.param("train", (4, 16, 32, 32), 1, id="train-desk-4x16x32x32"),
+        pytest.param("eval", (4, 48, 4, 4), 1, id="eval-desk-4x48x4x4"),
+        pytest.param("train", (4, 48, 4, 4), 1, id="train-desk-4x48x4x4")])
+    def test_batchnorm_bitwise_at_any_worker_count(self, set_workers, mode, shape, bands):
+        x = rnd(shape, seed=21)
         c = x.shape[1]
-        assert len(ops._channel_bands(x)) > 1
+        assert len(ops._channel_bands(x)) == bands
         base = E.BatchNormState(rnd((c,), 1), rnd((c,), 2), rnd((c,), 3),
                                 np.abs(rnd((c,), 4)) + 0.5)
 
@@ -455,25 +460,36 @@ class TestBandWorkers:
             state = replace(base, running_mean=base.running_mean.copy(),
                             running_var=base.running_var.copy())
             out = E.batchnorm_forward(x, state, mode)
+            assert out.flags.c_contiguous
             return np.concatenate([out.ravel(), state.running_mean, state.running_var])
 
         one, *others = self.at_each_count(set_workers, run)
         assert all(r == one for r in others)
-        # the three passes the unbanded forward made, in its order
+        # the three passes the unbanded forward made, in its order, and the
+        # running statistics it left
         mean, var = ((x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))) if mode == "train"
                      else (base.running_mean, base.running_var))
         ref = x - mean.reshape(1, c, 1, 1)
         ref *= (base.gamma * (1.0 / np.sqrt(var + base.eps))).reshape(1, c, 1, 1)
         ref += base.beta.reshape(1, c, 1, 1)
-        assert one[:ref.nbytes] == ref.tobytes()
+        m = base.momentum
+        stats = ([((1.0 - m) * r + m * b).astype(np.float32)
+                  for r, b in ((base.running_mean, mean), (base.running_var, var))]
+                 if mode == "train" else [base.running_mean, base.running_var])
+        assert one == np.concatenate([ref.ravel(), *stats]).tobytes()
 
-    def test_relu_add_concat_bitwise_at_any_worker_count(self, set_workers):
-        x, y = rnd(self.BANDED_SHAPE, seed=22), rnd(self.BANDED_SHAPE, seed=23)
+    @pytest.mark.parametrize("shape,bands", [
+        pytest.param((2, 16, 128, 256), 4, id="banded"),
+        pytest.param((4, 16, 32, 32), 1, id="desk-4x16x32x32"),
+        pytest.param((4, 48, 4, 4), 1, id="desk-4x48x4x4")])
+    def test_relu_add_concat_bitwise_at_any_worker_count(self, set_workers, shape, bands):
+        x, y = rnd(shape, seed=22), rnd(shape, seed=23)
         pieces = [x[:, :5], y, x[:, 5:]]  # bands cross the pieces' boundaries
-        assert len(ops._channel_bands(x)) > 1
+        assert len(ops._channel_bands(x)) == bands
         for fn, ref in [(lambda: E.relu_forward(x), np.maximum(x, 0)),
                         (lambda: E.add(x, y), x + y),
                         (lambda: E.concat_channels(pieces), np.concatenate(pieces, axis=1))]:
+            assert fn().flags.c_contiguous
             one, *others = self.at_each_count(set_workers, fn)
             assert all(r == one for r in others) and one == ref.tobytes()
 

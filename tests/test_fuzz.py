@@ -1,7 +1,8 @@
 """Malformed inputs: every reader of outside bytes or JSON fails with a
 FormatError or a ConfigError (exit code 2), never with another exception,
-and every command run on drawn configs and images ends in exit code 0, 2
-or 3."""
+and every command run on drawn configs, images and paths of the wrong kind
+(a directory for a file, a file for the out directory) ends in exit code 0,
+2 or 3."""
 
 import contextlib
 import dataclasses
@@ -184,6 +185,10 @@ RUN = st.fixed_dictionaries({
 # image and mask sizes drawn apart, so masks of another size occur
 SIZE = st.tuples(st.integers(1, 48), st.integers(1, 48))
 PAIR = st.tuples(SIZE, SIZE | st.none(), st.sampled_from([0, 1, 4, 255]), st.integers(0, 9))
+# paths that name a directory where a file is read or written, or an existing
+# file where the out directory goes; each is run besides the valid commands
+BAD_PATHS = ("eval --checkpoint", "predict --checkpoint", "predict --image", "predict --out",
+             "analyze erf --image", "train --out")
 
 
 def run_command(argv) -> int:
@@ -195,12 +200,13 @@ def run_command(argv) -> int:
 
 
 @FUZZ
-@given(doc=RUN, pairs=st.lists(PAIR, min_size=1, max_size=2), with_config=st.booleans())
+@given(doc=RUN, pairs=st.lists(PAIR, min_size=1, max_size=2), with_config=st.booleans(),
+       bad_paths=st.sets(st.sampled_from(BAD_PATHS)))
 @example(doc={**DESK_PRESET, "data": {**DESK_PRESET["data"], "canvas": [32, 32],
                                       "train_count": 2, "val_count": 1},
               "train": {"iters": 1, "batch": 2}, "augment": {"scale_range": [1.0, 1e308]}},
-         pairs=[((40, 44), None, 1, 0)], with_config=False)
-def test_commands_exit_0_2_or_3(checkpoint, doc, pairs, with_config):
+         pairs=[((40, 44), None, 1, 0)], with_config=False, bad_paths=set(BAD_PATHS))
+def test_commands_exit_0_2_or_3(checkpoint, doc, pairs, with_config, bad_paths):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         config, ckpt, ddir = tmp / "run.json", tmp / "run" / "checkpoint.dwck", tmp / "ds"
@@ -218,7 +224,23 @@ def test_commands_exit_0_2_or_3(checkpoint, doc, pairs, with_config):
             D.write_pgm(ddir / f"s{i}_mask.pgm", mask)
         run_command(["eval", "--checkpoint", str(ckpt), "--data", str(ddir)]
                     + ["--config", str(config)] * with_config)
-        out = tmp / "pred.pgm"
-        if run_command(["predict", "--checkpoint", str(ckpt), "--image", str(ddir / "s0.ppm"),
-                        "--out", str(out)]) == 0:
+        out, image = tmp / "pred.pgm", str(ddir / "s0.ppm")
+        predicted = run_command(["predict", "--checkpoint", str(ckpt), "--image", image,
+                                 "--out", str(out)])
+        if predicted == 0:
             assert D.read_pgm(out).shape == pairs[0][0]
+        bad_argv = {
+            "eval --checkpoint": ["eval", "--checkpoint", str(ddir), "--data", str(ddir)],
+            "predict --checkpoint": ["predict", "--checkpoint", str(ddir), "--image", image,
+                                     "--out", str(out)],
+            "predict --image": ["predict", "--checkpoint", str(ckpt), "--image", str(ddir),
+                                "--out", str(out)],
+            "predict --out": ["predict", "--checkpoint", str(ckpt), "--image", image,
+                              "--out", str(ddir)],
+            "analyze erf --image": ["analyze", "erf", "--checkpoint", str(ckpt),
+                                    "--image", str(ddir)],
+            "train --out": ["train", "--config", str(config), "--out", str(config)]}
+        for name in sorted(bad_paths):
+            # predict --out fails only at the write, so an earlier failure keeps its code
+            want = (predicted or 2) if name == "predict --out" else 2
+            assert run_command(bad_argv[name]) == want, name

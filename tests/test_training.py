@@ -78,8 +78,8 @@ class TestSgdStep:
 
     def test_bn_affine_exempt_from_decay(self):
         store = ParamStore()
-        bn = store.add_bn("x.bn", 2)
-        bn.gamma[:] = 3.0
+        store.add_bn("x.bn", 2)
+        store["x.bn.gamma"][:] = 3.0
         store.add("conv.weight", np.full(2, 3.0, np.float32))
         st_ = T.OptimizerState(T.TrainConfig(momentum=0.0, weight_decay=0.5))
         zeros = {n: np.zeros_like(a) for n, a in store.items()}
