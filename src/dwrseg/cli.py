@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import errno
 import json
+import os
 import reprlib
 import sys
 import typing
@@ -201,6 +203,26 @@ def _check_train_size(train_set, cfg: TrainConfig) -> None:
     ops.check_bn_count(cfg.batch_size * (h // 32) * (w // 32))
 
 
+def _check_out(path, directory: bool = False) -> None:
+    """Fail before any work where `path` (if given) cannot take a command's
+    output: an output file must not be a directory, and its parent must be
+    one; an output directory must not be a file.  The error is the OSError
+    the write would raise."""
+    if not path:
+        return
+    path = Path(path)
+    if directory:
+        code = errno.EEXIST if path.exists() and not path.is_dir() else 0
+    elif path.is_dir():
+        code = errno.EISDIR
+    elif not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    else:
+        code = 0
+    if code:
+        raise OSError(code, os.strerror(code), str(path))
+
+
 def _load_datasets(cfg: RunConfig):
     if cfg.data.kind == "manifest":
         samples = data.load_manifest(cfg.data.dir)
@@ -249,6 +271,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if not (args.data or args.config):
         raise ConfigError("eval needs --config or --data for its validation samples")
+    _check_out(args.out)
     params, net_cfg = network.load_checkpoint(args.checkpoint)
     cfg = load_run_config(args.config) if args.config else None
     samples = data.load_manifest(args.data) if args.data else _load_datasets(cfg)[1]
@@ -262,6 +285,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_out(args.out)
     params, net_cfg = network.load_checkpoint(args.checkpoint)
     pred = network.predict_labels(params, net_cfg, data.read_ppm(args.image))[0]
     h, w = pred.shape
@@ -272,6 +296,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_count(args) -> int:
+    _check_out(args.out)
     cfg = network.preset(args.variant, num_classes=args.classes)
     p_total, p_items = network.count_params(cfg)
     m_total, m_items = network.count_macs(cfg, args.height, args.width)
@@ -330,6 +355,8 @@ def _analysis_image(args, net_cfg):
 
 
 def cmd_analyze(args) -> int:
+    out = args.out or {"erf": "erf.nt", "heatmaps": "heatmaps"}.get(args.what)
+    _check_out(out, directory=args.what == "heatmaps")
     if args.what == "rf":
         report = analysis.network_rf_report(network.preset(args.variant))
         if args.json:
@@ -355,7 +382,7 @@ def cmd_analyze(args) -> int:
         cy = args.cy if args.cy is not None else tap_h // 2
         cx = args.cx if args.cx is not None else tap_w // 2
         heat = analysis.erf_map(params, net_cfg, image, (cy, cx), stage=args.stage)
-        out = Path(args.out or "erf.nt")
+        out = Path(out)
         from .engine import write_nt
         write_nt(out, heat.astype(np.float32))
         pgm = out.with_suffix(".pgm")
@@ -379,7 +406,7 @@ def cmd_analyze(args) -> int:
 
     # heatmaps
     result = analysis.dump_feature_heatmaps(params, net_cfg, _analysis_image(args, net_cfg),
-                                            args.block, args.out or "heatmaps")
+                                            args.block, out)
     print(json.dumps({"files": result["files"]}))
     return 0
 

@@ -3,11 +3,11 @@
 Every op call appends one `Node` to `Tape.nodes`: the op kind, the layer
 it belongs to (taken from its first named input), the var indices of all
 its inputs, its output var and shape, the conv spec or pooling window, and
-a closure over the values its backward needs.  `Tape.backward` walks the
-nodes in reverse, accumulating gradients per var index in a fixed order,
-so repeated backward passes are bitwise identical.  It drops each op
-output's gradient once that node's backward has read it, so what it
-returns are the leaves' gradients (the parameters' and the inputs').
+`saved`, the values its backward reads.  `Tape.backward` walks the nodes
+in reverse through the one table `BACKWARD`, accumulating gradients per var
+index in a fixed order, so repeated backward passes are bitwise identical.
+It drops each op output's gradient once that node's backward has read it,
+so what it returns are the leaves' gradients (the parameters' and inputs').
 
 The tape checks for NaN and Inf once, where one can first appear: in the
 output of each conv, batch norm, add and upsample, as it takes it.  ReLU,
@@ -26,7 +26,6 @@ every shape check of the real path, at almost no cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -38,6 +37,27 @@ from .tensor import ShapeError
 # product, sum or blend can overflow).  The others only pass values on:
 # maxpool's -inf padding never wins a window, which always holds a pixel.
 _CHECKED_KINDS = frozenset({"conv2d", "batchnorm", "add", "upsample"})
+
+
+def _split_backward(x_shape, lo, hi, g):
+    full = np.zeros(x_shape, dtype=g.dtype)
+    full[:, lo:hi] = g
+    return (full,)
+
+
+# kind -> backward(*node.saved, grad_out): the parents' gradients in parent
+# order (None = none).  Each entry looks its kernel up on `ops` when called,
+# so a kernel replaced there after import is the one that runs.
+BACKWARD = {
+    "conv2d": lambda x, w, spec, g: ops.conv2d_backward(x, w, spec, g),
+    "batchnorm": lambda x, state, mode, g: ops.batchnorm_backward(x, state, g, mode),
+    "relu": lambda out, g: (ops.relu_backward(out, g),),
+    "add": lambda g: (g, g),
+    "concat": lambda widths, g: tuple(ops.split_channels(g, widths)),
+    "split": _split_backward,
+    "maxpool": lambda x, k, s, p, g: (ops.maxpool_backward(x, k, s, p, g),),
+    "upsample": lambda x_shape, h, w, g: (ops.upsample_bilinear_backward(x_shape, h, w, g),),
+}
 
 
 class Var:
@@ -66,7 +86,7 @@ class Node:
     parents: tuple[int, ...]        # var indices of all inputs, data first, in grad order
     out: int                        # var index of the output
     shape: tuple[int, ...]          # output shape
-    backward: Callable              # grad_out -> parent grads (None = skip)
+    saved: tuple                    # BACKWARD[kind]'s arguments before grad_out
     spec: ops.ConvSpec | None = None
     window: tuple[int, int, int] | None = None  # (kernel, stride, dilation)
 
@@ -102,8 +122,7 @@ class Tape:
     def _layer_of(self, parents) -> str | None:
         return next((self._layer[p.idx] for p in parents if p.idx in self._layer), None)
 
-    def _out(self, kind: str, data: np.ndarray, parents: tuple[Var, ...], backward,
-             **fields) -> Var:
+    def _out(self, kind: str, data: np.ndarray, parents: tuple, saved: tuple, **fields) -> Var:
         """Take `data` as one op's output: check it is finite if the op is
         one of _CHECKED_KINDS, give it a var, record it."""
         layer = self._layer_of(parents)
@@ -116,7 +135,7 @@ class Tape:
         self._num_vars += 1
         if self.record:
             self.nodes.append(Node(kind, layer, tuple(p.idx for p in parents), v.idx,
-                                   data.shape, backward, **fields))
+                                   data.shape, saved, **fields))
         return v
 
     @property
@@ -129,11 +148,9 @@ class Tape:
         parents = (x, weight, bias) if bias is not None else (x, weight)
         b = bias.data if bias is not None else None
         out = ops.conv2d_forward(x.data, weight.data, b, spec)
-        xd, wd = x.data, weight.data
         # grad_b is None without a bias, and the parents then end at the weight
-        return self._out("conv2d", out, parents,
-                         lambda go: ops.conv2d_backward(xd, wd, spec, go),
-                         spec=spec, window=(spec.kernel, spec.stride, spec.dilation))
+        return self._out("conv2d", out, parents, (x.data, weight.data, spec), spec=spec,
+                         window=(spec.kernel, spec.stride, spec.dilation))
 
     def batchnorm(self, x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
                   running_var: np.ndarray, mode: str) -> Var:
@@ -141,52 +158,34 @@ class Tape:
         # train mode updates the running statistics in place
         state = ops.BatchNormState(gamma.data, beta.data, running_mean, running_var)
         out = ops.batchnorm_forward(x.data, state, mode)
-        xd = x.data
-        return self._out("batchnorm", out, (x, gamma, beta),
-                         lambda go: ops.batchnorm_backward(xd, state, go, mode))
+        return self._out("batchnorm", out, (x, gamma, beta), (x.data, state, mode))
 
     def relu(self, x: Var) -> Var:
         out = ops.relu_forward(x.data)
         # the mask is read from the output, so the input need not be kept
-        return self._out("relu", out, (x,), lambda go: (ops.relu_backward(out, go),))
+        return self._out("relu", out, (x,), (out,))
 
     def add(self, x: Var, y: Var) -> Var:
         out = ops.add(x.data, y.data)
-        return self._out("add", out, (x, y), lambda go: (go, go))
+        return self._out("add", out, (x, y), ())
 
     def concat(self, xs: list[Var]) -> Var:
         out = ops.concat_channels([v.data for v in xs])
-        widths = [v.data.shape[1] for v in xs]
-        return self._out("concat", out, tuple(xs),
-                         lambda go: tuple(ops.split_channels(go, widths)))
+        return self._out("concat", out, tuple(xs), ([v.data.shape[1] for v in xs],))
 
     def split(self, x: Var, widths) -> list[Var]:
-        pieces = ops.split_channels(x.data, widths)
-        outs = []
-        offsets = np.concatenate([[0], np.cumsum(widths)])
-        for i, piece in enumerate(pieces):
-            lo, hi = int(offsets[i]), int(offsets[i + 1])
-
-            def backward(go, lo=lo, hi=hi, shape=x.data.shape):
-                full = np.zeros(shape, dtype=go.dtype)
-                full[:, lo:hi] = go
-                return (full,)
-
-            outs.append(self._out("split", piece, (x,), backward))
-        return outs
+        bounds = np.cumsum([0, *widths]).tolist()
+        return [self._out("split", piece, (x,), (x.data.shape, lo, hi))
+                for piece, lo, hi in zip(ops.split_channels(x.data, widths), bounds, bounds[1:])]
 
     def maxpool(self, x: Var, kernel: int, stride: int, padding: int = 0) -> Var:
         out = ops.maxpool_forward(x.data, kernel, stride, padding)
-        xd = x.data
-        return self._out("maxpool", out, (x,),
-                         lambda go: (ops.maxpool_backward(xd, kernel, stride, padding, go),),
+        return self._out("maxpool", out, (x,), (x.data, kernel, stride, padding),
                          window=(kernel, stride, 1))
 
     def upsample(self, x: Var, out_h: int, out_w: int) -> Var:
         out = ops.upsample_bilinear(x.data, out_h, out_w)
-        shape = x.data.shape
-        return self._out("upsample", out, (x,),
-                         lambda go: (ops.upsample_bilinear_backward(shape, out_h, out_w, go),))
+        return self._out("upsample", out, (x,), (x.data.shape, out_h, out_w))
 
     # -- reverse pass -------------------------------------------------------
 
@@ -211,7 +210,7 @@ class Tape:
             if g is None:
                 continue
             grads[node.out] = None
-            for pidx, pg in zip(node.parents, node.backward(g)):
+            for pidx, pg in zip(node.parents, BACKWARD[node.kind](*node.saved, g)):
                 if pg is None:
                     continue
                 if grads[pidx] is None:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dwrseg import data as D
-from dwrseg import network, training
+from dwrseg import analysis, network, training
 from dwrseg.cli import (
     DESK_PRESET,
     FULL_PRESET,
@@ -593,6 +593,48 @@ class TestExitCodes:
         D.write_ppm(image, D.generate(D.ShapesSpec(canvas=(32, 32), num_classes=3), 0).image)
         config, _ = write_config(tmp_path)
         paths = {"dir": tmp_path, "ckpt": ckpt, "image": image, "config": config}
+        assert main([a.format(**paths) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, work", [
+        pytest.param(["eval", "--checkpoint", "{ckpt}", "--data", "{data}", "--out", "{dir}"],
+                     (training, "evaluate"), id="eval-out-dir"),
+        pytest.param(["predict", "--checkpoint", "{ckpt}", "--image", "{image}",
+                      "--out", "{dir}"], (network, "predict_labels"), id="predict-out-dir"),
+        pytest.param(["predict", "--checkpoint", "{ckpt}", "--image", "{image}",
+                      "--out", "{image}/p.pgm"], (network, "predict_labels"),
+                     id="predict-out-under-a-file"),
+        pytest.param(["predict", "--checkpoint", "{ckpt}", "--image", "{image}",
+                      "--out", "{dir}/missing/p.pgm"], (network, "predict_labels"),
+                     id="predict-out-in-a-missing-dir"),
+        pytest.param(["count", "tiny", "--out", "{dir}"], (network, "count_params"),
+                     id="count-out-dir"),
+        pytest.param(["analyze", "rf", "--variant", "tiny", "--out", "{dir}"],
+                     (analysis, "network_rf_report"), id="rf-out-dir"),
+        pytest.param(["analyze", "weights", "--checkpoint", "{ckpt}", "--out", "{dir}"],
+                     (analysis, "branch_weight_stats"), id="weights-out-dir"),
+        pytest.param(["analyze", "erf", "--checkpoint", "{ckpt}", "--out", "{dir}"],
+                     (analysis, "erf_map"), id="erf-out-dir"),
+        pytest.param(["analyze", "heatmaps", "--checkpoint", "{ckpt}", "--out", "{image}"],
+                     (analysis, "dump_feature_heatmaps"), id="heatmaps-out-file")])
+    def test_bad_out_path_exit_2_before_the_work(self, tmp_path, capsys, monkeypatch,
+                                                  argv, work):
+        net_cfg = network.preset("tiny", num_classes=3)
+        ckpt, image, ddir = tmp_path / "c.dwck", tmp_path / "a.ppm", tmp_path / "ds"
+        network.save_checkpoint(network.build(net_cfg, rng_seed=0), net_cfg, ckpt)
+        s = D.generate(D.ShapesSpec(canvas=(32, 32), num_classes=3), 0)
+        D.write_ppm(image, s.image)
+        ddir.mkdir()
+        D.write_ppm(ddir / "a.ppm", s.image)
+        D.write_pgm(ddir / "a_mask.pgm", s.mask)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the work ran before the out path was checked")
+
+        for module, name in (work, (network, "load_checkpoint")):
+            monkeypatch.setattr(module, name, refuse)
+        paths = {"dir": tmp_path, "ckpt": ckpt, "image": image, "data": ddir}
         assert main([a.format(**paths) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno ") and err.count("\n") == 1

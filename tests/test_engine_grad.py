@@ -10,6 +10,7 @@ from dwrseg import engine as E
 from dwrseg import network as N
 from dwrseg.engine import ops
 from dwrseg.engine.gradcheck import finite_diff_check
+from dwrseg.engine.tape import BACKWARD
 
 SEED = 20240917  # documented RNG seed for all random gradient checks
 
@@ -249,7 +250,7 @@ class TestTape:
         for node in reversed(tape.nodes):
             if grads[node.out] is None:
                 continue
-            for pidx, pg in zip(node.parents, node.backward(grads[node.out])):
+            for pidx, pg in zip(node.parents, BACKWARD[node.kind](*node.saved, grads[node.out])):
                 if pg is not None:
                     grads[pidx] = pg if grads[pidx] is None else grads[pidx] + pg
         return grads
@@ -328,3 +329,82 @@ class TestTape:
         for got, expected in zip(stats, ref_stats):
             np.testing.assert_array_equal(got, expected)
         assert not np.array_equal(stats[0], rnd((3,), 45).astype(np.float32))
+
+
+LINEAR_KINDS = ("conv2d", "upsample", "split", "concat", "add")
+
+
+def adjoint_products(node, rng):
+    """(input, <J v, w>, <v, J^T w>) for each input of a linear node, at a
+    random v and w: J v is the node's forward kernel on its saved operands
+    (a conv's bias left out), J^T w the tape's BACKWARD entry."""
+    if node.kind not in LINEAR_KINDS:
+        return
+    w = rng.standard_normal(node.shape)
+    back = BACKWARD[node.kind](*node.saved, w)
+    if node.kind == "conv2d":
+        x, weight, spec = node.saved
+        v, vw = rng.standard_normal(x.shape), rng.standard_normal(weight.shape)
+        yield "x", np.vdot(ops.conv2d_forward(v, weight, None, spec), w), np.vdot(v, back[0])
+        yield "weight", np.vdot(ops.conv2d_forward(x, vw, None, spec), w), np.vdot(vw, back[1])
+    elif node.kind == "upsample":
+        x_shape, h, wd = node.saved
+        v = rng.standard_normal(x_shape)
+        yield "x", np.vdot(ops.upsample_bilinear(v, h, wd), w), np.vdot(v, back[0])
+    elif node.kind == "split":
+        x_shape, lo, hi = node.saved
+        v = rng.standard_normal(x_shape)
+        piece = ops.split_channels(v, [lo, hi - lo, x_shape[1] - hi])[1]
+        yield "x", np.vdot(piece, w), np.vdot(v, back[0])
+    elif node.kind == "concat":
+        n, _, h, wd = node.shape
+        vs = [rng.standard_normal((n, c, h, wd)) for c in node.saved[0]]
+        yield "xs", np.vdot(ops.concat_channels(vs), w), sum(map(np.vdot, vs, back))
+    elif node.kind == "add":
+        v, u = rng.standard_normal(node.shape), rng.standard_normal(node.shape)
+        yield "x, y", np.vdot(ops.add(v, u), w), np.vdot(v, back[0]) + np.vdot(u, back[1])
+
+
+class TestAdjoint:
+    """Claerbout's dot-product test on the real graph: <J v, w> = <v, J^T w>
+    for every conv (data and weight input), upsample, split, concat and add
+    node of a float64 train-mode tiny forward."""
+
+    @pytest.fixture(scope="class")
+    def nodes(self):
+        cfg = N.preset("tiny", num_classes=4)
+        params = N.build(cfg, rng_seed=5).astype(np.float64)
+        tape = E.Tape()
+        N.forward(params, cfg, rnd((1, 3, 64, 64), 60), mode="train", tape=tape)
+        return tape.nodes
+
+    @staticmethod
+    def mismatches(nodes):
+        rng = np.random.default_rng([SEED, 61])
+        checked, bad = [], []
+        for node in nodes:
+            for which, jv_w, v_jtw in adjoint_products(node, rng):
+                checked.append(node.kind)
+                if abs(jv_w - v_jtw) > 1e-10 * max(abs(jv_w), abs(v_jtw)):
+                    bad.append(f"{node.kind} {node.name} {which}: {jv_w!r} != {v_jtw!r}")
+        return checked, bad
+
+    def test_every_linear_node_is_the_transpose_of_its_forward(self, nodes):
+        checked, bad = self.mismatches(nodes)
+        assert not bad, bad
+        kinds = [n.kind for n in nodes]
+        for kind in LINEAR_KINDS:  # a conv has two inputs checked, the others one
+            inputs = 2 if kind == "conv2d" else 1
+            assert kinds.count(kind) > 0 and checked.count(kind) == inputs * kinds.count(kind)
+
+    @pytest.mark.parametrize("attr, kind, make", [
+        ("conv2d_backward", "conv2d", lambda orig: lambda x, w, spec, go: tuple(
+            g[:, :, ::-1, ::-1] if i == 1 else g for i, g in enumerate(orig(x, w, spec, go)))),
+        ("upsample_bilinear_backward", "upsample", lambda orig: lambda shape, h, w, go: orig(
+            shape, h, w, go[:, :, ::-1, ::-1].copy())),
+    ], ids=["conv_weight_taps_flipped", "upsample_backward_flipped"])
+    def test_a_flipped_backward_fails(self, nodes, monkeypatch, attr, kind, make):
+        # the table looks each kernel up on ops when it runs, so the patch is what runs
+        monkeypatch.setattr(ops, attr, make(getattr(ops, attr)))
+        _, bad = self.mismatches(nodes)
+        assert bad and all(b.startswith(f"{kind} ") for b in bad), bad

@@ -187,8 +187,9 @@ SIZE = st.tuples(st.integers(1, 48), st.integers(1, 48))
 PAIR = st.tuples(SIZE, SIZE | st.none(), st.sampled_from([0, 1, 4, 255]), st.integers(0, 9))
 # paths that name a directory where a file is read or written, or an existing
 # file where the out directory goes; each is run besides the valid commands
-BAD_PATHS = ("eval --checkpoint", "predict --checkpoint", "predict --image", "predict --out",
-             "analyze erf --image", "train --out")
+BAD_PATHS = ("eval --checkpoint", "eval --out", "predict --checkpoint", "predict --image",
+             "predict --out", "count --out", "analyze rf --out", "analyze erf --image",
+             "analyze heatmaps --out", "train --out")
 
 
 def run_command(argv) -> int:
@@ -231,16 +232,20 @@ def test_commands_exit_0_2_or_3(checkpoint, doc, pairs, with_config, bad_paths):
             assert D.read_pgm(out).shape == pairs[0][0]
         bad_argv = {
             "eval --checkpoint": ["eval", "--checkpoint", str(ddir), "--data", str(ddir)],
+            "eval --out": ["eval", "--checkpoint", str(ckpt), "--data", str(ddir),
+                           "--out", str(ddir)],
             "predict --checkpoint": ["predict", "--checkpoint", str(ddir), "--image", image,
                                      "--out", str(out)],
             "predict --image": ["predict", "--checkpoint", str(ckpt), "--image", str(ddir),
                                 "--out", str(out)],
             "predict --out": ["predict", "--checkpoint", str(ckpt), "--image", image,
                               "--out", str(ddir)],
+            "count --out": ["count", "tiny", "--out", str(ddir)],
+            "analyze rf --out": ["analyze", "rf", "--variant", "tiny", "--out", str(ddir)],
             "analyze erf --image": ["analyze", "erf", "--checkpoint", str(ckpt),
                                     "--image", str(ddir)],
+            "analyze heatmaps --out": ["analyze", "heatmaps", "--checkpoint", str(ckpt),
+                                       "--out", image],
             "train --out": ["train", "--config", str(config), "--out", str(config)]}
         for name in sorted(bad_paths):
-            # predict --out fails only at the write, so an earlier failure keeps its code
-            want = (predicted or 2) if name == "predict --out" else 2
-            assert run_command(bad_argv[name]) == want, name
+            assert run_command(bad_argv[name]) == 2, name
