@@ -15,7 +15,7 @@ dilation branch each input channel came from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,17 +29,10 @@ from .params import ParamStore
 # Theoretical receptive field
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RfState:
-    rf: int = 1
-    jump: int = 1
-    trace: list[tuple[str, int, int]] = field(default_factory=list)  # (name, rf, jump)
-
-    def apply(self, name: str, kernel: int, stride: int = 1, dilation: int = 1) -> "RfState":
-        self.rf += (kernel - 1) * dilation * self.jump
-        self.jump *= stride
-        self.trace.append((name, self.rf, self.jump))
-        return self
+def rf_step(rf: int, jump: int, kernel: int, stride: int = 1,
+            dilation: int = 1) -> tuple[int, int]:
+    """(rf, jump) after one layer, by the composition rule above."""
+    return rf + (kernel - 1) * dilation * jump, jump * stride
 
 
 def rf_window(rf: int, jump: int, unit: int, size: int) -> tuple[int, int]:
@@ -63,7 +56,7 @@ def network_rf_report(config: NetworkConfig) -> dict:
     value follows the widest path, and `branches` holds the RF of each
     dilation branch (`<block>.sr.b<i>`) at its depth.
     """
-    tape, taps = trace(config, 32, 32)
+    _, tape, taps = trace(config)
     end = taps[config.stage_names[-1]].idx
     rf_at: dict[int, tuple[int, int]] = {}  # var index -> (rf, jump)
     rows, branches = [], {}
@@ -72,14 +65,13 @@ def network_rf_report(config: NetworkConfig) -> dict:
             break
         inputs = [rf_at.get(p, (1, 1)) for p in node.parents]
         if node.window is not None:
-            state = RfState(*inputs[0]).apply(node.name, *node.window)
-            rf_at[node.out] = (state.rf, state.jump)
+            rf, jump = rf_at[node.out] = rf_step(*inputs[0], *node.window)
             if node.name is None:  # a pool: moves rf and jump, adds no row
                 continue
-            rows.append({"layer": node.name, "rf": state.rf, "jump": state.jump})
+            rows.append({"layer": node.name, "rf": rf, "jump": jump})
             block, _, branch = node.name.rpartition(".sr.")
             if block:
-                branches.setdefault(block, {})[f"{branch}(d={node.spec.dilation})"] = state.rf
+                branches.setdefault(block, {})[f"{branch}(d={node.spec.dilation})"] = rf
         elif node.kind in ("concat", "add"):
             rf_at[node.out] = tuple(map(max, zip(*inputs)))
         else:

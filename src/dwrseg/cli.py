@@ -18,14 +18,14 @@ import os
 import reprlib
 import sys
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, data, network, training
 from .data import ShapesSpec
-from .engine import FormatError, NumericError, ShapeError, ops
+from .engine import FormatError, NumericError, ShapeError, ops, write_nt
 from .training import AugmentConfig, OhemConfig, TrainConfig
 
 
@@ -178,6 +178,20 @@ def parse_run_config(doc: dict) -> RunConfig:
     return _section(RunConfig, top, "config", data=data_sec, train=train)
 
 
+def _doc(cfg):
+    """The JSON document `parse_run_config` reads back as cfg: field names
+    under their `_ALIASES`, the train section's seed, OHEM and augmentation
+    at the top level, and pairs as arrays."""
+    if isinstance(cfg, tuple):
+        return list(cfg)
+    if not is_dataclass(cfg):
+        return cfg
+    doc = {_ALIASES.get(f.name, f.name): _doc(getattr(cfg, f.name)) for f in fields(cfg)}
+    if isinstance(cfg, RunConfig):
+        doc.update((key, doc["train"].pop(key)) for key in ("seed", "ohem", "augment"))
+    return doc
+
+
 def load_run_config(path) -> RunConfig:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -221,6 +235,15 @@ def _check_out(path, directory: bool = False) -> None:
         code = 0
     if code:
         raise OSError(code, os.strerror(code), str(path))
+
+
+def _report(doc, out, text=None) -> None:
+    """Write doc as JSON to `out` if one is given, then print `text`, or the
+    JSON when there is no text."""
+    js = json.dumps(doc, indent=2)
+    if out:
+        Path(out).write_text(js, encoding="utf-8")
+    print(js if text is None else text)
 
 
 def _load_datasets(cfg: RunConfig):
@@ -276,11 +299,7 @@ def cmd_eval(args) -> int:
     cfg = load_run_config(args.config) if args.config else None
     samples = data.load_manifest(args.data) if args.data else _load_datasets(cfg)[1]
     ignore_label = cfg.train.ohem.ignore_label if cfg else data.IGNORE_LABEL
-    report = training.evaluate(params, net_cfg, samples, ignore_label)
-    text = json.dumps(report, indent=2)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    print(text)
+    _report(training.evaluate(params, net_cfg, samples, ignore_label), args.out)
     return 0
 
 
@@ -311,25 +330,20 @@ def cmd_count(args) -> int:
         "param_layers": [{"name": n, "count": c} for n, c in p_items],
     }
     p_target = network.PARAM_TARGETS.get(args.variant)
-    m_target = network.MAC_TARGETS.get(args.variant)
+    # the reference MACs are for the paper's input size only
+    m_target = (network.MAC_TARGETS.get(args.variant)
+                if (args.height, args.width) == (512, 1024) else None)
     if p_target:
         result["param_target"] = p_target
         result["param_deviation_pct"] = 100.0 * (p_total - p_target) / p_target
-    if m_target and (args.height, args.width) == (512, 1024):
+    if m_target:
         result["mac_target"] = m_target
         result["mac_deviation_pct"] = 100.0 * (m_total - m_target) / m_target
-    if args.json:
-        print(json.dumps(result, indent=2))
-    else:
-        print(network.format_count_report(
-            f"parameters: {args.variant}", p_total, p_items, p_target))
-        print()
-        print(network.format_count_report(
-            f"MACs: {args.variant} at 3x{args.height}x{args.width}", m_total,
-            [(n, c) for n, c in m_items],
-            m_target if (args.height, args.width) == (512, 1024) else None))
-    if args.out:
-        Path(args.out).write_text(json.dumps(result, indent=2), encoding="utf-8")
+    text = None if args.json else "\n\n".join((
+        network.format_count_report(f"parameters: {args.variant}", p_total, p_items, p_target),
+        network.format_count_report(f"MACs: {args.variant} at 3x{args.height}x{args.width}",
+                                    m_total, m_items, m_target)))
+    _report(result, args.out, text)
     return 0
 
 
@@ -357,19 +371,19 @@ def _analysis_image(args, net_cfg):
 def cmd_analyze(args) -> int:
     out = args.out or {"erf": "erf.nt", "heatmaps": "heatmaps"}.get(args.what)
     _check_out(out, directory=args.what == "heatmaps")
+    if args.what == "erf":  # the tensor goes to out, its preview beside it
+        out, pgm = Path(out), Path(out).with_suffix(".pgm")
+        if pgm == out:
+            raise ConfigError(f"analyze erf --out {out}: its .pgm preview would overwrite it")
+        _check_out(pgm)
     if args.what == "rf":
         report = analysis.network_rf_report(network.preset(args.variant))
-        if args.json:
-            print(json.dumps(report, indent=2))
-        else:
-            print(f"theoretical receptive field: {args.variant}")
-            for row in report["trace"]:
-                print(f"  {row['layer']:<24s} rf={row['rf']:>6d} jump={row['jump']}")
-            for block, branches in report["branches"].items():
-                per = ", ".join(f"{k}: rf={v}" for k, v in branches.items())
-                print(f"  {block:<24s} {per}")
-        if args.out:
-            Path(args.out).write_text(json.dumps(report, indent=2), encoding="utf-8")
+        lines = [f"theoretical receptive field: {args.variant}"]
+        lines += [f"  {row['layer']:<24s} rf={row['rf']:>6d} jump={row['jump']}"
+                  for row in report["trace"]]
+        lines += [f"  {block:<24s} " + ", ".join(f"{k}: rf={v}" for k, v in branches.items())
+                  for block, branches in report["branches"].items()]
+        _report(report, args.out, None if args.json else "\n".join(lines))
         return 0
 
     if not args.checkpoint:
@@ -382,10 +396,7 @@ def cmd_analyze(args) -> int:
         cy = args.cy if args.cy is not None else tap_h // 2
         cx = args.cx if args.cx is not None else tap_w // 2
         heat = analysis.erf_map(params, net_cfg, image, (cy, cx), stage=args.stage)
-        out = Path(out)
-        from .engine import write_nt
         write_nt(out, heat.astype(np.float32))
-        pgm = out.with_suffix(".pgm")
         peak = float(heat.max()) or 1.0
         data.write_pgm(pgm, np.clip(np.rint(255 * heat / peak), 0, 255).astype(np.int32))
         nz = np.argwhere(heat > 0)
@@ -397,11 +408,7 @@ def cmd_analyze(args) -> int:
 
     if args.what == "weights":
         stats = analysis.branch_weight_stats(params, net_cfg, bins=args.bins)
-        doc = [row for s in stats for row in s.to_json()]
-        text = json.dumps(doc, indent=2)
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        print(text)
+        _report([row for s in stats for row in s.to_json()], args.out)
         return 0
 
     # heatmaps
@@ -411,41 +418,22 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-DESK_PRESET = {
-    "variant": "tiny",
-    "num_classes": 4,
-    "seed": 0,
-    "out_dir": "runs/tiny",
-    "data": {"kind": "shapes", "canvas": [64, 64], "shapes_per_image": [1, 3],
-             "size_range": [12, 28], "noise": 0.04, "seed": 7,
-             "train_count": 256, "val_count": 64},
-    "train": {"iters": 2000, "batch": 4, "lr": 0.02, "momentum": 0.9,
-              "weight_decay": 0.0005, "poly_power": 0.9, "log_every": 50,
-              "eval_every": 0},
-    "ohem": {"prob_threshold": 0.7, "min_kept_fraction": 0.0625, "ignore_label": 255},
-    "augment": {"scale_range": [0.75, 1.25], "crop": [64, 64], "hflip_prob": 0.5,
-                "brightness": 0.15, "contrast": 0.15, "saturation": 0.15},
-}
+# the desk recipe: the config defaults with augmentation
+DESK_PRESET = _doc(RunConfig(out_dir="runs/tiny", train=TrainConfig(augment=AugmentConfig(
+    scale_range=(0.75, 1.25), crop=(64, 64), brightness=0.15, contrast=0.15,
+    saturation=0.15))))
 
 # the published full-scale recipe, kept as a reference preset (not used in tests)
-FULL_PRESET = {
-    "variant": "B",
-    "num_classes": 19,
-    "seed": 0,
-    "out_dir": "runs/full",
-    "data": {"kind": "manifest", "dir": "datasets/converted"},
-    "train": {"iters": 185000, "batch": 16, "lr": 0.02, "momentum": 0.9,
-              "weight_decay": 0.0005, "poly_power": 0.9, "log_every": 100,
-              "eval_every": 5000},
-    "ohem": {"prob_threshold": 0.7, "min_kept_fraction": 0.0625, "ignore_label": 255},
-    "augment": {"scale_range": [0.25, 1.5], "crop": [640, 1280], "hflip_prob": 0.5,
-                "brightness": 0.3, "contrast": 0.3, "saturation": 0.3},
-}
+FULL_PRESET = _doc(RunConfig(
+    variant="B", num_classes=19, out_dir="runs/full",
+    data=DataSection(kind="manifest", dir="datasets/converted"),
+    train=TrainConfig(iters=185000, batch_size=16, log_every=100, eval_every=5000,
+                      augment=AugmentConfig(scale_range=(0.25, 1.5), crop=(640, 1280),
+                                            brightness=0.3, contrast=0.3, saturation=0.3))))
 
 
 def cmd_preset(args) -> int:
-    doc = DESK_PRESET if args.name == "desk" else FULL_PRESET
-    print(json.dumps(doc, indent=2))
+    print(json.dumps(DESK_PRESET if args.name == "desk" else FULL_PRESET, indent=2))
     return 0
 
 

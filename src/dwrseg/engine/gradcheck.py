@@ -37,13 +37,11 @@ def _rel_err(a: float, n: float, floor: float = 1e-8) -> float:
 
 def finite_diff_check(forward, backward, inputs, eps: float = 1e-3,
                       tolerance: float = 1e-3, seed: int = 0,
-                      input_names=None, check=None) -> GradCheckReport:
+                      input_names=None) -> GradCheckReport:
     """Compare analytic and central-difference gradients element by element.
 
     forward(*inputs) -> ndarray; backward(*inputs, grad_out) -> per-input
-    gradients (entries may be None for non-differentiable inputs).  `check`
-    optionally restricts verification to a subset of input positions
-    (list of bool, aligned with inputs).
+    gradients (entries may be None for non-differentiable inputs).
     """
     inputs = [np.asarray(x, dtype=np.float64).copy() for x in inputs]
     names = list(input_names) if input_names else [f"input{i}" for i in range(len(inputs))]
@@ -56,7 +54,7 @@ def finite_diff_check(forward, backward, inputs, eps: float = 1e-3,
 
     report = GradCheckReport(max_rel_err=0.0, tolerance=tolerance, passed=True)
     for i, (x, grad) in enumerate(zip(inputs, analytic)):
-        if grad is None or (check is not None and not check[i]):
+        if grad is None:
             continue
         worst = 0.0
         flat = x.reshape(-1)

@@ -45,9 +45,9 @@ def _split_backward(x_shape, lo, hi, g):
     return (full,)
 
 
-# kind -> backward(*node.saved, grad_out): the parents' gradients in parent
-# order (None = none).  Each entry looks its kernel up on `ops` when called,
-# so a kernel replaced there after import is the one that runs.
+# kind -> backward(*node.saved, grad_out): one gradient array per parent, in
+# parent order.  Each entry looks its kernel up on `ops` when called, so a
+# kernel replaced there after import is the one that runs.
 BACKWARD = {
     "conv2d": lambda x, w, spec, g: ops.conv2d_backward(x, w, spec, g),
     "batchnorm": lambda x, state, mode, g: ops.batchnorm_backward(x, state, g, mode),
@@ -148,7 +148,7 @@ class Tape:
         parents = (x, weight, bias) if bias is not None else (x, weight)
         b = bias.data if bias is not None else None
         out = ops.conv2d_forward(x.data, weight.data, b, spec)
-        # grad_b is None without a bias, and the parents then end at the weight
+        # grad_b is None without a bias, and no parent then takes it
         return self._out("conv2d", out, parents, (x.data, weight.data, spec), spec=spec,
                          window=(spec.kernel, spec.stride, spec.dilation))
 
@@ -211,8 +211,6 @@ class Tape:
                 continue
             grads[node.out] = None
             for pidx, pg in zip(node.parents, BACKWARD[node.kind](*node.saved, g)):
-                if pg is None:
-                    continue
                 if grads[pidx] is None:
                     grads[pidx] = pg
                 else:

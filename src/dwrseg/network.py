@@ -96,14 +96,16 @@ _BLOCK_FORWARD = {"sir": blocks.sir_forward, "dwr": blocks.dwr_forward,
                   "probe": blocks.dwr_forward}
 
 
-def _declare(config: NetworkConfig, init, input_h: int = 32, input_w: int = 32):
+def trace(config: NetworkConfig, input_h: int = 32, input_w: int = 32, init=zero_init):
     """One recorded pass at batch 0 that declares with `init` into a new store.
 
     Every kernel and shape check runs as in a real forward, on empty
     activations, and each parameter is created the first time the pass
     asks for it, so the store holds them in call order.  Returns (store,
-    tape, taps); node shapes have batch 0.  Only this pass declares: any
-    later forward on the store needs every parameter to exist.
+    tape, taps): `tape.nodes` is the op graph, in call order, that MAC
+    counts and the receptive-field trace are read from; every shape has
+    batch 0.  Only this pass declares: any later forward on the store needs
+    every parameter to exist.
     """
     pv = ParamVars(Tape(), ParamStore(), init=init)
     x = pv.tape.leaf(np.zeros((0, 3, input_h, input_w), FLOAT))
@@ -113,7 +115,7 @@ def _declare(config: NetworkConfig, init, input_h: int = 32, input_w: int = 32):
 
 def build(config: NetworkConfig, rng_seed: int = 0) -> ParamStore:
     """Initialize all parameters (normal conv init with std sqrt(2/fan_in))."""
-    return _declare(config, he_normal(np.random.default_rng(rng_seed)))[0]
+    return trace(config, init=he_normal(np.random.default_rng(rng_seed)))[0]
 
 
 def _decoder(pv: ParamVars, taps: dict[str, Var], h8: int, w8: int) -> Var:
@@ -162,17 +164,6 @@ def _forward(pv: ParamVars, config: NetworkConfig, x: Var):
     return logits, taps
 
 
-def trace(config: NetworkConfig, input_h: int, input_w: int):
-    """Recorded run of `forward` on a batch of zero 3 x input_h x input_w images.
-
-    Returns (tape, taps): `tape.nodes` is the op graph, in call order, that
-    MAC counts and the receptive-field trace are read from; every shape has
-    batch 0.
-    """
-    _, tape, taps = _declare(config, zero_init, input_h, input_w)
-    return tape, taps
-
-
 def infer(params: ParamStore, config: NetworkConfig, x, mode: str = "eval"):
     """Array-level forward: (logits ndarray, {stage: ndarray})."""
     logits, taps = forward(params, config, x, mode=mode)
@@ -215,7 +206,7 @@ def count_params(config: NetworkConfig):
     Layers are parameter names without their last field, in call order; BN
     counts gamma+beta, running stats excluded.
     """
-    store, _, _ = _declare(config, zero_init)
+    store, _, _ = trace(config)
     counts: dict[str, int] = {}
     for name, arr in store.items():
         layer = name.rsplit(".", 1)[0]
@@ -229,7 +220,7 @@ def count_macs(config: NetworkConfig, input_h: int, input_w: int):
     Convention: one MAC per multiply in a convolution, i.e. out_elements *
     k^2 * in_channels/groups; BN, ReLU, pooling and upsampling excluded.
     """
-    tape, _ = trace(config, input_h, input_w)
+    _, tape, _ = trace(config, input_h, input_w)
     items = [(node.name, blocks.conv_macs(node.spec, (1, *node.shape[1:])))
              for node in tape.nodes if node.kind == "conv2d"]
     return sum(n for _, n in items), items
@@ -336,7 +327,7 @@ def load_checkpoint(path) -> tuple[ParamStore, NetworkConfig]:
         # entries is a wrong header, rejected before anything is allocated
         if sum(s.repeats for s in config.stages) > len(param_entries):
             raise FormatError("config declares more blocks than the manifest holds")
-        store = _declare(config, zero_init)[0]
+        store = trace(config)[0]
     except (KeyError, TypeError, ValueError, RecursionError, MemoryError) as exc:
         raise FormatError(f"{path}: corrupt header ({type(exc).__name__}: {exc})") from exc
     offset = 12 + hlen

@@ -16,25 +16,24 @@ from dwrseg.engine import ConvSpec, Tape
 class TestTheoreticalRf:
     @pytest.mark.parametrize("dilation,expected", [(1, 3), (3, 7), (5, 11)])
     def test_single_dilated_conv(self, dilation, expected):
-        state = A.RfState().apply("dw", 3, 1, dilation)
-        assert state.rf == expected
+        assert A.rf_step(1, 1, 3, 1, dilation) == (expected, 1)
 
     def test_two_stacked_convs(self):
-        state = A.RfState().apply("c1", 3, 1, 1).apply("c2", 3, 1, 1)
-        assert state.rf == 5
+        assert A.rf_step(*A.rf_step(1, 1, 3), 3) == (5, 1)
 
     def test_stride_doubles_jump(self):
-        state = A.RfState().apply("c1", 3, 2, 1).apply("c2", 3, 2, 1).apply("c3", 3, 1, 1)
-        jumps = [j for _, _, j in state.trace]
+        rf, jump, jumps = 1, 1, []
+        for stride in (2, 2, 1):
+            rf, jump = A.rf_step(rf, jump, 3, stride)
+            jumps.append(jump)
         assert jumps == [2, 4, 4]
 
     def test_monotone_under_appending(self):
         layers = [("a", 3, 2, 1), ("b", 1, 1, 1), ("c", 3, 1, 5), ("d", 5, 2, 1)]
-        rfs = []
-        state = A.RfState()
-        for layer in layers:
-            state.apply(*layer)
-            rfs.append(state.rf)
+        rf, jump, rfs = 1, 1, []
+        for _, kernel, stride, dilation in layers:
+            rf, jump = A.rf_step(rf, jump, kernel, stride, dilation)
+            rfs.append(rf)
         assert all(x <= y for x, y in zip(rfs, rfs[1:]))
 
     def test_full_b_stage4_widest_path_pinned(self):

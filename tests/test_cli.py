@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +16,10 @@ from dwrseg.cli import (
     DESK_PRESET,
     FULL_PRESET,
     ConfigError,
+    DataSection,
     RunConfig,
     blas_threads,
+    build_parser,
     main,
     parse_run_config,
     set_blas_threads,
@@ -45,9 +48,22 @@ def write_config(tmp_path, **overrides):
 
 class TestConfigParsing:
     def test_desk_preset_parses(self):
+        # every field, written out: the preset is built from the config
+        # defaults, so a changed default must fail here
         cfg = parse_run_config(json.loads(json.dumps(DESK_PRESET)))
-        assert cfg.variant == "tiny" and cfg.num_classes == 4
-        assert cfg.train.iters == 2000 and cfg.train.batch_size == 4
+        assert cfg == RunConfig(
+            variant="tiny", num_classes=4, out_dir="runs/tiny",
+            data=DataSection(kind="shapes", dir=None, canvas=(64, 64), shapes_per_image=(1, 3),
+                             size_range=(12, 28), noise=0.04, seed=7, train_count=256,
+                             val_count=64),
+            train=training.TrainConfig(
+                iters=2000, batch_size=4, seed=0, lr_base=0.02, momentum=0.9,
+                weight_decay=0.0005, poly_power=0.9, log_every=50, eval_every=0,
+                ohem=training.OhemConfig(prob_threshold=0.7, min_kept_fraction=0.0625,
+                                         ignore_label=255),
+                augment=training.AugmentConfig(scale_range=(0.75, 1.25), crop=(64, 64),
+                                               hflip_prob=0.5, brightness=0.15,
+                                               contrast=0.15, saturation=0.15)))
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -616,6 +632,8 @@ class TestExitCodes:
                      (analysis, "branch_weight_stats"), id="weights-out-dir"),
         pytest.param(["analyze", "erf", "--checkpoint", "{ckpt}", "--out", "{dir}"],
                      (analysis, "erf_map"), id="erf-out-dir"),
+        pytest.param(["analyze", "erf", "--checkpoint", "{ckpt}", "--out", "{dir}/e.nt"],
+                     (analysis, "erf_map"), id="erf-preview-dir"),
         pytest.param(["analyze", "heatmaps", "--checkpoint", "{ckpt}", "--out", "{image}"],
                      (analysis, "dump_feature_heatmaps"), id="heatmaps-out-file")])
     def test_bad_out_path_exit_2_before_the_work(self, tmp_path, capsys, monkeypatch,
@@ -628,6 +646,7 @@ class TestExitCodes:
         ddir.mkdir()
         D.write_ppm(ddir / "a.ppm", s.image)
         D.write_pgm(ddir / "a_mask.pgm", s.mask)
+        (tmp_path / "e.pgm").mkdir()  # where the preview of an e.nt goes
 
         def refuse(*args, **kwargs):
             raise AssertionError("the work ran before the out path was checked")
@@ -638,6 +657,20 @@ class TestExitCodes:
         assert main([a.format(**paths) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+    def test_erf_out_its_own_preview_exit_2_before_the_work(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # the .pgm preview goes to out with the suffix .pgm: the tensor's own path
+        def refuse(*args, **kwargs):
+            raise AssertionError("the checkpoint was read before the out path was checked")
+
+        monkeypatch.setattr(network, "load_checkpoint", refuse)
+        out = tmp_path / "e.pgm"
+        assert main(["analyze", "erf", "--checkpoint", str(tmp_path / "c.dwck"),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: analyze erf --out ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_short_checkpoint_predict_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "short.dwck"
@@ -725,3 +758,26 @@ class TestExitCodes:
         parse_run_config(doc)
         assert main(["preset", "full"]) == 0
         json.loads(capsys.readouterr().out)
+
+
+def readme_commands():
+    """The `dwrseg` lines of README's CLI block as argument lists: comments
+    stripped, lines ending in a backslash joined, a `> file` redirect dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv[:1] == ["dwrseg"]:
+            commands.append(argv[1:argv.index(">")] if ">" in argv else argv[1:])
+    return commands
+
+
+class TestReadme:
+    def test_cli_block_has_every_subcommand(self):
+        assert {argv[0] for argv in readme_commands()} == {
+            "preset", "train", "eval", "predict", "count", "bench", "analyze"}
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_cli_block_command_parses(self, argv):
+        build_parser().parse_args(argv)

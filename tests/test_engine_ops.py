@@ -238,7 +238,7 @@ class TestConvBackward:
     def test_every_network_conv_grad_x_equals_matmul_form(self, variant, x_shape):
         # every distinct conv of the traced network, at its training shape:
         # the row-flat col2im adds each offset as the per-offset 2-d form does
-        tape, _ = N.trace(N.preset(variant, num_classes=4), *x_shape[2:])
+        _, tape, _ = N.trace(N.preset(variant, num_classes=4), *x_shape[2:])
         shapes = {0: x_shape}
         convs = {}
         for node in tape.nodes:
@@ -315,7 +315,7 @@ class TestConvBands:
         shapes = set()
         for variant in ("B", "L", "tiny"):
             for h, w in ((256, 512), (512, 1024)):
-                tape, _ = N.trace(N.preset(variant), h, w)
+                _, tape, _ = N.trace(N.preset(variant), h, w)
                 out_shape = {node.out: node.shape for node in tape.nodes}
                 for node in tape.nodes:
                     if node.kind == "conv2d":

@@ -25,6 +25,7 @@ from dwrseg.cli import (
     ConfigError,
     DataSection,
     RunConfig,
+    _doc,
     main,
     parse_run_config,
 )
@@ -155,7 +156,17 @@ JSON = st.recursive(
 @example(doc={"variant": 10 ** 5000, "data": {"dir": 10 ** 5000}})
 @example(doc={**DESK_PRESET, "data": {**DESK_PRESET["data"], "noise": -10 ** 400}})
 def test_run_config_json(doc):
-    only_typed_errors(parse_run_config, doc)
+    parses_back(doc)
+
+
+def parses_back(doc):
+    """Only typed errors from parse_run_config(doc); a config that parses is
+    one that `_doc` writes back as a document of the same config."""
+    try:
+        cfg = parse_run_config(doc)
+    except (FormatError, ConfigError):
+        return
+    assert parse_run_config(_doc(cfg)) == cfg
 
 
 # Run configs near the desk preset, small enough that one train, eval and
@@ -208,6 +219,7 @@ def run_command(argv) -> int:
               "train": {"iters": 1, "batch": 2}, "augment": {"scale_range": [1.0, 1e308]}},
          pairs=[((40, 44), None, 1, 0)], with_config=False, bad_paths=set(BAD_PATHS))
 def test_commands_exit_0_2_or_3(checkpoint, doc, pairs, with_config, bad_paths):
+    parses_back(doc)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         config, ckpt, ddir = tmp / "run.json", tmp / "run" / "checkpoint.dwck", tmp / "ds"

@@ -232,7 +232,7 @@ class TestCounts:
         for name in kernels:
             monkeypatch.setattr(ops, name, spy(name, getattr(ops, name)))
         for probe in (False, True):
-            tape, taps = N.trace(N.preset("tiny", num_classes=4, probe=probe), 64, 64)
+            _, tape, taps = N.trace(N.preset("tiny", num_classes=4, probe=probe), 64, 64)
             assert taps["s4"].data.shape == (0, 32, 2, 2)
             assert tape.nodes[-1].shape == (0, 4, 64, 64)
         assert batches.keys() == set(kernels)
@@ -248,7 +248,7 @@ class TestCounts:
         tape = Tape()
         x = np.random.default_rng(1).random((batch, 3, 64, 64), dtype=np.float32)
         N.forward(store, cfg, x, mode=mode, tape=tape)
-        traced, _ = N.trace(cfg, 64, 64)
+        _, traced, _ = N.trace(cfg, 64, 64)
 
         def graph(t):
             return [(n.kind, n.name, n.shape[1:], n.spec, n.window, len(n.parents))
@@ -263,7 +263,7 @@ class TestCounts:
     @pytest.mark.parametrize("probe", [False, True])
     def test_trace_backpropagates_to_empty_and_zero_grads(self, variant, probe):
         cfg = N.preset(variant, num_classes=4, probe=probe)
-        tape, _ = N.trace(cfg, 64, 64)
+        _, tape, _ = N.trace(cfg, 64, 64)
         last = tape.nodes[-1]
         grads = tape.backward(Var(np.zeros(last.shape, FLOAT), last.out),
                               np.zeros(last.shape, FLOAT))
