@@ -36,7 +36,9 @@ bands of channels, and the tape's finiteness check (`check_finite`) in
 bands of a flat view.  Each band is the same numpy call whichever thread
 runs it, so results are bitwise identical at any worker count (the CLI
 keeps BLAS at one thread and sets the workers with --threads); a call
-whose output fits one band runs inline on the caller.  The backward ops run on the calling thread.
+whose output fits one band runs inline on the caller, as does every call in
+a forked child, which has none of the pool's threads.  The backward ops run
+on the calling thread.
 Convolution padding is zero padding; pooling padding behaves as -inf.
 Bilinear upsampling uses half-pixel source coordinates clamped to the
 borders (src = (dst + 0.5) * in/out - 0.5).
@@ -93,6 +95,17 @@ def set_workers(n: int) -> None:
         _executor.shutdown()
         _executor = None
     _workers = n
+
+
+def _drop_pool_in_child() -> None:
+    # a forked child has none of the pool's threads, so a band call there
+    # would wait forever on helpers that never start: it runs inline instead
+    global _workers, _executor
+    _workers, _executor = 1, None
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only, as os.fork is
+    os.register_at_fork(after_in_child=_drop_pool_in_child)
 
 
 def _run_bands(task, bands) -> None:
@@ -537,7 +550,7 @@ def concat_channels(xs) -> np.ndarray:
     for x in xs[1:]:
         if x.shape[0] != base[0] or x.shape[2:] != base[2:]:
             raise ShapeError(f"concat: incompatible shapes {base} vs {x.shape}")
-    starts = [0, *itertools.accumulate(x.shape[1] for x in xs)]
+    starts = channel_bounds([x.shape[1] for x in xs])
     out = np.empty((base[0], starts[-1], *base[2:]), dtype=np.result_type(*xs))
 
     def band(c0, c1):  # copies every input's channels that fall in [c0, c1)
@@ -550,15 +563,23 @@ def concat_channels(xs) -> np.ndarray:
     return out
 
 
+def channel_bounds(widths) -> list[int]:
+    """[0, w0, w0 + w1, ..., sum(widths)]: where each of the pieces of
+    concatenated channels starts, then where the last one ends."""
+    return [0, *itertools.accumulate(widths)]
+
+
 def split_channels(x: np.ndarray, widths) -> list[np.ndarray]:
     """Inverse of concat_channels; widths must sum to the channel count.
 
-    The pieces are read-only views of x: no kernel writes into its inputs,
-    and a write that tried would fail instead of changing x.
+    The pieces are read-only views of x, the channels between consecutive
+    `channel_bounds(widths)`: no kernel writes into its inputs, and a write
+    that tried would fail instead of changing x.
     """
-    if sum(widths) != x.shape[1]:
+    bounds = channel_bounds(widths)
+    if bounds[-1] != x.shape[1]:
         raise ShapeError(f"split widths {widths} do not sum to {x.shape[1]} channels")
-    pieces = np.split(x, np.cumsum(widths)[:-1], axis=1)
+    pieces = [x[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     for piece in pieces:
         piece.flags.writeable = False
     return pieces

@@ -174,7 +174,7 @@ class Tape:
         return self._out("concat", out, tuple(xs), ([v.data.shape[1] for v in xs],))
 
     def split(self, x: Var, widths) -> list[Var]:
-        bounds = np.cumsum([0, *widths]).tolist()
+        bounds = ops.channel_bounds(widths)
         return [self._out("split", piece, (x,), (x.data.shape, lo, hi))
                 for piece, lo, hi in zip(ops.split_channels(x.data, widths), bounds, bounds[1:])]
 

@@ -519,7 +519,14 @@ class TestExitCodes:
         ({"iters": -1}, "iters"), ({"iters": 4, "eval_every": -2}, "eval_every"),
         ({"iters": 4, "poly_power": -1.0}, "poly_power"),
         ({"iters": 4, "poly_power": float("inf")}, "poly_power"),
-        ({"iters": 4, "poly_power": float("nan")}, "poly_power")])
+        ({"iters": 4, "poly_power": float("nan")}, "poly_power"),
+        # each of these used to run until the first SGD step, then exit 3
+        ({"iters": 4, "lr": float("nan")}, "lr_base"), ({"iters": 4, "lr": -0.02}, "lr_base"),
+        ({"iters": 4, "lr": float("inf")}, "lr_base"),
+        ({"iters": 4, "weight_decay": float("nan")}, "weight_decay"),
+        ({"iters": 4, "weight_decay": -1.0}, "weight_decay"),
+        ({"iters": 4, "momentum": 1.0}, "momentum"), ({"iters": 4, "momentum": -0.5}, "momentum"),
+        ({"iters": 4, "momentum": float("nan")}, "momentum")])
     def test_out_of_range_train_config_exit_2(self, tmp_path, capsys, train, field):
         cfg_path, _ = write_config(tmp_path, train=train)
         assert main(["train", "--config", str(cfg_path)]) == 2

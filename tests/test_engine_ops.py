@@ -1,6 +1,7 @@
 """Forward-op contracts: worked examples, algebraic identities, determinism."""
 
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -535,6 +536,29 @@ class TestBandWorkers:
             ops._executor.shutdown(wait=False, cancel_futures=True)
         assert not deadlocked, "nested _run_bands deadlocked"
         assert (out == 1).all()
+
+    def test_forked_child_runs_its_bands_inline(self, set_workers):
+        # a forked child has none of the pool's threads, so a band call that
+        # waited on them would never end
+        set_workers(2)
+        x = rnd((1, 19, 64, 128), seed=19)
+        want = E.upsample_bilinear(x, 512, 1024)  # several bands, on the pool
+        assert ops._executor is not None
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if np.array_equal(E.upsample_bilinear(x, 512, 1024), want) else 4
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 20
+        while (ended := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if ended[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert ended[0] == pid, "the forked child's band call did not end within 20 s"
+        assert os.waitstatus_to_exitcode(ended[1]) == 0
 
     def test_desk_shapes_submit_nothing(self, set_workers, monkeypatch):
         # every forward op, backward and check of a desk step fits one band

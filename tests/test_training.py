@@ -2,12 +2,15 @@
 
 import hashlib
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dwrseg import cli
 from dwrseg import data as D
 from dwrseg import network as N
 from dwrseg import training as T
@@ -352,8 +355,11 @@ class TestTrainLoop:
         T.train_loop(params, net_cfg, ds, cfg)
         assert any(not np.array_equal(a, before[n]) for n, a in params.items())
 
-    @pytest.mark.parametrize("field, value", [("iters", -1), ("batch_size", 0),
-                                              ("log_every", -1), ("eval_every", -1)])
+    @pytest.mark.parametrize("field, value", [
+        ("iters", -1), ("batch_size", 0), ("log_every", -1), ("eval_every", -1),
+        ("lr_base", -0.1), ("lr_base", math.nan), ("lr_base", math.inf),
+        ("weight_decay", -1e-4), ("weight_decay", math.nan), ("weight_decay", math.inf),
+        ("momentum", -0.1), ("momentum", 1.0), ("momentum", math.nan)])
     def test_out_of_range_config_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be >= "):
             T.TrainConfig(**{field: value})
@@ -421,3 +427,117 @@ class TestTrainLoop:
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert all("iter" in e and "lr" in e for e in lines)
         assert "miou" in lines[-1]
+
+
+class TestBatchProcess:
+    """At more than one worker a forked child assembles batches 1, 2, ...
+    ahead of training; every batch is the one the inline path makes."""
+
+    @pytest.fixture
+    def desk(self):
+        rc = cli.parse_run_config(cli.DESK_PRESET)
+        spec = D.ShapesSpec(canvas=rc.data.canvas, num_classes=rc.num_classes,
+                            shapes_per_image=rc.data.shapes_per_image,
+                            size_range=rc.data.size_range, noise=rc.data.noise, seed=5)
+        net_cfg = N.preset(rc.variant, num_classes=rc.num_classes)
+        try:
+            yield (D.make_dataset(spec, 16), net_cfg,
+                   replace(rc.train, iters=20, log_every=1, seed=5))
+        finally:
+            ops.set_workers(ops.DEFAULT_WORKERS)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the children that os.fork makes from now on."""
+        pids, fork = [], os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        return pids
+
+    @staticmethod
+    def assert_reaped(pid):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+    def test_two_workers_train_bitwise_as_one(self, desk, forks):
+        ds, net_cfg, cfg = desk
+        trained = []
+        for n in (1, 2):
+            ops.set_workers(n)
+            params = N.build(net_cfg, rng_seed=0)
+            log = T.train_loop(params, net_cfg, ds, cfg)
+            trained.append((log, [a.tobytes() for _, a in [*params.items(),
+                                                           *params.stat_items()]]))
+        assert trained[0] == trained[1]
+        assert len(forks) == 1  # at 2 workers only
+        self.assert_reaped(forks[0])
+
+    @pytest.mark.parametrize("k", [0, 1, 7])
+    def test_augment_error_raised_at_its_batch(self, desk, forks, monkeypatch, k):
+        # planted before the fork, so the child runs it too; batch 0 is the parent's
+        ds, net_cfg, cfg = desk
+        augment = T.augment
+        planted_rng = np.random.default_rng([cfg.seed, k, 0]).bit_generator.state
+
+        def planted(sample, acfg, rng, ignore_label):
+            if rng.bit_generator.state == planted_rng:
+                raise ValueError(f"planted at batch {k}")
+            return augment(sample, acfg, rng, ignore_label)
+
+        monkeypatch.setattr(T, "augment", planted)
+        ops.set_workers(2)
+        done = []
+        with pytest.raises(ValueError, match=f"^planted at batch {k}$"):
+            T.train_loop(N.build(net_cfg, rng_seed=0), net_cfg, ds, cfg,
+                         callbacks=[lambda e: done.append(e["iter"])])
+        assert done == list(range(k))
+        assert len(forks) == 1
+        self.assert_reaped(forks[0])
+
+    def test_child_that_dies_is_an_error_at_its_batch(self, desk, forks, monkeypatch):
+        ds, net_cfg, cfg = desk
+        augment, parent = T.augment, os.getpid()
+
+        def dying(sample, acfg, rng, ignore_label):
+            if os.getpid() != parent:  # the child, on its first batch
+                os._exit(7)
+            return augment(sample, acfg, rng, ignore_label)
+
+        monkeypatch.setattr(T, "augment", dying)
+        ops.set_workers(2)
+        done = []
+        with pytest.raises(ChildProcessError, match="batch process ended"):
+            T.train_loop(N.build(net_cfg, rng_seed=0), net_cfg, ds, cfg,
+                         callbacks=[lambda e: done.append(e["iter"])])
+        assert done == [0]
+        self.assert_reaped(forks[0])
+
+    def test_interrupt_leaves_no_child(self, desk, forks):
+        ds, net_cfg, cfg = desk
+        ops.set_workers(2)
+
+        def interrupt(entry):
+            if entry["iter"] == 3:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            T.train_loop(N.build(net_cfg, rng_seed=0), net_cfg, ds, cfg, callbacks=[interrupt])
+        assert len(forks) == 1
+        self.assert_reaped(forks[0])
+
+    @pytest.mark.parametrize("workers, iters", [(1, 3), (2, 1)])
+    def test_one_worker_or_one_batch_never_forks(self, desk, monkeypatch, workers, iters):
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        ds, net_cfg, cfg = desk
+        ops.set_workers(workers)
+        log = T.train_loop(N.build(net_cfg, rng_seed=0), net_cfg, ds, replace(cfg, iters=iters))
+        assert [e["iter"] for e in log] == list(range(iters))
