@@ -391,8 +391,7 @@ def cmd_analyze(args) -> int:
     params, net_cfg = network.load_checkpoint(args.checkpoint)
     if args.what == "erf":
         image = _analysis_image(args, net_cfg)
-        _, _, h, w = image.shape
-        tap_h, tap_w = h // 32, w // 32
+        tap_h, tap_w = network.trace(net_cfg, *image.shape[2:])[2][args.stage].shape[2:]
         cy = args.cy if args.cy is not None else tap_h // 2
         cx = args.cx if args.cx is not None else tap_w // 2
         heat = analysis.erf_map(params, net_cfg, image, (cy, cx), stage=args.stage)

@@ -273,16 +273,6 @@ def _patches(x: np.ndarray, k: int, stride: int, dilation: int,
     )
 
 
-def _check_conv_operands(x, weight, bias, spec: ConvSpec):
-    check_4d("conv input", x)
-    if x.shape[1] != spec.in_channels:
-        raise ShapeError(f"conv input has {x.shape[1]} channels, spec wants {spec.in_channels}")
-    if tuple(weight.shape) != spec.weight_shape:
-        raise ShapeError(f"conv weight shape {weight.shape} != expected {spec.weight_shape}")
-    if bias is not None and bias.shape != (spec.out_channels,):
-        raise ShapeError(f"conv bias shape {bias.shape} != ({spec.out_channels},)")
-
-
 def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias, spec: ConvSpec) -> np.ndarray:
     """out[:, g] = W[g] @ cols[:, g], one batched matmul per band of the output.
 
@@ -296,7 +286,13 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias, spec: ConvSpec) -> n
     hold as many images as fit.  Every matmul of a batch thus has the shape
     it has for one image, and each image's output is what it is alone.
     """
-    _check_conv_operands(x, weight, bias, spec)
+    check_4d("conv input", x)
+    if x.shape[1] != spec.in_channels:
+        raise ShapeError(f"conv input has {x.shape[1]} channels, spec wants {spec.in_channels}")
+    if tuple(weight.shape) != spec.weight_shape:
+        raise ShapeError(f"conv weight shape {weight.shape} != expected {spec.weight_shape}")
+    if bias is not None and bias.shape != (spec.out_channels,):
+        raise ShapeError(f"conv bias shape {bias.shape} != ({spec.out_channels},)")
     n, _, h, w = x.shape
     oh, ow = spec.out_hw(h, w)
     cg, og, kk = spec.in_channels // spec.groups, spec.out_channels // spec.groups, weight[0].size
@@ -343,7 +339,6 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec,
     checked forward output non-finite).  A strided conv would spend more on
     the tail than it saves, so it adds each offset as one 2-d strided slice.
     """
-    _check_conv_operands(x, weight, None, spec)
     n, c, h, w = x.shape
     oh, ow = spec.out_hw(h, w)
     if grad_out.shape != (n, spec.out_channels, oh, ow):
@@ -420,17 +415,6 @@ class BatchNormState:
             momentum=momentum,
         )
 
-    @property
-    def channels(self) -> int:
-        return self.gamma.shape[0]
-
-
-def _bn_check(x: np.ndarray, state: BatchNormState):
-    check_4d("batchnorm input", x)
-    if x.shape[1] != state.channels:
-        raise ShapeError(f"batchnorm: input has {x.shape[1]} channels, state has {state.channels}")
-
-
 def check_bn_count(count: int) -> None:
     """ShapeError unless train-mode batch norm has at least two values per
     channel (count = n*h*w) to take a variance over."""
@@ -451,8 +435,10 @@ def batchnorm_forward(x: np.ndarray, state: BatchNormState, mode: str) -> np.nda
     statistics in place: running <- (1-momentum)*running + momentum*batch.
     Eval mode reads the running statistics only.
     """
-    _bn_check(x, state)
+    check_4d("batchnorm input", x)
     n, c, h, w = x.shape
+    if c != state.gamma.shape[0]:
+        raise ShapeError(f"batchnorm: input has {c} channels, state has {state.gamma.shape[0]}")
     if mode == "train":
         check_bn_count(n * h * w)
         mean, var = _batch_stats(x)
@@ -482,35 +468,36 @@ def _normalize(x, mean, scale, beta, out):
 
 def batchnorm_backward(x: np.ndarray, state: BatchNormState, grad_out: np.ndarray,
                        mode: str = "train"):
-    """Gradients for (x, gamma, beta); train mode includes the mean/var terms,
-    with the batch statistics the forward saved on `state` for this x."""
-    _bn_check(x, state)
+    """Gradients for (x, gamma, beta) of the forward that normalized this x
+    with (mean, var): train mode's batch statistics (those the forward saved
+    on `state` for this x) with their mean/var terms, or eval mode's running
+    ones."""
     if grad_out.shape != x.shape:
         raise ShapeError(f"batchnorm grad shape {grad_out.shape} != input {x.shape}")
     n, c, h, w = x.shape
     if mode == "train":
-        m = n * h * w
         saved = state.batch_stats
         mean, var = saved[1:] if saved is not None and saved[0] is x else _batch_stats(x)
-        inv = 1.0 / np.sqrt(var.reshape(1, c, 1, 1) + state.eps)
-        xhat = np.subtract(x, mean.reshape(1, c, 1, 1))
-        xhat *= inv
-        dxhat = grad_out * state.gamma.reshape(1, c, 1, 1)
+    elif mode == "eval":
+        mean, var = state.running_mean, state.running_var
+    else:
+        raise ValueError(f"batchnorm mode must be 'train' or 'eval', got {mode!r}")
+    inv = 1.0 / np.sqrt(var.reshape(1, c, 1, 1) + state.eps)
+    xhat = np.subtract(x, mean.reshape(1, c, 1, 1))
+    xhat *= inv
+    dxhat = grad_out * state.gamma.reshape(1, c, 1, 1)
+    if mode == "train":
         sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
         grad_x = dxhat * xhat
         sum_dxhat_xhat = grad_x.sum(axis=(0, 2, 3), keepdims=True)
-        # dxhat - (sum_dxhat + xhat * sum_dxhat_xhat) / m, then * inv, in place
+        # dxhat - (sum_dxhat + xhat * sum_dxhat_xhat) / (n*h*w), then * inv, in place
         np.multiply(xhat, sum_dxhat_xhat, out=grad_x)
         grad_x += sum_dxhat
-        grad_x /= m
+        grad_x /= n * h * w
         np.subtract(dxhat, grad_x, out=grad_x)
         grad_x *= inv
-    elif mode == "eval":
-        inv = (1.0 / np.sqrt(state.running_var + state.eps)).reshape(1, c, 1, 1)
-        xhat = (x - state.running_mean.reshape(1, c, 1, 1)) * inv
-        grad_x = grad_out * state.gamma.reshape(1, c, 1, 1) * inv
-    else:
-        raise ValueError(f"batchnorm mode must be 'train' or 'eval', got {mode!r}")
+    else:  # the running statistics are constants
+        grad_x = dxhat * inv
 
     grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
     grad_beta = grad_out.sum(axis=(0, 2, 3))

@@ -118,9 +118,10 @@ def build(config: NetworkConfig, rng_seed: int = 0) -> ParamStore:
     return trace(config, init=he_normal(np.random.default_rng(rng_seed)))[0]
 
 
-def _decoder(pv: ParamVars, taps: dict[str, Var], h8: int, w8: int) -> Var:
-    """BN over s2 concatenated with s3 and s4 upsampled to 1/8 scale."""
+def _decoder(pv: ParamVars, taps: dict[str, Var]) -> Var:
+    """BN over s2 concatenated with s3 and s4 upsampled to its 1/8 scale."""
     tape = pv.tape
+    h8, w8 = taps["s2"].shape[2:]
     cat = tape.concat([taps["s2"], tape.upsample(taps["s3"], h8, w8),
                        tape.upsample(taps["s4"], h8, w8)])
     return pv.bn("decoder.bn", cat)
@@ -159,7 +160,7 @@ def _forward(pv: ParamVars, config: NetworkConfig, x: Var):
     # the decoder output is passed on, not kept: the head drops it after its
     # first conv, so no decoder feature is alive during the final upsample
     logits = blocks.seghead_forward(
-        pv, "head", _decoder(pv, taps, h // 8, w // 8),
+        pv, "head", _decoder(pv, taps),
         config.decoder_width, config.head_width, config.num_classes, h, w)
     return logits, taps
 

@@ -326,31 +326,19 @@ def _assemble_batch(dataset, indices, cfg: TrainConfig, iteration):
     return np.concatenate(imgs, axis=0), np.concatenate(masks, axis=0)
 
 
-def _leave_the_parents_core(write_fd: int) -> None:
-    """Give the pipe room for a few desk batches and move this child off
-    the core its parent last ran on.
+def _widen_pipe(write_fd: int) -> None:
+    """Give the pipe room for a few desk batches (1 MiB, an unprivileged
+    process's limit).
 
-    A pipe wakes a waiting reader or writer onto the core of the process
-    that woke it.  With the default 64 KiB, each desk batch (256 KiB) took
-    several reads and writes that waited on each other, and the two
-    processes were drawn onto one core while the other idled: on a 2-core
-    KVM host, taking a batch cost the parent 2.3-2.6 ms, about what
-    assembling it costs, instead of 0.2 ms.  Both are hints, so where the
-    host refuses them the batches only come later.
+    With the default 64 KiB, each desk batch (256 KiB) took several reads
+    and writes that waited on each other: on a 2-core host, taking a batch
+    cost the parent about 0.5 ms instead of 0.2 ms.  It is a hint, so where
+    the host refuses it (or is not Linux) the batches only come later.
     """
-    if not hasattr(os, "sched_setaffinity"):  # Linux only, as is F_SETPIPE_SZ
-        return
-    import fcntl
+    import fcntl  # POSIX, as os.fork is
 
-    try:
-        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)  # an unprivileged process's limit
-        with open(f"/proc/{os.getppid()}/stat", "rb") as f:
-            parent_cpu = int(f.read().rsplit(b")", 1)[1].split()[36])  # field 39, "processor"
-        others = os.sched_getaffinity(0) - {parent_cpu}
-        if others:
-            os.sched_setaffinity(0, others)
-    except OSError:
-        pass
+    with contextlib.suppress(AttributeError, OSError):  # F_SETPIPE_SZ is Linux only
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
 
 
 def _batches(dataset, cfg: TrainConfig):
@@ -378,7 +366,7 @@ def _batches(dataset, cfg: TrainConfig):
         code = 1
         try:
             os.close(read_fd)
-            _leave_the_parents_core(write_fd)
+            _widen_pipe(write_fd)
             with open(write_fd, "wb") as pipe:
                 for it, indices in enumerate(order, start=1):
                     try:
@@ -435,8 +423,11 @@ def train_loop(params: ParamStore, net_cfg: NetworkConfig, dataset,
                callbacks=()) -> list[dict]:
     """Deterministic SGD training; returns the metric log (one dict per record).
 
-    With `val_dataset` the last record holds the final validation mIoU, and
-    the whole `evaluate` report under "eval", which `log_path` leaves out.
+    An iteration is recorded every `log_every` iterations and at the last,
+    and with `val_dataset` every `eval_every` iterations (not at 0), with
+    the validation mIoU; 0 turns either schedule off.  With `val_dataset`
+    the last record holds the final validation mIoU, and the whole
+    `evaluate` report under "eval", which `log_path` leaves out.
     At more than one worker the batches come from one forked child (see
     `_batches`), which has ended when this returns or raises.
     """
@@ -459,9 +450,12 @@ def train_loop(params: ParamStore, net_cfg: NetworkConfig, dataset,
             lr = poly_lr(it, cfg)
             sgd_step(params, grads, opt, lr)
 
-            if cfg.log_every and (it % cfg.log_every == 0 or it == cfg.iters - 1):
+            evaluating = (val_dataset is not None and cfg.eval_every and it
+                          and it % cfg.eval_every == 0)
+            if evaluating or (cfg.log_every
+                              and (it % cfg.log_every == 0 or it == cfg.iters - 1)):
                 entry = {"iter": it, "lr": lr, "loss": loss}
-                if val_dataset is not None and cfg.eval_every and it and it % cfg.eval_every == 0:
+                if evaluating:
                     entry["miou"] = evaluate(params, net_cfg, val_dataset,
                                              cfg.ohem.ignore_label)["miou"]
                 record(entry)

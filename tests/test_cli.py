@@ -367,6 +367,19 @@ class TestBenchAnalyze:
         assert main(["analyze", "weights", "--checkpoint", ckpt]) == 2
         capsys.readouterr()
 
+    def test_erf_default_center_is_the_stage_taps(self, tmp_path, capsys):
+        # a 64x64 image: the s2, s3 and s4 taps are 8x8, 4x4 and 2x2
+        net_cfg = network.preset("tiny", num_classes=3)
+        ckpt, image = tmp_path / "c.dwck", tmp_path / "a.ppm"
+        network.save_checkpoint(network.build(net_cfg, rng_seed=0), net_cfg, ckpt)
+        D.write_ppm(image, D.generate(D.ShapesSpec(canvas=(64, 64), num_classes=3), 0).image)
+        centers = {}
+        for stage in ("s2", "s3", "s4"):
+            assert main(["analyze", "erf", "--checkpoint", str(ckpt), "--image", str(image),
+                         "--stage", stage, "--out", str(tmp_path / f"{stage}.nt")]) == 0
+            centers[stage] = json.loads(capsys.readouterr().out)["center"]
+        assert centers == {"s2": [4, 4], "s3": [2, 2], "s4": [1, 1]}
+
     def test_analyze_weights_on_probe_checkpoint(self, tmp_path, capsys):
         from dwrseg import network as N
         cfg = N.preset("tiny", num_classes=4, probe=True)
@@ -699,6 +712,9 @@ class TestExitCodes:
         pytest.param(lambda c: c["stages"][2].update(kind="probe", channels=33,
                                                      dilations=[1, 3, 5]), id="probe_odd_width"),
         pytest.param(lambda c: c["stages"][2].update(branch_count=4), id="branch_count_4"),
+        pytest.param(lambda c: c["stages"][1].update(kind="aspp"), id="stage_kind"),
+        pytest.param(lambda c: c["stages"][2].update(repeats=0), id="repeats_0"),
+        pytest.param(lambda c: c["stages"].pop(), id="two_stages"),
         pytest.param(lambda c: c["stages"][0].update(expansion=0), id="sir_expansion_0"),
         # a value in a field the stage's kind ignores
         pytest.param(lambda c: c["stages"][0].update(branch_count=10 ** 12),
@@ -734,7 +750,43 @@ class TestExitCodes:
         D.write_ppm(image, np.zeros((1, 3, 32, 32), np.float32))
         assert main(["predict", "--checkpoint", str(ckpt), "--image", str(image),
                      "--out", str(tmp_path / "out.pgm")]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("corrupt, message", [
+        pytest.param(lambda buf: buf[:4] + (2).to_bytes(4, "little") + buf[8:],
+                     "unsupported checkpoint version 2$", id="version_2"),
+        pytest.param(lambda buf: buf + b"\x00", ": 1 trailing byte\\(s\\)$", id="trailing"),
+        # the first tensor's .nt dims (16, 3, 3, 3) read as (3, 16, 3, 3): the
+        # same payload size, so only the manifest's shape can tell them apart
+        pytest.param(lambda buf: _swap_first_dims(buf),
+                     ": shape mismatch for stem.conv1.weight$", id="nt_dims"),
+    ])
+    def test_malformed_checkpoint_exit_2(self, tmp_path, capsys, corrupt, message):
+        net_cfg = network.preset("tiny", num_classes=3)
+        ckpt = tmp_path / "c.dwck"
+        network.save_checkpoint(network.build(net_cfg, rng_seed=0), net_cfg, ckpt)
+        ckpt.write_bytes(corrupt(ckpt.read_bytes()))
+        with pytest.raises(FormatError, match=message):
+            network.load_checkpoint(ckpt)
+        image = tmp_path / "in.ppm"
+        D.write_ppm(image, np.zeros((1, 3, 32, 32), np.float32))
+        assert main(["predict", "--checkpoint", str(ckpt), "--image", str(image),
+                     "--out", str(tmp_path / "out.pgm")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out.pgm").exists()
+
+    @pytest.mark.parametrize("section, message", [
+        ({"kind": "coco"}, "config.data.kind must be 'shapes' or 'manifest'"),
+        ({"kind": "manifest"}, "config.data.dir is required for manifest datasets"),
+    ])
+    def test_data_kind_and_manifest_dir_exit_2(self, tmp_path, capsys, section, message):
+        cfg_path, _ = write_config(tmp_path, data=section)
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("argv", [
         ["count", "tiny", "--classes", str(10 ** 12)],
@@ -765,6 +817,12 @@ class TestExitCodes:
         parse_run_config(doc)
         assert main(["preset", "full"]) == 0
         json.loads(capsys.readouterr().out)
+
+
+def _swap_first_dims(buf: bytes) -> bytes:
+    """A checkpoint's bytes with the first two dims of its first .nt record swapped."""
+    dims = 12 + int.from_bytes(buf[8:12], "little") + 12  # past the header and .nt's own
+    return buf[:dims] + buf[dims + 4:dims + 8] + buf[dims:dims + 4] + buf[dims + 8:]
 
 
 def readme_commands():

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -332,13 +333,32 @@ class TestTape:
 
 
 LINEAR_KINDS = ("conv2d", "upsample", "split", "concat", "add")
+SMOOTH_KINDS = ("relu", "maxpool", "batchnorm")  # J v by central difference
+STEP = 1e-7  # its step: small enough that no ReLU or maxpool of the graph meets a kink in it
 
 
-def adjoint_products(node, rng):
-    """(input, <J v, w>, <v, J^T w>) for each input of a linear node, at a
-    random v and w: J v is the node's forward kernel on its saved operands
-    (a conv's bias left out), J^T w the tape's BACKWARD entry."""
-    if node.kind not in LINEAR_KINDS:
+def central_difference(f):
+    """J v of t -> f(t) at t = 0, where f moves the operands along v by t."""
+    return (f(STEP) - f(-STEP)) / (2 * STEP)
+
+
+def batchnorm_at(node, dx=0.0, dgamma=0.0, dbeta=0.0):
+    """A BN node's forward on its saved operands moved by (dx, dgamma, dbeta),
+    on copies of its running statistics, which train mode would update."""
+    x, state, mode = node.saved
+    moved = replace(state, gamma=state.gamma + dgamma, beta=state.beta + dbeta,
+                    running_mean=state.running_mean.copy(),
+                    running_var=state.running_var.copy(), batch_stats=None)
+    return ops.batchnorm_forward(x + dx, moved, mode)
+
+
+def adjoint_products(node, rng, values):
+    """(input, <J v, w>, <v, J^T w>) for each input of a node, at a random
+    v and w: J v is the node's forward kernel on its saved operands (a
+    conv's bias left out) for linear ops, a central difference of it for
+    the others, and J^T w the tape's BACKWARD entry.  `values` maps var
+    indices to their values, for a ReLU, whose node saves its output only."""
+    if node.kind not in LINEAR_KINDS + SMOOTH_KINDS:
         return
     w = rng.standard_normal(node.shape)
     back = BACKWARD[node.kind](*node.saved, w)
@@ -363,39 +383,103 @@ def adjoint_products(node, rng):
     elif node.kind == "add":
         v, u = rng.standard_normal(node.shape), rng.standard_normal(node.shape)
         yield "x, y", np.vdot(ops.add(v, u), w), np.vdot(v, back[0]) + np.vdot(u, back[1])
+    elif node.kind == "relu":
+        x = values[node.parents[0]]
+        v = rng.standard_normal(x.shape)
+        jv = central_difference(lambda t: ops.relu_forward(x + t * v))
+        yield "x", np.vdot(jv, w), np.vdot(v, back[0])
+    elif node.kind == "maxpool":
+        x, k, s, p = node.saved
+        v = rng.standard_normal(x.shape)
+        jv = central_difference(lambda t: ops.maxpool_forward(x + t * v, k, s, p))
+        yield "x", np.vdot(jv, w), np.vdot(v, back[0])
+    else:  # batchnorm: x, gamma, beta
+        x, state, _ = node.saved
+        for i, (which, shape) in enumerate(
+                (("x", x.shape), ("gamma", state.gamma.shape), ("beta", state.beta.shape))):
+            v = rng.standard_normal(shape)
+            jv = central_difference(lambda t: batchnorm_at(node, **{f"d{which}": t * v}))
+            yield which, np.vdot(jv, w), np.vdot(v, back[i])
+
+
+class ValueTape(E.Tape):
+    """A recording tape that also keeps every op output's value."""
+
+    def __init__(self):
+        super().__init__()
+        self.values = {}
+
+    def _out(self, kind, data, parents, saved, **fields):
+        v = super()._out(kind, data, parents, saved, **fields)
+        self.values[v.idx] = data
+        return v
 
 
 class TestAdjoint:
     """Claerbout's dot-product test on the real graph: <J v, w> = <v, J^T w>
-    for every conv (data and weight input), upsample, split, concat and add
-    node of a float64 train-mode tiny forward."""
+    for every node of a float64 tiny forward in train mode (conv on its data
+    and weight input, upsample, split, concat, add, ReLU, maxpool, and BN on
+    x, gamma and beta) and every ReLU, maxpool and BN node of one in eval
+    mode.  The linear
+    nodes agree to 1e-10; the others, by central difference, to 1e-5 (their
+    worst case here is 1.6e-7, train BN's x)."""
 
     @pytest.fixture(scope="class")
-    def nodes(self):
+    def graphs(self):
         cfg = N.preset("tiny", num_classes=4)
-        params = N.build(cfg, rng_seed=5).astype(np.float64)
-        tape = E.Tape()
-        N.forward(params, cfg, rnd((1, 3, 64, 64), 60), mode="train", tape=tape)
-        return tape.nodes
+        rng = np.random.default_rng([SEED, 62])
+        graphs = {}
+        for mode in ("train", "eval"):
+            params = N.build(cfg, rng_seed=5).astype(np.float64)
+            # BN away from its identity init, so that a backward missing a
+            # factor of gamma or of the eval statistics' inv is told apart
+            for name, a in params.items():
+                if name.endswith((".gamma", ".beta")):
+                    params.set_(name, rng.uniform(0.5, 1.5, a.shape) * rng.choice([-1, 1]))
+            for name, a in params.stat_items():
+                params.set_stat_(name, rng.uniform(0.25, 4.0, a.shape)
+                                 if name.endswith("var") else rng.standard_normal(a.shape))
+            tape = ValueTape()
+            N.forward(params, cfg, rnd((1, 3, 64, 64), 60), mode=mode, tape=tape)
+            graphs[mode] = tape
+        return graphs
 
     @staticmethod
-    def mismatches(nodes):
+    def mismatches(tape, kinds):
         rng = np.random.default_rng([SEED, 61])
         checked, bad = [], []
-        for node in nodes:
-            for which, jv_w, v_jtw in adjoint_products(node, rng):
+        for node in tape.nodes:
+            if node.kind not in kinds:
+                continue
+            tol = 1e-10 if node.kind in LINEAR_KINDS else 1e-5
+            for which, jv_w, v_jtw in adjoint_products(node, rng, tape.values):
                 checked.append(node.kind)
-                if abs(jv_w - v_jtw) > 1e-10 * max(abs(jv_w), abs(v_jtw)):
+                if abs(jv_w - v_jtw) > tol * max(abs(jv_w), abs(v_jtw)):
                     bad.append(f"{node.kind} {node.name} {which}: {jv_w!r} != {v_jtw!r}")
         return checked, bad
 
-    def test_every_linear_node_is_the_transpose_of_its_forward(self, nodes):
-        checked, bad = self.mismatches(nodes)
+    @staticmethod
+    def assert_every_node_checked(tape, kinds):
+        checked, bad = TestAdjoint.mismatches(tape, kinds)
         assert not bad, bad
-        kinds = [n.kind for n in nodes]
-        for kind in LINEAR_KINDS:  # a conv has two inputs checked, the others one
-            inputs = 2 if kind == "conv2d" else 1
-            assert kinds.count(kind) > 0 and checked.count(kind) == inputs * kinds.count(kind)
+        found = [n.kind for n in tape.nodes]
+        inputs = {"conv2d": 2, "batchnorm": 3}  # x and weight; x, gamma and beta
+        for kind in kinds:
+            assert found.count(kind) > 0
+            assert checked.count(kind) == inputs.get(kind, 1) * found.count(kind)
+
+    def test_every_linear_node_is_the_transpose_of_its_forward(self, graphs):
+        self.assert_every_node_checked(graphs["train"], LINEAR_KINDS)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_every_relu_maxpool_and_bn_node_is_the_transpose_of_its_forward(self, graphs,
+                                                                             mode):
+        self.assert_every_node_checked(graphs[mode], SMOOTH_KINDS)
+
+    @staticmethod
+    def assert_named(tape, kind):
+        _, bad = TestAdjoint.mismatches(tape, LINEAR_KINDS + SMOOTH_KINDS)
+        assert bad and all(b.startswith(f"{kind} ") for b in bad), bad
 
     @pytest.mark.parametrize("attr, kind, make", [
         ("conv2d_backward", "conv2d", lambda orig: lambda x, w, spec, go: tuple(
@@ -403,8 +487,21 @@ class TestAdjoint:
         ("upsample_bilinear_backward", "upsample", lambda orig: lambda shape, h, w, go: orig(
             shape, h, w, go[:, :, ::-1, ::-1].copy())),
     ], ids=["conv_weight_taps_flipped", "upsample_backward_flipped"])
-    def test_a_flipped_backward_fails(self, nodes, monkeypatch, attr, kind, make):
+    def test_a_flipped_backward_fails(self, graphs, monkeypatch, attr, kind, make):
         # the table looks each kernel up on ops when it runs, so the patch is what runs
         monkeypatch.setattr(ops, attr, make(getattr(ops, attr)))
-        _, bad = self.mismatches(nodes)
-        assert bad and all(b.startswith(f"{kind} ") for b in bad), bad
+        self.assert_named(graphs["train"], kind)
+
+    @pytest.mark.parametrize("mode, attr, kind, make", [
+        ("train", "relu_backward", "relu", lambda orig: lambda out, go: go.copy()),
+        ("train", "maxpool_backward", "maxpool", lambda orig: lambda x, k, s, p, go: orig(
+            x, k, s, p, go[:, :, ::-1, ::-1].copy())),
+        # eval's grad_x without its factor inv = 1/sqrt(running_var + eps)
+        ("eval", "batchnorm_backward", "batchnorm", lambda orig: lambda x, st, go, mode: (
+            go * st.gamma.reshape(1, -1, 1, 1), *orig(x, st, go, mode)[1:])),
+    ], ids=["relu_passes_every_gradient", "maxpool_backward_flipped",
+            "bn_eval_grad_x_without_inv"])
+    def test_a_wrong_nonlinear_backward_fails(self, graphs, monkeypatch, mode, attr, kind,
+                                              make):
+        monkeypatch.setattr(ops, attr, make(getattr(ops, attr)))
+        self.assert_named(graphs[mode], kind)

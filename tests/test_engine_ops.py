@@ -983,6 +983,12 @@ class TestNtFormat:
         with pytest.raises(E.FormatError):
             E.read_nt(p)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "long.nt"
+        p.write_bytes(E.nt_bytes(rnd((2, 2))) + b"\x00\x00\x00")
+        with pytest.raises(E.FormatError, match=r"long\.nt: 3 trailing byte\(s\) after payload$"):
+            E.read_nt(p)
+
     @pytest.mark.parametrize("keep", [6, 12, 16])
     def test_truncated_header_rejected(self, keep):
         raw = E.nt_bytes(rnd((2, 2)))  # 12-byte fixed header, then two u32 dims

@@ -428,6 +428,19 @@ class TestTrainLoop:
         assert all("iter" in e and "lr" in e for e in lines)
         assert "miou" in lines[-1]
 
+    @pytest.mark.parametrize("log_every, eval_every, iters, want", [
+        (4, 3, 6, [(0, False), (3, True), (4, False), (5, False)]),
+        (0, 2, 5, [(2, True), (4, True)]),  # no log lines, evaluation still on
+        (2, 2, 5, [(0, False), (2, True), (4, True)]),
+    ])
+    def test_every_eval_iteration_is_recorded(self, log_every, eval_every, iters, want):
+        ds, net_cfg, params = self.make_setup()
+        cfg = T.TrainConfig(iters=iters, batch_size=2, log_every=log_every,
+                            eval_every=eval_every)
+        log = T.train_loop(params, net_cfg, ds, cfg, val_dataset=ds)
+        assert [(e["iter"], "miou" in e) for e in log[:-1]] == want
+        assert log[-1]["iter"] == iters and "eval" in log[-1]
+
 
 class TestBatchProcess:
     """At more than one worker a forked child assembles batches 1, 2, ...
