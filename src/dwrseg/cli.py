@@ -355,6 +355,7 @@ def cmd_bench(args) -> int:
     stats["variant"] = args.variant
     stats["workers"] = ops.workers()
     stats["blas_threads"] = blas_threads()
+    stats["mallopt"] = dict(ops.MALLOPT)
     print(json.dumps(stats, indent=2))
     return 0
 

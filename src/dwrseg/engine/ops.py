@@ -46,10 +46,12 @@ borders (src = (dst + 0.5) * in/out - 0.5).
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import os
 import threading
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -106,6 +108,34 @@ def _drop_pool_in_child() -> None:
 
 if hasattr(os, "register_at_fork"):  # POSIX only, as os.fork is
     os.register_at_fork(after_in_child=_drop_pool_in_child)
+
+
+# The allocator policy, glibc only.  By default glibc serves a block of more
+# than 128 KiB (a threshold that slides up to what was freed) by mmap and
+# gives freed heap tops back to the kernel, so each forward's arrays come
+# back as freshly zeroed pages: 5.2k-6.2k minor faults per B eval forward at
+# 1x3x512x1024 on 2 workers of a 2-core host.  These settings keep what is
+# freed in the process for the next call instead (2-13 faults there): mmap
+# only from 32 MiB (glibc's cap, so the threshold no longer slides), trim
+# only a free top of 1 GiB, and grow the heap 256 MiB at a time.  On one
+# build, perfbench's B eval peak RSS read 194 MB with all three and 199-204
+# MB without any one of them.
+# Constants, not tuned per machine, so every process that imports the
+# engine (CLI, tests, demos, benchmarks) runs under the same heap.
+# MALLOPT is {setting: mallopt's return code}, 1 where it was applied, and
+# empty where the C library has no mallopt.
+def _keep_freed_memory():
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library by name
+        return MappingProxyType({})
+    settings = {"M_MMAP_THRESHOLD": (-3, 32 << 20), "M_TRIM_THRESHOLD": (-1, 1 << 30),
+                "M_TOP_PAD": (-2, 256 << 20)}
+    return MappingProxyType({name: mallopt(param, value)
+                             for name, (param, value) in settings.items()})
+
+
+MALLOPT = _keep_freed_memory()
 
 
 def _run_bands(task, bands) -> None:

@@ -355,9 +355,14 @@ def benchmark_forward(params: ParamStore, config: NetworkConfig, input_shape,
                       warmup: int = 2, iters: int = 10) -> dict:
     """Wall-time stats for eval-mode forward (not comparable to GPU numbers).
 
-    peak_mb is the tracemalloc peak (MiB) of one more forward, run after the
-    timed ones so tracing does not slow them.
+    minor_faults_per_iter and system_s_per_iter are this process's minor page
+    faults and system CPU seconds over the timed forwards, per forward;
+    max_rss_mb is its peak resident set after them.  peak_mb is the
+    tracemalloc peak (MiB) of one more forward, run after the timed ones so
+    tracing does not slow them.
     """
+    import resource  # Unix only
+
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     if warmup < 0:
@@ -367,10 +372,12 @@ def benchmark_forward(params: ParamStore, config: NetworkConfig, input_shape,
     for _ in range(warmup):
         forward(params, config, x, mode="eval")
     samples = []
+    before = resource.getrusage(resource.RUSAGE_SELF)
     for _ in range(iters):
         t0 = time.perf_counter()
         forward(params, config, x, mode="eval")
         samples.append(time.perf_counter() - t0)
+    after = resource.getrusage(resource.RUSAGE_SELF)
     tracemalloc.start()
     try:
         forward(params, config, x, mode="eval")
@@ -387,4 +394,7 @@ def benchmark_forward(params: ParamStore, config: NetworkConfig, input_shape,
         "median_s": statistics.median(samples),
         "fps": (1.0 / mean) if mean > 0 else float("inf"),
         "peak_mb": peak / 2**20,
+        "minor_faults_per_iter": (after.ru_minflt - before.ru_minflt) / iters,
+        "system_s_per_iter": (after.ru_stime - before.ru_stime) / iters,
+        "max_rss_mb": after.ru_maxrss / 1024,  # KiB on Linux
     }

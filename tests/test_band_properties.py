@@ -5,7 +5,9 @@ are cut into many bands, and each op runs at 1 worker and at 2 or 3.  Bands
 are cut by the budget alone, never by the worker count, so at any count an
 op hands `_run_bands` the same bands and its result is the same, bitwise.
 A conv's bands are cut by one image's bytes, so each image of a batch also
-gets what it gets alone.
+gets what it gets alone.  The conv and maxpool backwards, at the same drawn
+budgets and worker counts, equal references that add the kernel offsets one
+2-d slice at a time.
 """
 
 import contextlib
@@ -129,6 +131,53 @@ def op_invariance(shape, budget, n_workers, seed):
         assert run(fn, budget, n_workers) == run(fn, budget, 1), name
 
 
+def conv_backward_reference(x, weight, spec, grad_out):
+    """(grad_x, grad_w, grad_b) offset by offset: each offset's columns are a
+    2-d strided slice of the padded input, and its grad_cols are added back
+    onto that slice; images are summed in order."""
+    n, c, h, w = x.shape
+    oh, ow = spec.out_hw(h, w)
+    k, s, d, p = spec.kernel, spec.stride, spec.dilation, spec.padding
+    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    xp[:, :, p:p + h, p:p + w] = x
+    slices = [(slice(i * d, i * d + s * oh, s), slice(j * d, j * d + s * ow, s))
+              for i in range(k) for j in range(k)]
+    cols = np.stack([xp[:, :, ys, xs] for ys, xs in slices], axis=2)  # (n, c, k*k, oh, ow)
+    og = spec.out_channels // spec.groups
+    cols = cols.reshape(n, spec.groups, -1, oh * ow)
+    wmat = weight.reshape(spec.groups, og, -1)
+    go = grad_out.reshape(n, spec.groups, og, oh * ow)
+    grad_w = grad_b = None
+    for i in range(n):
+        gw = np.matmul(go[i], cols[i].transpose(0, 2, 1))
+        gb = grad_out[i].sum(axis=(1, 2))
+        grad_w, grad_b = (gw, gb) if i == 0 else (grad_w + gw, grad_b + gb)
+    grad_cols = np.matmul(wmat.transpose(0, 2, 1), go).reshape(n, c, k * k, oh, ow)
+    gx = np.zeros_like(xp)
+    for t, (ys, xs) in enumerate(slices):
+        gx[:, :, ys, xs] += grad_cols[:, :, t]
+    return (gx[:, :, p:p + h, p:p + w], grad_w.reshape(weight.shape),
+            grad_b if spec.has_bias else None)
+
+
+def maxpool_backward_reference(x, kernel, stride, padding, grad_out):
+    """Each window's gradient goes to its first argmax in row-major order;
+    the offsets are added back last to first, one 2-d slice each, so every
+    pixel sums its windows in row-major order."""
+    n, c, h, w = x.shape
+    oh, ow = grad_out.shape[2:]
+    xp = np.full((n, c, h + 2 * padding, w + 2 * padding), -np.inf, dtype=x.dtype)
+    xp[:, :, padding:padding + h, padding:padding + w] = x
+    slices = [(slice(i, i + stride * oh, stride), slice(j, j + stride * ow, stride))
+              for i in range(kernel) for j in range(kernel)]
+    first = np.stack([xp[:, :, ys, xs] for ys, xs in slices]).argmax(axis=0)
+    gx = np.zeros_like(xp)
+    for t in reversed(range(len(slices))):
+        ys, xs = slices[t]
+        gx[:, :, ys, xs] += np.where(first == t, grad_out, 0)
+    return gx[:, :, padding:padding + h, padding:padding + w]
+
+
 PROPERTY = settings(max_examples=100, deadline=None)
 
 
@@ -145,6 +194,39 @@ def test_bn_relu_add_concat_maxpool_upsample_are_worker_invariant(shape, budget,
     op_invariance(shape, budget, n_workers, seed)
 
 
+@PROPERTY
+@given(conv=convs(), budget=budgets, n_workers=workers, seed=seeds)
+def test_conv_backward_equals_its_per_offset_reference(conv, budget, n_workers, seed):
+    spec, shape = conv
+    spec = replace(spec, has_bias=bool(seed % 2))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape).astype(np.float32)
+    weight = rng.standard_normal(spec.weight_shape).astype(np.float32)
+    grad_out = rng.standard_normal((shape[0], spec.out_channels,
+                                    *spec.out_hw(*shape[2:]))).astype(np.float32)
+    with bands_at(budget, n_workers, []):
+        got = ops.conv2d_backward(x, weight, spec, grad_out)
+    for name, a, b in zip(("grad_x", "grad_w", "grad_b"), got,
+                          conv_backward_reference(x, weight, spec, grad_out)):
+        assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+
+
+@PROPERTY
+@given(shape=feature_maps(), budget=budgets, n_workers=workers, seed=seeds)
+def test_maxpool_backward_equals_its_per_offset_reference(shape, budget, n_workers, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, shape).astype(np.float32)  # windows with tied maxima
+    kernel = int(rng.integers(1, 4))
+    stride, padding = int(rng.integers(1, 3)), int(rng.integers(0, kernel))
+    oh = (shape[2] + 2 * padding - kernel) // stride + 1
+    ow = (shape[3] + 2 * padding - kernel) // stride + 1
+    grad_out = rng.standard_normal((*shape[:2], oh, ow)).astype(np.float32)
+    with bands_at(budget, n_workers, []):
+        got = ops.maxpool_backward(x, kernel, stride, padding, grad_out)
+    want = maxpool_backward_reference(x, kernel, stride, padding, grad_out)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("prop, strategy", [
     (conv_invariance, {"conv": convs()}),
     (op_invariance, {"shape": feature_maps()}),
@@ -158,4 +240,27 @@ def test_a_band_cut_by_the_worker_count_fails(monkeypatch, prop, strategy):
                        phases=[Phase.generate], report_multiple_bugs=False)(
         given(budget=budgets, n_workers=workers, seed=seeds, **strategy)(prop))
     with pytest.raises(AssertionError):
+        planted()
+
+
+def test_an_image_band_whose_matmul_depends_on_the_batch_fails(monkeypatch):
+    # a plausible slip: one product for a band's images, their pixels side by
+    # side, so the matmul's width grows with the batch; OpenBLAS rounds some
+    # widths apart (7.5% of 200 drawn convs with numpy 2.4's OpenBLAS), so the
+    # batch-invariance half fails
+    real = np.matmul
+
+    def one_product_per_band(a, b, out=None, **kw):
+        if out is None or b.ndim != 4 or b.shape[0] == 1:
+            return real(a, b, out=out, **kw)
+        n, g, kk, pixels = b.shape
+        merged = real(a, b.transpose(1, 2, 0, 3).reshape(g, kk, n * pixels))
+        out[...] = merged.reshape(g, -1, n, pixels).transpose(2, 0, 1, 3)
+        return out
+
+    monkeypatch.setattr(ops.np, "matmul", one_product_per_band)
+    planted = settings(max_examples=100, deadline=None, database=None, derandomize=True,
+                       phases=[Phase.generate], report_multiple_bugs=False)(
+        given(conv=convs(), budget=budgets, n_workers=workers, seed=seeds)(conv_invariance))
+    with pytest.raises(AssertionError, match=r"^\d+\n"):  # names an image: the batch half
         planted()

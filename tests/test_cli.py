@@ -313,6 +313,11 @@ class TestBenchAnalyze:
                      "--warmup", "1", "--iters", "3"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["samples_s"]) == 3 and doc["fps"] > 0 and doc["peak_mb"] > 0
+        assert isinstance(doc["minor_faults_per_iter"], float) and doc["minor_faults_per_iter"] >= 0
+        assert isinstance(doc["system_s_per_iter"], float) and doc["system_s_per_iter"] >= 0
+        assert isinstance(doc["max_rss_mb"], float) and doc["max_rss_mb"] > 0
+        assert doc["mallopt"] == dict(ops.MALLOPT)
+        assert all(isinstance(rc, int) for rc in doc["mallopt"].values())
 
     def test_threads_option_sets_blas_workers(self, capsys):
         # --threads sets the band workers; BLAS stays at one thread

@@ -1,5 +1,7 @@
 """Network-level contracts: build, shapes, counting, checkpoints, benchmark."""
 
+import os
+import resource
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -542,3 +544,27 @@ class TestBenchmark:
             tracemalloc.stop()
             ops.set_workers(ops.DEFAULT_WORKERS)
         assert peak <= 46 * 2**20, peak / 2**20
+
+    def test_b_eval_forward_reuses_freed_memory(self):
+        # ops sets glibc's allocator policy at import, so a forward's arrays
+        # come out of memory earlier forwards freed; under glibc's sliding
+        # mmap and trim thresholds this third B eval forward took 6.3k-6.4k
+        # minor faults (fresh zeroed pages) on a 2-core host, under the
+        # policy 0-2
+        cfg = N.preset("B")
+        params = N.build(cfg, rng_seed=0)
+        x = np.random.default_rng(0).random((1, 3, 512, 1024), dtype=np.float32)
+        ops.set_workers(2)
+        try:
+            for _ in range(2):
+                N.infer(params, cfg, x)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            N.infer(params, cfg, x)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        finally:
+            ops.set_workers(ops.DEFAULT_WORKERS)
+        if os.confstr("CS_GNU_LIBC_VERSION"):
+            assert faults < 2000, faults
+            assert ops.MALLOPT and set(ops.MALLOPT.values()) == {1}, dict(ops.MALLOPT)
+        else:  # no glibc: the record says the policy was not applied
+            assert set(ops.MALLOPT.values()) != {1}, dict(ops.MALLOPT)
