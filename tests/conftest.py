@@ -11,8 +11,8 @@ from dwrseg.engine import ops
 def pytest_report_collectionfinish(config):
     """The thread counts and heap policy every test of this run starts under.
 
-    Printed after collection rather than as pytest_report_header, which -q
-    (the tier-1 command) leaves out.
+    Printed after collection rather than as pytest_report_header, which
+    pytest leaves out under -q.
     """
     in_force = "in force" if ops.MALLOPT and set(ops.MALLOPT.values()) == {1} else "not applied"
     return [f"dwrseg: BLAS threads {blas_threads() or 'unknown'}, band workers {ops.workers()}, "
