@@ -10,21 +10,29 @@ its forward's map transposed, read off the same description:
   whole groups or, within one group of several output channels, of output
   rows, each band's columns at most BAND_BYTES for one image (a
   one-output-channel group, a matrix-vector product, is never split), then
-  of images; W[g]^T @ grad_out[:, g] goes back onto the input (col2im) as
-  one slice add per kernel offset, at stride 1 a contiguous slice of the
-  row-flattened padded plane (grad_out laid out at the padded row pitch;
-  the zero tail of each row adds +-0, which changes no sum while the
-  weights are finite), at a larger stride a 2-d strided slice;
-- batch norm: train mode's backward reuses the batch mean and variance its
+  of images; the columns are views built with np.ndarray on the buffer of
+  the C-contiguous padded input, and the backward gathers them into a
+  C-contiguous copy; W[g]^T @ grad_out[:, g] goes back onto the input
+  (col2im) as one slice add per kernel offset, at stride 1 a contiguous
+  slice of the row-flattened padded plane (grad_out laid out at the padded
+  row pitch where there are several output rows; the zero tail of each
+  row adds +-0, which changes no sum while the weights are finite), at a
+  larger stride a 2-d strided slice;
+- batch norm: train mode subtracts the batch mean once, takes the variance
+  from that difference as np.var does, and scales and shifts it in place
+  into the output; its backward reuses the batch mean and variance the
   forward saved on the per-call BatchNormState;
 - split: read-only views of the input's channels, so a kernel that wrote
   into its input would fail rather than change another op's value;
 - max pooling: a running maximum over the k*k strided window views; each
   window's gradient goes back through the view of its first argmax;
+- ReLU and max pooling mask their gradients as g's bits times the mask,
+  bitwise np.where(mask, g, 0) with no branch per element;
 - bilinear upsampling: A_y @ x @ A_x^T with one interpolation matrix per
   axis, evaluated as a two-pass blend (along x at input height, then along
   y, in bands of channel planes or output rows) into a C-contiguous result;
-  the backward is A_y^T @ grad_out @ A_x.
+  the backward is A_y^T @ grad_out @ A_x.  Both read their per-axis maps
+  from a bounded per-shape cache, which hands them out read-only.
 
 Every output element is produced by one reduction in a fixed order, so
 repeated runs are bitwise identical at a fixed BLAS thread count (a matmul
@@ -36,9 +44,14 @@ bands of channels, and the tape's finiteness check (`check_finite`) in
 bands of a flat view.  Each band is the same numpy call whichever thread
 runs it, so results are bitwise identical at any worker count (the CLI
 keeps BLAS at one thread and sets the workers with --threads); a call
-whose output fits one band runs inline on the caller, as does every call in
+whose output fits one band runs inline on the caller, batch norm, ReLU,
+add and concat as one call on the whole arrays, and so does every call in
 a forked child, which has none of the pool's threads.  The backward ops run
-on the calling thread.
+on the calling thread.  Results do not depend on the operands' memory
+layout either: a kernel whose numpy calls would sum or multiply in memory
+order (the BN statistics and backward, the conv's columns and matmul
+operands) reads its operands in C order, copying one only if it is not
+C-contiguous.
 Convolution padding is zero padding; pooling padding behaves as -inf.
 Bilinear upsampling uses half-pixel source coordinates clamped to the
 borders (src = (dst + 0.5) * in/out - 0.5).
@@ -47,6 +60,7 @@ borders (src = (dst + 0.5) * in/out - 0.5).
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
 import os
 import threading
@@ -58,7 +72,7 @@ import numpy as np
 from .tensor import FLOAT, NumericError, ShapeError, check_4d
 
 # Transient workspace of one band: half of a 2 MiB per-core L2, so what a
-# band writes (im2col columns, a channel slice under its three BN passes) is
+# band writes (im2col columns, a channel slice under its BN passes) is
 # still cached when it is read back.  Conv bands are cut by one image's
 # bytes, so every matmul has the shape it has for that image alone and a
 # batch's results are each image's alone.  Balanced bands that split a conv
@@ -200,6 +214,18 @@ def _channel_bands(x: np.ndarray):
     return _bands(x.shape[1], x.nbytes // max(1, x.shape[1]))
 
 
+def _by_channels(fn, out: np.ndarray, *xs) -> np.ndarray:
+    """fn(*xs, out=out) in bands of out's channels, each call on the band's
+    channel slices of xs and out; a call that fits one band runs on the
+    whole arrays, with no views, task or band list.  Returns out."""
+    bands = _channel_bands(out)
+    if len(bands) == 1:
+        fn(*xs, out=out)
+    else:
+        _run_bands(lambda c0, c1: fn(*[x[:, c0:c1] for x in xs], out=out[:, c0:c1]), bands)
+    return out
+
+
 def check_finite(name: str, x: np.ndarray) -> np.ndarray:
     """Raise NumericError if `x` contains NaN or Inf; return `x` unchanged.
 
@@ -293,14 +319,18 @@ def _pad(x: np.ndarray, p: int, fill: float = 0.0) -> np.ndarray:
 
 def _patches(x: np.ndarray, k: int, stride: int, dilation: int,
              oh: int, ow: int) -> np.ndarray:
-    """Strided view (n, c, k, k, oh, ow) over a padded input."""
+    """Read-only strided view (n, c, k, k, oh, ow) over a padded input.
+
+    Built on the buffer of x made C-contiguous (a copy only if it is not),
+    so a view of any other layout reads the same values in the same order;
+    np.ndarray on a buffer takes about a third of as_strided's time.
+    """
+    x = np.ascontiguousarray(x)
     sn, sc, sh, sw = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x,
-        shape=(x.shape[0], x.shape[1], k, k, oh, ow),
-        strides=(sn, sc, dilation * sh, dilation * sw, stride * sh, stride * sw),
-        writeable=False,
-    )
+    view = np.ndarray((x.shape[0], x.shape[1], k, k, oh, ow), x.dtype, buffer=x,
+                      strides=(sn, sc, dilation * sh, dilation * sw, stride * sh, stride * sw))
+    view.flags.writeable = False
+    return view
 
 
 def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias, spec: ConvSpec) -> np.ndarray:
@@ -327,7 +357,7 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias, spec: ConvSpec) -> n
     oh, ow = spec.out_hw(h, w)
     cg, og, kk = spec.in_channels // spec.groups, spec.out_channels // spec.groups, weight[0].size
     pat = _patches(_pad(x, spec.padding), spec.kernel, spec.stride, spec.dilation, oh, ow)
-    wmat = weight.reshape(spec.groups, og, kk)
+    wmat = np.ascontiguousarray(weight).reshape(spec.groups, og, kk)
     out = np.empty((n, spec.groups, og, oh * ow), dtype=np.result_type(weight, x))
     # one output row of one group's columns for one image (nothing without images)
     row_bytes = min(n, 1) * kk * ow * x.itemsize
@@ -375,11 +405,17 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec,
         raise ShapeError(
             f"grad_out shape {grad_out.shape} != ({n}, {spec.out_channels}, {oh}, {ow})")
 
+    # C order, as the forward's operands: numpy's matmul rounds an operand of
+    # another layout (a negatively strided one) apart
+    weight, grad_out = np.ascontiguousarray(weight), np.ascontiguousarray(grad_out)
     xp = _pad(x, spec.padding)
     k, s, d, p = spec.kernel, spec.stride, spec.dilation, spec.padding
     hp, wp = xp.shape[2:]
     og = spec.out_channels // spec.groups
-    cols = _patches(xp, k, s, d, oh, ow).reshape(n, spec.groups, weight[0].size, oh * ow)
+    # gathered into a C-contiguous copy: where the patches happen to reshape
+    # as a view (a one-pixel-wide output), matmul would round that layout apart
+    cols = np.ascontiguousarray(_patches(xp, k, s, d, oh, ow)).reshape(
+        n, spec.groups, weight[0].size, oh * ow)
     wmat = weight.reshape(spec.groups, og, -1)
     go = grad_out.reshape(n, spec.groups, og, oh * ow)
 
@@ -387,7 +423,9 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec,
     # which would round a one-channel group differently from a dense conv
     grad_b = grad_out.sum(axis=(2, 3)).sum(axis=0) if spec.has_bias else None
     grad_w = np.matmul(go, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(weight.shape)
-    pitch = wp if s == 1 else ow
+    # one output row never reaches past its own row of the plane: it needs no
+    # pitch, and a 1x1 output keeps W^T @ grad_out a matrix-vector product
+    pitch = wp if s == 1 and oh > 1 else ow
     if pitch != ow:
         rows = np.zeros((n, spec.out_channels, oh, pitch), dtype=grad_out.dtype)
         rows[..., :ow] = grad_out
@@ -453,8 +491,24 @@ def check_bn_count(count: int) -> None:
 
 
 def _batch_stats(x: np.ndarray):
-    """Per-channel batch mean and biased variance, as train mode normalizes."""
-    return x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    """(x - mean, mean, var) per channel, the batch mean and biased variance
+    train mode normalizes with, taken over x in C order.
+
+    The steps np.var takes, with its subtraction kept: the mean is the sum
+    over the count, the variance the sum of the squared deviations over the
+    count, each divided by the count as an intp, as np.mean and np.var
+    divide; so both are bitwise x.mean and x.var of a C-contiguous x.  The
+    deviations are a new C-contiguous array.
+    """
+    n, _, h, w = x.shape
+    count = np.intp(n * h * w)
+    x = np.ascontiguousarray(x)
+    mean = np.add.reduce(x, axis=(0, 2, 3), keepdims=True)
+    np.true_divide(mean, count, out=mean, casting="unsafe")
+    d = np.subtract(x, mean)
+    var = np.add.reduce(np.square(d), axis=(0, 2, 3))
+    np.true_divide(var, count, out=var, casting="unsafe")
+    return d, mean.reshape(-1), var
 
 
 def batchnorm_forward(x: np.ndarray, state: BatchNormState, mode: str) -> np.ndarray:
@@ -463,37 +517,46 @@ def batchnorm_forward(x: np.ndarray, state: BatchNormState, mode: str) -> np.nda
     Train mode normalizes with the biased batch variance, saves both
     statistics on `state` for the backward, and updates the running
     statistics in place: running <- (1-momentum)*running + momentum*batch.
-    Eval mode reads the running statistics only.
+    Its one subtraction, x - mean, is also the one its variance is taken
+    from, and becomes the output, scaled and shifted in place.  Eval mode
+    reads the running statistics only.  Either mode scales and shifts (eval
+    mode subtracts first) in bands of channels.
     """
     check_4d("batchnorm input", x)
     n, c, h, w = x.shape
     if c != state.gamma.shape[0]:
         raise ShapeError(f"batchnorm: input has {c} channels, state has {state.gamma.shape[0]}")
-    if mode == "train":
+    train = mode == "train"
+    if train:
         check_bn_count(n * h * w)
-        mean, var = _batch_stats(x)
+        out, mean, var = _batch_stats(x)
         state.batch_stats = (x, mean, var)
         m = state.momentum
         state.running_mean[:] = ((1.0 - m) * state.running_mean + m * mean).astype(FLOAT)
         state.running_var[:] = ((1.0 - m) * state.running_var + m * var).astype(FLOAT)
     elif mode == "eval":
         mean, var = state.running_mean, state.running_var
+        out = np.empty(x.shape, dtype=np.result_type(x, mean))
     else:
         raise ValueError(f"batchnorm mode must be 'train' or 'eval', got {mode!r}")
 
-    scale = state.gamma * (1.0 / np.sqrt(var + state.eps))
-    out = np.empty(x.shape, dtype=np.result_type(x, mean))
-    _run_bands(lambda c0, c1: _normalize(x[:, c0:c1], mean[c0:c1], scale[c0:c1],
-                                         state.beta[c0:c1], out[:, c0:c1]),
-               _channel_bands(x))
-    return out
+    scale = (state.gamma * (1.0 / np.sqrt(var + state.eps))).reshape(1, c, 1, 1)
+    beta = state.beta.reshape(1, c, 1, 1)
+    if train:  # out holds x - mean
+        return _by_channels(_scale_shift, out, out, scale, beta)
+    return _by_channels(_normalize, out, x, mean.reshape(1, c, 1, 1), scale, beta)
 
 
 def _normalize(x, mean, scale, beta, out):
-    """out = (x - mean) * scale + beta per channel, in three passes."""
-    np.subtract(x, mean.reshape(1, -1, 1, 1), out=out)
-    out *= scale.reshape(1, -1, 1, 1)
-    out += beta.reshape(1, -1, 1, 1)
+    """out = (x - mean) * scale + beta, in three passes."""
+    np.subtract(x, mean, out=out)
+    _scale_shift(out, scale, beta, out=out)
+
+
+def _scale_shift(d, scale, beta, out):
+    """out = d * scale + beta, in two passes."""
+    np.multiply(d, scale, out=out)
+    out += beta
 
 
 def batchnorm_backward(x: np.ndarray, state: BatchNormState, grad_out: np.ndarray,
@@ -507,11 +570,13 @@ def batchnorm_backward(x: np.ndarray, state: BatchNormState, grad_out: np.ndarra
     n, c, h, w = x.shape
     if mode == "train":
         saved = state.batch_stats
-        mean, var = saved[1:] if saved is not None and saved[0] is x else _batch_stats(x)
+        mean, var = saved[1:] if saved is not None and saved[0] is x else _batch_stats(x)[1:]
     elif mode == "eval":
         mean, var = state.running_mean, state.running_var
     else:
         raise ValueError(f"batchnorm mode must be 'train' or 'eval', got {mode!r}")
+    # C order, as the forward reads x: the sums below run in memory order
+    x, grad_out = np.ascontiguousarray(x), np.ascontiguousarray(grad_out)
     inv = 1.0 / np.sqrt(var.reshape(1, c, 1, 1) + state.eps)
     xhat = np.subtract(x, mean.reshape(1, c, 1, 1))
     xhat *= inv
@@ -531,7 +596,7 @@ def batchnorm_backward(x: np.ndarray, state: BatchNormState, grad_out: np.ndarra
 
     grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
     grad_beta = grad_out.sum(axis=(0, 2, 3))
-    return np.ascontiguousarray(grad_x), grad_gamma, grad_beta
+    return grad_x, grad_gamma, grad_beta
 
 
 # ---------------------------------------------------------------------------
@@ -539,25 +604,31 @@ def batchnorm_backward(x: np.ndarray, state: BatchNormState, grad_out: np.ndarra
 # ---------------------------------------------------------------------------
 
 def relu_forward(x: np.ndarray) -> np.ndarray:
-    out = np.empty(x.shape, dtype=x.dtype)
-    _run_bands(lambda c0, c1: np.maximum(x[:, c0:c1], 0, out=out[:, c0:c1]),
-               _channel_bands(x))
+    return _by_channels(lambda x, out: np.maximum(x, 0, out=out),
+                        np.empty(x.shape, dtype=x.dtype), x)
+
+
+def _masked(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """g where mask holds, +0 elsewhere: bitwise np.where(mask, g, 0), in C
+    order and g's dtype.  g's bits times the mask, one integer multiply per
+    element, takes no branch on the mask: on the random masks of a ReLU or
+    pooling gradient it is about 7x faster than np.where."""
+    bits = np.dtype(f"u{g.dtype.itemsize}")
+    out = np.empty(g.shape, dtype=g.dtype)
+    np.multiply(g.view(bits), mask, out=out.view(bits))
     return out
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     # gradient defined as 0 at exactly x == 0; `x` may be the relu's input or
     # its output, which is > 0 at exactly the same elements (NaN in neither)
-    return np.where(x > 0, grad_out, 0)  # a Python 0 keeps grad_out's dtype
+    return _masked(grad_out, x > 0)
 
 
 def add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if x.shape != y.shape:
         raise ShapeError(f"add: shapes {x.shape} != {y.shape}")
-    out = np.empty(x.shape, dtype=np.result_type(x, y))
-    _run_bands(lambda c0, c1: np.add(x[:, c0:c1], y[:, c0:c1], out=out[:, c0:c1]),
-               _channel_bands(x))
-    return out
+    return _by_channels(np.add, np.empty(x.shape, dtype=np.result_type(x, y)), x, y)
 
 
 def concat_channels(xs) -> np.ndarray:
@@ -569,6 +640,9 @@ def concat_channels(xs) -> np.ndarray:
             raise ShapeError(f"concat: incompatible shapes {base} vs {x.shape}")
     starts = channel_bounds([x.shape[1] for x in xs])
     out = np.empty((base[0], starts[-1], *base[2:]), dtype=np.result_type(*xs))
+    bands = _channel_bands(out)
+    if len(bands) == 1:  # as _by_channels: the whole arrays, in one call
+        return np.concatenate(xs, axis=1, out=out)
 
     def band(c0, c1):  # copies every input's channels that fall in [c0, c1)
         for x, s in zip(xs, starts):
@@ -576,7 +650,7 @@ def concat_channels(xs) -> np.ndarray:
             if lo < hi:
                 out[:, lo:hi] = x[:, lo - s:hi - s]
 
-    _run_bands(band, _channel_bands(out))
+    _run_bands(band, bands)
     return out
 
 
@@ -662,7 +736,7 @@ def maxpool_backward(x: np.ndarray, kernel: int, stride: int, padding: int,
     s = stride
     for t in reversed(range(kernel * kernel)):
         i, j = divmod(t, kernel)
-        gx[:, :, i:i + s * oh:s, j:j + s * ow:s] += np.where(first[t], grad_out, 0)
+        gx[:, :, i:i + s * oh:s, j:j + s * ow:s] += _masked(grad_out, first[t])
     return np.ascontiguousarray(gx[:, :, padding:padding + h, padding:padding + w])
 
 
@@ -670,6 +744,10 @@ def maxpool_backward(x: np.ndarray, kernel: int, stride: int, padding: int,
 # Bilinear upsampling (half-pixel, clamped) and its exact transpose
 # ---------------------------------------------------------------------------
 
+# The interpolation maps depend on the shapes alone, and a network upsamples
+# to a few shapes over and over: each is built once per process, kept in a
+# bounded cache and handed out read-only, so no caller can change another's.
+@functools.lru_cache(maxsize=64)
 def _bilinear_axis(n_in: int, n_out: int):
     """Per-axis gather indices (lo, hi) and interpolation fraction."""
     src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
@@ -677,9 +755,12 @@ def _bilinear_axis(n_in: int, n_out: int):
     lo = np.floor(src).astype(np.int64)
     frac = src - lo
     hi = np.minimum(lo + 1, n_in - 1)
+    for a in (lo, hi, frac):
+        a.flags.writeable = False
     return lo, hi, frac
 
 
+@functools.lru_cache(maxsize=64)
 def _bilinear_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
     """The (n_out, n_in) map of one axis: row r holds the taps of output r,
     with the weights rounded to dtype as resize_bilinear rounds them."""
@@ -689,6 +770,7 @@ def _bilinear_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
     a = np.zeros((n_out, n_in), dtype=dtype)
     a[rows, lo] = 1 - frac
     a[rows, hi] += frac  # hi == lo at the clamped border, where frac is 0
+    a.flags.writeable = False
     return a
 
 

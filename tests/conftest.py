@@ -4,8 +4,15 @@ import os
 
 import pytest
 
-from dwrseg.cli import blas_threads
+from dwrseg.cli import blas_threads, set_blas_threads
 from dwrseg.engine import ops
+
+
+def pytest_sessionstart(session):
+    """Run the whole session at one BLAS thread, the count at which the
+    README states its bitwise claims and the one `cli.main` sets, so no
+    test's thread count depends on which tests ran before it."""
+    set_blas_threads(1)
 
 
 def pytest_report_collectionfinish(config):
@@ -15,8 +22,8 @@ def pytest_report_collectionfinish(config):
     pytest leaves out under -q.
     """
     in_force = "in force" if ops.MALLOPT and set(ops.MALLOPT.values()) == {1} else "not applied"
-    return [f"dwrseg: BLAS threads {blas_threads() or 'unknown'}, band workers {ops.workers()}, "
-            f"allocator policy {in_force} {dict(ops.MALLOPT)}"]
+    return [f"dwrseg: BLAS threads {blas_threads() or 'unknown'} (set for the session), "
+            f"band workers {ops.workers()}, allocator policy {in_force} {dict(ops.MALLOPT)}"]
 
 
 @pytest.fixture(autouse=True)

@@ -7,7 +7,9 @@ op hands `_run_bands` the same bands and its result is the same, bitwise.
 A conv's bands are cut by one image's bytes, so each image of a batch also
 gets what it gets alone.  The conv and maxpool backwards, at the same drawn
 budgets and worker counts, equal references that add the kernel offsets one
-2-d slice at a time.
+2-d slice at a time.  Every kernel, forward and backward, fed its operands
+as windows of larger arrays, windows of channels-last arrays or negatively
+strided views, returns the bits it returns for C-contiguous copies.
 """
 
 import contextlib
@@ -15,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from dwrseg.engine import ops
@@ -50,6 +52,28 @@ def run(fn, budget, n):
     with bands_at(budget, n, cuts):
         out = fn()
     return out.tobytes(), cuts
+
+
+LAYOUTS = ("sliced", "transposed_sliced", "reversed")
+
+
+def stored(a, layout):
+    """a's values as a view in another memory layout: a window of a larger
+    array, a window of a channels-last array, or a negatively strided view;
+    a itself if layout is None."""
+    if layout is None:
+        return a
+    n, c, h, w = a.shape
+    if layout == "sliced":
+        big = np.zeros((n + 1, c + 2, h + 1, w + 3), a.dtype)
+        view = big[1:, 1:c + 1, :h, 2:w + 2]
+    elif layout == "transposed_sliced":
+        big = np.zeros((n, h + 1, w + 2, c + 1), a.dtype)
+        view = big[:, 1:, 1:w + 1, :c].transpose(0, 3, 1, 2)
+    else:
+        view = np.zeros(a.shape, a.dtype)[::-1, ::-1, ::-1, ::-1]
+    view[...] = a
+    return view
 
 
 @st.composite
@@ -93,12 +117,13 @@ def feature_maps(draw):
             draw(st.integers(4, 40)), draw(st.integers(4, 40)))
 
 
-def banded_ops(shape, rng):
+def banded_ops(shape, rng, layout=None):
     """{name: fn} for each channel-banded forward op, plus upsample, on
-    operands drawn from rng; BN gets its own running statistics per call."""
+    operands drawn from rng, stored in `layout` (C order if None); BN gets
+    its own running statistics per call."""
     _, c, h, w = shape
     x, y = rng.standard_normal(shape), rng.standard_normal(shape)
-    x, y = x.astype(np.float32), y.astype(np.float32)
+    x, y = (stored(a.astype(np.float32), layout) for a in (x, y))
     base = ops.BatchNormState(rng.standard_normal(c).astype(np.float32),
                               rng.standard_normal(c).astype(np.float32),
                               rng.standard_normal(c).astype(np.float32),
@@ -122,6 +147,36 @@ def banded_ops(shape, rng):
         "concat": lambda: ops.concat_channels([x[:, :cut], y, x[:, cut:]]),
         "maxpool": lambda: ops.maxpool_forward(x, kernel, stride, padding),
         "upsample": lambda: ops.upsample_bilinear(x, out_h, out_w),
+    }
+
+
+def backward_ops(shape, rng, layout=None):
+    """{name: fn} for the backward of BN (both modes, train also without the
+    forward's saved statistics), ReLU, maxpool and upsample, on operands
+    drawn from rng, stored in `layout` (C order if None)."""
+    n, c, h, w = shape
+    kernel = int(rng.integers(1, 4))
+    stride, padding = int(rng.integers(1, 3)), int(rng.integers(0, kernel))
+    pool_hw = ((h + 2 * padding - kernel) // stride + 1, (w + 2 * padding - kernel) // stride + 1)
+    out_h, out_w = int(rng.integers(h, 2 * h + 4)), int(rng.integers(w, 2 * w + 4))
+    x, g, g_pool, g_up = (stored(rng.standard_normal(s).astype(np.float32), layout)
+                          for s in (shape, shape, (n, c, *pool_hw), (n, c, out_h, out_w)))
+    gamma, beta, running_mean = (rng.standard_normal(c).astype(np.float32) for _ in range(3))
+    running_var = rng.uniform(0.5, 2.0, c).astype(np.float32)
+
+    def bn(mode, forward=True):
+        state = ops.BatchNormState(gamma, beta, running_mean.copy(), running_var.copy())
+        if forward:
+            ops.batchnorm_forward(x, state, mode)
+        return np.concatenate([a.ravel() for a in ops.batchnorm_backward(x, state, g, mode)])
+
+    return {
+        "bn_train": lambda: bn("train"),
+        "bn_train_recomputed": lambda: bn("train", forward=False),
+        "bn_eval": lambda: bn("eval"),
+        "relu": lambda: ops.relu_backward(x, g),
+        "maxpool": lambda: ops.maxpool_backward(x, kernel, stride, padding, g_pool),
+        "upsample": lambda: ops.upsample_bilinear_backward(x.shape, out_h, out_w, g_up),
     }
 
 
@@ -195,6 +250,90 @@ def test_bn_relu_add_concat_maxpool_upsample_are_worker_invariant(shape, budget,
 
 
 @PROPERTY
+@given(shape=feature_maps(), layout=st.sampled_from((None, *LAYOUTS)), budget=budgets,
+       n_workers=workers, seed=seeds)
+def test_train_bn_equals_its_mean_and_var_reference(shape, layout, budget, n_workers, seed):
+    """Train-mode BN, fed x in any layout, gives bitwise the output and running
+    statistics built from x.mean and x.var of x in C order."""
+    rng = np.random.default_rng(seed)
+    c = shape[1]
+    x = rng.normal(1.0, 3.0, shape).astype(np.float32)
+    gamma, beta, running_mean = (rng.standard_normal(c).astype(np.float32) for _ in range(3))
+    running_var = rng.uniform(0.5, 2.0, c).astype(np.float32)
+    state = ops.BatchNormState(gamma, beta, running_mean.copy(), running_var.copy())
+    with bands_at(budget, n_workers, []):
+        out = ops.batchnorm_forward(stored(x, layout), state, "train")
+    mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    want = x - mean.reshape(1, c, 1, 1)
+    want *= (gamma * (1.0 / np.sqrt(var + state.eps))).reshape(1, c, 1, 1)
+    want += beta.reshape(1, c, 1, 1)
+    m = state.momentum
+    assert out.flags.c_contiguous and out.tobytes() == want.tobytes()
+    for got, old, batch in ((state.running_mean, running_mean, mean),
+                            (state.running_var, running_var, var)):
+        assert got.tobytes() == ((1.0 - m) * old + m * batch).astype(np.float32).tobytes()
+
+
+@PROPERTY
+@given(conv=convs(), layout=st.sampled_from(LAYOUTS), budget=budgets, n_workers=workers,
+       seed=seeds)
+def test_conv_forward_and_backward_ignore_the_operands_layout(conv, layout, budget, n_workers,
+                                                              seed):
+    spec, shape = conv
+    spec = replace(spec, has_bias=bool(seed % 2))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape).astype(np.float32)
+    weight = rng.standard_normal(spec.weight_shape).astype(np.float32)
+    bias = rng.standard_normal(spec.out_channels).astype(np.float32) if spec.has_bias else None
+    grad_out = rng.standard_normal((shape[0], spec.out_channels,
+                                    *spec.out_hw(*shape[2:]))).astype(np.float32)
+
+    def both(x, weight, grad_out):
+        with bands_at(budget, n_workers, []):
+            return [ops.conv2d_forward(x, weight, bias, spec),
+                    *ops.conv2d_backward(x, weight, spec, grad_out)]
+
+    want = both(x, weight, grad_out)
+    got = both(*(stored(a, layout) for a in (x, weight, grad_out)))
+    for name, a, b in zip(("out", "grad_x", "grad_w", "grad_b"), got, want):
+        assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+
+
+@PROPERTY
+@given(shape=feature_maps(), layout=st.sampled_from(LAYOUTS), budget=budgets,
+       n_workers=workers, seed=seeds)
+def test_bn_relu_add_concat_maxpool_upsample_ignore_the_operands_layout(shape, layout, budget,
+                                                                          n_workers, seed):
+    want = banded_ops(shape, np.random.default_rng(seed))
+    got = banded_ops(shape, np.random.default_rng(seed), layout)
+    for name, fn in got.items():
+        assert run(fn, budget, n_workers)[0] == run(want[name], budget, n_workers)[0], name
+
+
+@PROPERTY
+@given(shape=feature_maps(), layout=st.sampled_from(LAYOUTS), seed=seeds)
+def test_bn_relu_maxpool_upsample_backwards_ignore_the_operands_layout(shape, layout, seed):
+    want = backward_ops(shape, np.random.default_rng(seed))
+    got = backward_ops(shape, np.random.default_rng(seed), layout)
+    for name, fn in got.items():
+        assert fn().tobytes() == want[name]().tobytes(), name
+
+
+# Draws that failed before the backward gathered its columns in C order
+# (grad_w, a one-pixel-wide output) and before a one-row output skipped the
+# padded pitch (grad_x, a 1x1 output)
+@PROPERTY
+@example(conv=(ops.ConvSpec(1, 1, 5), (1, 1, 6, 5)), budget=1024, n_workers=2, seed=0)
+@example(conv=(ops.ConvSpec(7, 7, 5, groups=7), (2, 7, 9, 5)), budget=3853, n_workers=3,
+         seed=1302778080)
+@example(conv=(ops.ConvSpec(5, 5, 5, stride=2, groups=5), (5, 5, 10, 5)), budget=157638,
+         n_workers=3, seed=2848252869)
+@example(conv=(ops.ConvSpec(7, 4, 3, dilation=2), (1, 7, 5, 5)), budget=82632, n_workers=2,
+         seed=61554226)
+@example(conv=(ops.ConvSpec(5, 4, 3, padding=1, dilation=3), (5, 5, 5, 5)), budget=535107,
+         n_workers=2, seed=3865350223)
+@example(conv=(ops.ConvSpec(8, 4, 5, dilation=2), (5, 8, 9, 9)), budget=1473, n_workers=2,
+         seed=2759557528)
 @given(conv=convs(), budget=budgets, n_workers=workers, seed=seeds)
 def test_conv_backward_equals_its_per_offset_reference(conv, budget, n_workers, seed):
     spec, shape = conv

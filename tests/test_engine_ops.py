@@ -712,6 +712,17 @@ class TestPointwise:
         x = rnd((1, 2, 3, 3), dtype=dtype)
         assert E.relu_backward(x, np.ones_like(x)).dtype == dtype
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_backward_is_bitwise_where(self, dtype):
+        # +0 where the mask is off, whatever the gradient's sign or value
+        x, g = rnd((2, 3, 5, 7), seed=27, dtype=dtype), rnd((2, 3, 5, 7), seed=28, dtype=dtype)
+        x.flat[::4] = 0
+        g.flat[::5], g.flat[1::7], g.flat[2::11], g.flat[3::13] = -0.0, np.nan, -np.inf, np.inf
+        for go in (g, g[::-1, :, ::-1]):  # and a negatively strided view
+            got = E.relu_backward(x, go)
+            assert got.dtype == dtype and got.flags.c_contiguous
+            assert got.tobytes() == np.where(x > 0, go, 0).tobytes()
+
     @given(st.lists(st.floats(-10, 10, width=32), min_size=1, max_size=32))
     @settings(max_examples=50, deadline=None)
     def test_relu_idempotent(self, vals):
@@ -931,6 +942,28 @@ class TestUpsample:
             E.upsample_bilinear(x, 0, 4)
         with pytest.raises(E.ShapeError):
             E.upsample_bilinear(x, 2, 4)  # shrink not allowed
+
+    def test_cached_maps_are_read_only(self):
+        maps = [*ops._bilinear_axis(3, 7), ops._bilinear_matrix(4, 9, np.dtype(np.float32))]
+        for a in maps:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        assert ops._bilinear_axis(3, 7)[0] is maps[0]  # the cached arrays, not copies
+
+    def test_cache_hit_gives_the_bits_of_a_miss(self):
+        x, g = rnd((2, 3, 5, 6), seed=25), rnd((2, 3, 11, 13), seed=26)
+
+        def both():
+            return (E.upsample_bilinear(x, 11, 13).tobytes(),
+                    E.upsample_bilinear_backward(x.shape, 11, 13, g).tobytes())
+
+        ops._bilinear_axis.cache_clear()
+        ops._bilinear_matrix.cache_clear()
+        miss = both()
+        hits = ops._bilinear_axis.cache_info().hits, ops._bilinear_matrix.cache_info().hits
+        assert both() == miss
+        assert ops._bilinear_axis.cache_info().hits > hits[0]
+        assert ops._bilinear_matrix.cache_info().hits > hits[1]
 
 
 # ---------------------------------------------------------------------------
