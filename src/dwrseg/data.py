@@ -3,13 +3,18 @@
 The shapes generator renders colored geometric primitives (rectangle,
 disk, triangle, ring) on a noisy background; the mask records the topmost
 shape's class per pixel, with 255 reserved as the ignore label.  Every
-sample is a pure function of (seed, index) so datasets never need to be
-stored.
+sample is a pure function of (seed, index), so `make_dataset` renders
+sample i on its first read, in the process that reads it, and keeps it
+read-only: in training, the batch process renders what batches 1, 2, ...
+use and the training process batch 0 and the validation samples.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,29 +66,34 @@ def draw_rectangle(mask, top, left, height, width, cls):
     mask[top:top + height, left:left + width] = cls
 
 
-def draw_disk(mask, cy, cx, radius, cls):
+def _box(mask, top, bottom, left, right):
+    """The view mask[top:bottom, left:right] clipped to the canvas, and its ogrid."""
     h, w = mask.shape
-    yy, xx = np.ogrid[:h, :w]
-    mask[(yy - cy) ** 2 + (xx - cx) ** 2 <= radius ** 2] = cls
+    top, left = max(top, 0), max(left, 0)
+    bottom, right = max(top, min(bottom, h)), max(left, min(right, w))
+    yy, xx = np.ogrid[top:bottom, left:right]
+    return mask[top:bottom, left:right], yy, xx
+
+
+def draw_disk(mask, cy, cx, radius, cls):
+    box, yy, xx = _box(mask, cy - radius, cy + radius + 1, cx - radius, cx + radius + 1)
+    box[(yy - cy) ** 2 + (xx - cx) ** 2 <= radius ** 2] = cls
 
 
 def draw_triangle(mask, cy, cx, size, cls):
     """Upward isoceles triangle with a `size` x `size` bounding box."""
-    h, w = mask.shape
-    yy, xx = np.ogrid[:h, :w]
     top = cy - size // 2
+    box, yy, xx = _box(mask, top, top + size, cx - size // 2, cx + size // 2 + 1)
     rel_y = yy - top
     half = np.abs(xx - cx)
-    inside = (rel_y >= 0) & (rel_y < size) & (half * size <= rel_y * (size // 2 + 1))
-    mask[inside] = cls
+    box[half * size <= rel_y * (size // 2 + 1)] = cls
 
 
 def draw_ring(mask, cy, cx, radius, cls):
-    h, w = mask.shape
-    yy, xx = np.ogrid[:h, :w]
+    box, yy, xx = _box(mask, cy - radius, cy + radius + 1, cx - radius, cx + radius + 1)
     d2 = (yy - cy) ** 2 + (xx - cx) ** 2
     inner = max(1, radius // 2)
-    mask[(d2 <= radius ** 2) & (d2 >= inner ** 2)] = cls
+    box[(d2 <= radius ** 2) & (d2 >= inner ** 2)] = cls
 
 
 def render_shape(mask, kind: str, cy: int, cx: int, size: int, cls: int) -> None:
@@ -115,16 +125,46 @@ def generate(spec: ShapesSpec, index: int) -> Sample:
         cx = int(rng.integers(margin, max(margin + 1, w - margin)))
         render_shape(mask, kind, cy, cx, size, cls)
 
-    palette = np.stack([class_color(c) for c in range(spec.num_classes)])
-    image = palette[mask].transpose(2, 0, 1)[None].astype(np.float32)
+    # channels-last memory order, which seeded training depends on
+    image = np.take(_palette(spec.num_classes), mask, axis=0).transpose(2, 0, 1)[None]
+    image = image.astype(np.float32)
     if spec.noise > 0:
-        image += (spec.noise * rng.standard_normal((1, 3, h, w))).astype(np.float32)
+        noise = rng.standard_normal((1, 3, h, w))
+        image += np.multiply(noise, spec.noise, out=noise).astype(np.float32)
     np.clip(image, 0.0, 1.0, out=image)
     return Sample(image=image, mask=mask)
 
 
-def make_dataset(spec: ShapesSpec, count: int, start: int = 0) -> list[Sample]:
-    return [generate(spec, start + i) for i in range(count)]
+@functools.lru_cache(maxsize=8)
+def _palette(num_classes: int) -> np.ndarray:
+    palette = np.stack([class_color(c) for c in range(num_classes)])
+    palette.flags.writeable = False
+    return palette
+
+
+class ShapesDataset(Sequence):
+    """Samples start, start + 1, ... of `spec`, each rendered by `generate`
+    on its first read and then kept, with read-only arrays."""
+
+    def __init__(self, spec: ShapesSpec, count: int, start: int = 0):
+        self.spec, self.start = spec, start
+        self._samples: list[Sample | None] = [None] * count
+
+    def __len__(self) -> int:
+        return len(self._samples)
+
+    def __getitem__(self, index) -> Sample:
+        index = operator.index(index)  # a slice is a TypeError
+        sample = self._samples[index]  # an IndexError past either end
+        if sample is None:
+            sample = generate(self.spec, self.start + index % len(self))
+            sample.image.flags.writeable = sample.mask.flags.writeable = False
+            self._samples[index] = sample
+        return sample
+
+
+def make_dataset(spec: ShapesSpec, count: int, start: int = 0) -> ShapesDataset:
+    return ShapesDataset(spec, count, start)
 
 
 # ---------------------------------------------------------------------------

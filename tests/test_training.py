@@ -544,6 +544,28 @@ class TestBatchProcess:
         assert len(forks) == 1
         self.assert_reaped(forks[0])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_samples_are_rendered_where_they_are_used(self, desk, monkeypatch, workers):
+        # at 2 workers the batch process renders what batches 1, 2, ... use and
+        # this process only batch 0 and the validation samples; at 1 worker
+        # this process renders each sample once, however often it is read
+        ds, net_cfg, cfg = desk
+        val = D.make_dataset(ds.spec, 4, start=len(ds))
+        generate, parent, rendered = D.generate, os.getpid(), []
+
+        def counting(spec, index):
+            if os.getpid() == parent:
+                rendered.append(index)
+            return generate(spec, index)
+
+        monkeypatch.setattr(D, "generate", counting)
+        ops.set_workers(workers)
+        cfg = replace(cfg, eval_every=7)
+        T.train_loop(N.build(net_cfg, rng_seed=0), net_cfg, ds, cfg, val_dataset=val)
+        batches = list(T._batch_order(len(ds), cfg))
+        used = batches[0] if workers == 2 else [i for b in batches for i in b]
+        assert sorted(rendered) == sorted(set(used) | set(range(len(ds), len(ds) + 4)))
+
     @pytest.mark.parametrize("workers, iters", [(1, 3), (2, 1)])
     def test_one_worker_or_one_batch_never_forks(self, desk, monkeypatch, workers, iters):
         def no_fork():
